@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any
 
 from . import hilbert, jsonio, operators, padic, states
-from .errors import PadicError, ParseError, ValidationError
+from .errors import PadicError, ParseError
 from .padic import PadicContext
 from .quadext import ExtensionContext
 
@@ -40,9 +39,6 @@ def _load(path: str) -> Any:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-_CLASS_NAMES = {0: "1", 1: "eta", 2: "p", 3: "eta*p"}
 
 
 def _square_class_name(context: ExtensionContext) -> str:
@@ -97,11 +93,7 @@ def _classify_one(path: str) -> Any:
 
 
 def cmd_classify(args: argparse.Namespace) -> Any:
-    if args.jobs > 1 and len(args.operator) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_classify_one, args.operator))
-    else:
-        reports = [_classify_one(path) for path in args.operator]
+    reports = [_classify_one(path) for path in args.operator]
     return reports[0] if len(reports) == 1 else reports
 
 
@@ -129,8 +121,6 @@ def cmd_decompose(args: argparse.Namespace) -> Any:
 
 def cmd_unitary_check(args: argparse.Namespace) -> Any:
     op = jsonio.operator_from_dict(_load(args.operator))
-    if not isinstance(op, operators.BlockOperator):
-        raise ValidationError("unitarity is decided on block operators")
     return {
         "unitary": operators.is_unitary(op),
         "ip_preserving": operators.is_ip_preserving(op),
@@ -178,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         if mu:
             sp.add_argument("--mu", type=int, required=True, help="non-square radicand")
         sp.add_argument("--precision", type=int, default=5, help="significant digits")
-        sp.add_argument("--seed", type=int, default=0, help="seed for bounded searches")
         sp.add_argument(
             "--seed-bound", type=int, default=None, help="search budget override"
         )
@@ -195,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("classify", help="classification report for operator JSON")
     sp.add_argument("operator", nargs="+", help="operator JSON files")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(handler=cmd_classify)
 
     sp = add_parser("trace", help="trace of an operator JSON")

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .padic import PadicNumber
-from .quadext import ExtensionContext, Magnitude, QuadExtElement, quad_sum
+from .quadext import ExtensionContext, Magnitude, QuadExtElement, max_abs, quad_sum
 
 
 class PVector:
@@ -103,12 +103,7 @@ def inner_product(u: PVector, v: PVector) -> QuadExtElement:
 
 
 def sup_norm(v: PVector) -> Magnitude:
-    norm = Magnitude.zero(v.context.p)
-    for _, z in v.items():
-        m = z.ext_abs()
-        if m > norm:
-            norm = m
-    return norm
+    return max_abs(v.context, (z for _, z in v.items()))
 
 
 # -- residue fields and the norm-orthogonality criterion ---------------------

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import BasisRotation, PVector, basis_vector, inner_product
-from .quadext import ExtensionContext, Magnitude, QuadExtElement, quad_sum
+from .quadext import ExtensionContext, Magnitude, QuadExtElement, max_abs, quad_sum
 
 INF = math.inf
 
@@ -69,9 +69,33 @@ class OperatorClassification:
 
 
 class MatrixOperator:
-    """Common base; concrete kinds are BlockOperator and GeneratorOperator."""
+    """Common interface of BlockOperator and GeneratorOperator.  Each kind
+    supplies ``entry``, ``span``, ``adjoint``, ``norm`` and ``classify``;
+    entries (m, n) with m, n <= ``span`` are known exactly."""
 
     context: ExtensionContext
+    span: int
+
+    def apply(self, v: PVector) -> PVector:
+        """Matrix-vector product over the span; exact for block operators."""
+        if self.context != v.context:
+            raise ContextMismatch("operator and vector over different extensions")
+        ctx = self.context
+        out: dict[int, QuadExtElement] = {}
+        for m in range(1, self.span + 1):
+            terms = []
+            for n, vn in v.items():
+                amn = self.entry(m, n)
+                if not amn.is_zero:
+                    terms.append(amn * vn)
+            acc = quad_sum(ctx, terms)
+            if not acc.is_zero:
+                out[m] = acc
+        return PVector(ctx, out)
+
+    def trace(self) -> QuadExtElement:
+        """Sum of the diagonal entries inside the span."""
+        return quad_sum(self.context, [self.entry(m, m) for m in range(1, self.span + 1)])
 
 
 class BlockOperator(MatrixOperator):
@@ -92,6 +116,10 @@ class BlockOperator(MatrixOperator):
         self.context = context
         self.dim = dim
         self.rows = tuple(tuple(row) for row in rows)
+
+    @property
+    def span(self) -> int:
+        return self.dim
 
     def entry(self, m: int, n: int) -> QuadExtElement:
         """Matrix entry with 1-based indices; zero outside the block."""
@@ -126,6 +154,7 @@ class BlockOperator(MatrixOperator):
         return BlockOperator(self.context, [[-z for z in row] for row in self.rows])
 
     def __sub__(self, other: BlockOperator) -> BlockOperator:
+        self._check(other)
         return self + (-other)
 
     def scale(self, alpha: QuadExtElement) -> BlockOperator:
@@ -157,7 +186,26 @@ class BlockOperator(MatrixOperator):
             ],
         )
 
-    def _check(self, other: BlockOperator) -> None:
+    def norm(self) -> Magnitude:
+        """sup |A_mn|, exact."""
+        return max_abs(self.context, (z for row in self.rows for z in row))
+
+    def classify(self) -> OperatorClassification:
+        """Every flag is decided exactly; only self-adjointness can fail."""
+        ok = FlagReport(True, Verdict.PROVEN)
+        witness = _symmetry_witness(self)
+        sym = ok if witness is None else FlagReport(False, Verdict.REFUTED, witness)
+        return OperatorClassification(
+            bounded=ok,
+            adjointable=ok,
+            self_adjoint=sym,
+            compact=ok,
+            trace_class=ok,
+            traceable_wrt_standard_basis=ok,
+        )
+
+    def _check(self, other: MatrixOperator) -> None:
+        _require_block("block arithmetic", other)
         if self.context != other.context:
             raise ContextMismatch("operators over different extensions")
 
@@ -165,30 +213,18 @@ class BlockOperator(MatrixOperator):
         return f"BlockOperator(dim={self.dim})"
 
 
-def compose(a: BlockOperator, b: BlockOperator) -> BlockOperator:
-    return a * b
+def _require_block(what: str, *ops: MatrixOperator) -> None:
+    if not all(isinstance(a, BlockOperator) for a in ops):
+        raise NotBlockFinite(f"{what} needs exact blocks")
 
 
-def adjoint(a: MatrixOperator) -> MatrixOperator:
-    if isinstance(a, BlockOperator):
-        return a.adjoint()
-    if isinstance(a, GeneratorOperator):
-        cert = a.certificate
-        if not cert.col_divergent:
-            raise NotAdjointable("certificate declares no column decay")
-        swapped = DecayCertificate(
-            bound=lambda m, n: cert.bound(n, m),
-            row_divergent=cert.col_divergent,
-            col_divergent=cert.row_divergent,
-            pringsheim_divergent=cert.pringsheim_divergent,
-            joint_divergent=cert.joint_divergent,
-            diag_divergent=cert.diag_divergent,
-        )
-        entry = a.entry_fn
-        return GeneratorOperator(
-            a.context, a.window, lambda m, n: entry(n, m).conj(), swapped
-        )
-    raise ValidationError("unknown operator kind")
+def _symmetry_witness(a: MatrixOperator) -> str | None:
+    """The first entry (m, n), m <= n <= span, with A_mn != conj(A_nm)."""
+    for m in range(1, a.span + 1):
+        for n in range(m, a.span + 1):
+            if a.entry(m, n) != a.entry(n, m).conj():
+                return f"entry ({m},{n})"
+    return None
 
 
 # -- builders -----------------------------------------------------------------
@@ -371,6 +407,10 @@ class GeneratorOperator(MatrixOperator):
         along += [self.certificate.bound(m, t) for m in range(1, t + 1)]
         return min(along)
 
+    @property
+    def span(self) -> int:
+        return self.window
+
     def entry(self, m: int, n: int) -> QuadExtElement:
         if m > self.window or n > self.window:
             raise OutsideWindow("entry beyond the materialized window")
@@ -380,87 +420,73 @@ class GeneratorOperator(MatrixOperator):
         """Valuation floor just beyond the window (monotone beyond it)."""
         return self._frontier_floor(self.window + 1)
 
+    def adjoint(self) -> GeneratorOperator:
+        cert = self.certificate
+        if not cert.col_divergent:
+            raise NotAdjointable("certificate declares no column decay")
+        swapped = DecayCertificate(
+            bound=lambda m, n: cert.bound(n, m),
+            row_divergent=cert.col_divergent,
+            col_divergent=cert.row_divergent,
+            pringsheim_divergent=cert.pringsheim_divergent,
+            joint_divergent=cert.joint_divergent,
+            diag_divergent=cert.diag_divergent,
+        )
+        entry = self.entry_fn
+        return GeneratorOperator(
+            self.context, self.window, lambda m, n: entry(n, m).conj(), swapped
+        )
+
+    def apply(self, v: PVector) -> PVector:
+        """Rows inside the window; the certificate bounds the dropped rest."""
+        if any(i > self.window for i in v.support()):
+            raise OutsideWindow("vector support exceeds the window")
+        return super().apply(v)
+
+    def norm(self) -> Magnitude:
+        """The window max, when the certificate keeps the tail below it."""
+        peak = max_abs(self.context, self._materialized.values())
+        floor = self.frontier_bound()
+        if floor == INF:
+            return peak
+        tail = Magnitude(self.context.p, -int(math.ceil(2 * Fraction(floor))))
+        if tail > peak:
+            raise TailDominates("certificate admits tail entries above the window max")
+        return peak
+
+    def classify(self) -> OperatorClassification:
+        """Limit conditions read from the certificate's declared decay."""
+        cert = self.certificate
+        adjointable = _certified(cert.row_divergent and cert.col_divergent, "row and column decay")
+        witness = _symmetry_witness(self)
+        if witness is None and adjointable.holds:
+            self_adjoint = FlagReport(
+                True, Verdict.CERTIFIED_BY_DECAY, "window symmetric; adjointability certified"
+            )
+        else:
+            self_adjoint = FlagReport(False, Verdict.REFUTED, witness or adjointable.witness)
+        return OperatorClassification(
+            bounded=_certified(cert.row_divergent, "row decay"),
+            adjointable=adjointable,
+            self_adjoint=self_adjoint,
+            compact=_certified(
+                cert.row_divergent and cert.pringsheim_divergent, "row and joint-index decay"
+            ),
+            trace_class=_certified(cert.joint_divergent, "total decay"),
+            traceable_wrt_standard_basis=_certified(
+                cert.row_divergent and cert.diag_divergent, "row and diagonal decay"
+            ),
+        )
+
+    def trace(self) -> QuadExtElement:
+        """The window diagonal sum, if the certificate makes it traceable."""
+        cert = self.certificate
+        if not (cert.joint_divergent or (cert.row_divergent and cert.diag_divergent)):
+            raise NotTraceClass("certificate does not support a trace")
+        return super().trace()
+
     def __repr__(self) -> str:
         return f"GeneratorOperator(window={self.window})"
-
-
-# -- apply, norm, classification ----------------------------------------------
-
-
-def apply(a: MatrixOperator, v: PVector) -> PVector:
-    """Matrix-vector product; exact for block operators.
-
-    For generator-backed operators the vector must be supported within the
-    window and only image rows inside the window are returned (the decay
-    certificate bounds everything dropped).
-    """
-    if a.context != v.context:
-        raise ContextMismatch("operator and vector over different extensions")
-    ctx = a.context
-    if isinstance(a, BlockOperator):
-        span = a.dim
-    else:
-        if any(i > a.window for i in v.support()):
-            raise OutsideWindow("vector support exceeds the window")
-        span = a.window
-    out: dict[int, QuadExtElement] = {}
-    for m in range(1, span + 1):
-        terms = []
-        for n, vn in v.items():
-            if n > span:
-                continue
-            amn = a.entry(m, n)
-            if not amn.is_zero:
-                terms.append(amn * vn)
-        acc = quad_sum(ctx, terms)
-        if not acc.is_zero:
-            out[m] = acc
-    return PVector(ctx, out)
-
-
-def operator_norm(a: MatrixOperator) -> Magnitude:
-    """sup |A_mn|: exact for block operators, window max when the decay
-    certificate keeps the tail below it."""
-    peak = Magnitude.zero(a.context.p)
-    if isinstance(a, BlockOperator):
-        for row in a.rows:
-            for z in row:
-                m = z.ext_abs()
-                if m > peak:
-                    peak = m
-        return peak
-    for z in a._materialized.values():
-        m = z.ext_abs()
-        if m > peak:
-            peak = m
-    floor = a.frontier_bound()
-    if floor == INF:
-        return peak
-    tail = Magnitude(a.context.p, -int(math.ceil(2 * Fraction(floor))))
-    if tail > peak:
-        raise TailDominates("certificate admits tail entries above the window max")
-    return peak
-
-
-def _block_classification(a: BlockOperator) -> OperatorClassification:
-    ok = FlagReport(True, Verdict.PROVEN)
-    sym = FlagReport(True, Verdict.PROVEN)
-    for m in range(1, a.dim + 1):
-        for n in range(m, a.dim + 1):
-            if a.entry(m, n) != a.entry(n, m).conj():
-                sym = FlagReport(False, Verdict.REFUTED, f"entry ({m},{n})")
-                break
-        else:
-            continue
-        break
-    return OperatorClassification(
-        bounded=ok,
-        adjointable=ok,
-        self_adjoint=sym,
-        compact=ok,
-        trace_class=ok,
-        traceable_wrt_standard_basis=ok,
-    )
 
 
 def _certified(flag: bool, reason: str) -> FlagReport:
@@ -469,65 +495,33 @@ def _certified(flag: bool, reason: str) -> FlagReport:
     return FlagReport(False, Verdict.REFUTED, f"certificate declares no {reason}")
 
 
-def _generator_classification(a: GeneratorOperator) -> OperatorClassification:
-    cert = a.certificate
-    bounded = _certified(cert.row_divergent, "row decay")
-    adjointable = _certified(cert.row_divergent and cert.col_divergent, "row and column decay")
-    compact = _certified(
-        cert.row_divergent and cert.pringsheim_divergent, "row and joint-index decay"
-    )
-    trace_class = _certified(cert.joint_divergent, "total decay")
-    traceable = _certified(cert.row_divergent and cert.diag_divergent, "row and diagonal decay")
-    sym_witness = None
-    for m in range(1, a.window + 1):
-        for n in range(m, a.window + 1):
-            if a.entry(m, n) != a.entry(n, m).conj():
-                sym_witness = f"entry ({m},{n})"
-                break
-        if sym_witness:
-            break
-    if sym_witness is not None:
-        self_adjoint = FlagReport(False, Verdict.REFUTED, sym_witness)
-    elif adjointable.holds:
-        self_adjoint = FlagReport(
-            True, Verdict.CERTIFIED_BY_DECAY, "window symmetric; adjointability certified"
-        )
-    else:
-        self_adjoint = FlagReport(False, Verdict.REFUTED, adjointable.witness)
-    return OperatorClassification(
-        bounded=bounded,
-        adjointable=adjointable,
-        self_adjoint=self_adjoint,
-        compact=compact,
-        trace_class=trace_class,
-        traceable_wrt_standard_basis=traceable,
-    )
+# -- the public operator functions ----------------------------------------------
+
+
+def adjoint(a: MatrixOperator) -> MatrixOperator:
+    return a.adjoint()
+
+
+def apply(a: MatrixOperator, v: PVector) -> PVector:
+    """Matrix-vector product; see MatrixOperator.apply."""
+    return a.apply(v)
+
+
+def operator_norm(a: MatrixOperator) -> Magnitude:
+    """sup |A_mn|; exact for blocks, certified from the window for generators."""
+    return a.norm()
 
 
 def classify(a: MatrixOperator) -> OperatorClassification:
-    if isinstance(a, BlockOperator):
-        return _block_classification(a)
-    if isinstance(a, GeneratorOperator):
-        return _generator_classification(a)
-    raise ValidationError("unknown operator kind")
+    return a.classify()
 
 
 # -- trace and the Hilbert-Schmidt product -------------------------------------
 
 
 def trace(t: MatrixOperator) -> QuadExtElement:
-    """Sum of diagonal entries; exact for block operators.
-
-    For generator-backed operators the trace-class (or at least traceable)
-    verdict must hold and the window diagonal sum is returned; use
-    ``trace_tail_bound`` for the guaranteed precision of the dropped tail.
-    """
-    if isinstance(t, BlockOperator):
-        return quad_sum(t.context, [t.entry(m, m) for m in range(1, t.dim + 1)])
-    cls = classify(t)
-    if not (cls.trace_class.holds or cls.traceable_wrt_standard_basis.holds):
-        raise NotTraceClass("certificate does not support a trace")
-    return quad_sum(t.context, [t.entry(m, m) for m in range(1, t.window + 1)])
+    """Sum of diagonal entries; ``trace_tail_bound`` bounds a generator's dropped tail."""
+    return t.trace()
 
 
 def trace_tail_bound(t: GeneratorOperator) -> Magnitude:
@@ -543,13 +537,13 @@ def trace_tail_bound(t: GeneratorOperator) -> Magnitude:
 
 def hs_inner(s: MatrixOperator, t: MatrixOperator) -> QuadExtElement:
     """Hilbert-Schmidt product tr(adjoint(S) T) on block operators."""
-    if not isinstance(s, BlockOperator) or not isinstance(t, BlockOperator):
-        raise NotBlockFinite("Hilbert-Schmidt product needs exact blocks")
+    _require_block("the Hilbert-Schmidt product", s, t)
     return trace(s.adjoint() * t)
 
 
 def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, QuadExtElement]:
     """(tr(BT), tr(TB)); the two agree exactly for block operators."""
+    _require_block("the cyclic check", b, t)
     return trace(b * t), trace(t * b)
 
 
@@ -558,8 +552,7 @@ def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, Q
 
 def is_ip_preserving(u: MatrixOperator) -> bool:
     """Exact check of adjoint(U) U = Id on the declared block."""
-    if not isinstance(u, BlockOperator):
-        raise NotBlockFinite("inner-product preservation needs an exact block")
+    _require_block("inner-product preservation", u)
     return u.adjoint() * u == identity(u.context, u.dim)
 
 
@@ -569,14 +562,11 @@ def is_unitary(u: MatrixOperator) -> bool:
     The norm condition cannot be dropped: inner-product preservation alone
     admits operators of norm p**K > 1.
     """
-    if not isinstance(u, BlockOperator):
-        raise NotBlockFinite("unitarity is decided on exact blocks")
-    ident = identity(u.context, u.dim)
-    ustar = u.adjoint()
+    _require_block("unitarity", u)
     return (
-        u * ustar == ident
-        and ustar * u == ident
-        and operator_norm(u).is_one
+        operator_norm(u).is_one
+        and is_ip_preserving(u)
+        and u * u.adjoint() == identity(u.context, u.dim)
     )
 
 
@@ -639,12 +629,7 @@ class CanonicalDecomposition:
         return acc
 
     def max_weight(self) -> Magnitude:
-        peak = Magnitude.zero(self.context.p)
-        for lam, _, _ in self.terms:
-            m = lam.ext_abs()
-            if m > peak:
-                peak = m
-        return peak
+        return max_abs(self.context, (lam for lam, _, _ in self.terms))
 
 
 def _magnitude_pivot(context: ExtensionContext, target: Magnitude) -> QuadExtElement:
@@ -677,8 +662,7 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     (Q_2(sqrt(3)) and Q_2(sqrt(7)) lack such pivots for half-magnitude
     rows; there the mixed uniformizer costs trailing digits).
     """
-    if not isinstance(c, BlockOperator):
-        raise NotBlockFinite("decomposition needs an exact block")
+    _require_block("decomposition", c)
     terms = []
     for m in range(1, c.dim + 1):
         nonzero = [
@@ -688,8 +672,7 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
         ]
         if not nonzero:
             continue
-        peak = max(z.ext_abs() for _, z in nonzero)
-        lam = _magnitude_pivot(c.context, peak)
+        lam = _magnitude_pivot(c.context, max_abs(c.context, (z for _, z in nonzero)))
         lam_inv = lam.inv()
         f = PVector(c.context, {n: (lam_inv * z).conj() for n, z in nonzero})
         terms.append((lam, basis_vector(c.context, m), f))
@@ -730,8 +713,7 @@ def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
     For p = 2 the halving lowers valuations by one; the reconstruction is
     still exact.
     """
-    if not isinstance(t, BlockOperator):
-        raise NotBlockFinite("decomposition needs an exact block")
+    _require_block("decomposition", t)
     if not classify(t).self_adjoint.holds:
         raise NotSelfAdjoint("symmetric decomposition needs a self-adjoint block")
     half = t.context.from_base(t.context.base.from_fraction(Fraction(1, 2)))
@@ -753,8 +735,7 @@ def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
 
 def factor_trace_class(r: MatrixOperator) -> tuple[BlockOperator, BlockOperator]:
     """A pair S, T of trace-class blocks with S T = R."""
-    if not isinstance(r, BlockOperator):
-        raise NotBlockFinite("factorization needs an exact block")
+    _require_block("factorization", r)
     canon = canonical_decomposition(r)
     s = zero_operator(r.context, r.dim)
     t = zero_operator(r.context, r.dim)

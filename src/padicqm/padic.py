@@ -157,9 +157,6 @@ class PadicNumber:
 
     __hash__ = None  # tracked-precision equality is not hash-compatible
 
-    def eq_mod_precision(self, other: PadicNumber) -> bool:
-        return self == other
-
     def _check_context(self, other: PadicNumber) -> None:
         if self.context != other.context:
             raise ContextMismatch("operands live in different contexts")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from . import padic
 from .errors import ContextMismatch, DivisionByZero, MuIsSquare, ValidationError
@@ -230,6 +231,11 @@ class QuadExtElement:
 
     def __repr__(self) -> str:
         return f"QuadExt({self.sc!r} + {self.ac!r}*sqrt(mu))"
+
+
+def max_abs(context: ExtensionContext, values: Iterable[QuadExtElement]) -> Magnitude:
+    """The largest |z| over the values; zero when there are none."""
+    return max((z.ext_abs() for z in values), default=Magnitude.zero(context.p))
 
 
 def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtElement:

@@ -4,6 +4,8 @@ import json
 
 import helpers
 from padicqm import (
+    GeneratorOperator,
+    affine_certificate,
     basis_vector,
     build_norm_inflating_ip_preserver,
     diagonal,
@@ -105,13 +107,13 @@ def test_classify_generator_certificate(tmp_path, capsys):
     }
 
 
-def test_classify_multiple_files_with_jobs(tmp_path, capsys):
+def test_classify_multiple_files(tmp_path, capsys):
     paths = []
     for k in (2, 3):
         p = tmp_path / f"op{k}.json"
         p.write_text(json.dumps(operator_to_dict(identity(E35, k))))
         paths.append(str(p))
-    code, out, _ = run(capsys, "classify", *paths, "--jobs", "2")
+    code, out, _ = run(capsys, "classify", *paths)
     data = json.loads(out)
     assert code == 0 and len(data) == 2
 
@@ -157,6 +159,18 @@ def test_unitary_check_counterexample(tmp_path, capsys):
     assert data["unitary"] is False
     assert data["ip_preserving"] is True
     assert data["norm"]["display"] == "3^1"
+
+
+def test_unitary_check_rejects_generator(tmp_path, capsys):
+    decay = {"base": 0, "row_coeff": 0, "col_coeff": 0, "support": "all"}
+    op = GeneratorOperator(
+        E35, 2, identity(E35, 2).entry, affine_certificate(0, 0, 0), decay_decl=decay
+    )
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(operator_to_dict(op)))
+    code, out, err = run(capsys, "unitary-check", str(path))
+    assert code == 2 and out == ""
+    assert "not_block_finite" in err
 
 
 def test_pair_command(tmp_path, capsys):

@@ -171,6 +171,9 @@ def test_block_classification_flags():
     assert not cls2.self_adjoint.holds
     assert cls2.self_adjoint.verdict == Verdict.REFUTED
     assert cls2.trace_class.holds
+    # the same window as a generator refutes self-adjointness at the same entry
+    window = GeneratorOperator(E35, 4, asym.entry, affine_certificate(-10, 0, 0))
+    assert classify(window).self_adjoint.witness == cls2.self_adjoint.witness
 
 
 def _row_decay_generator(ctx):
@@ -527,3 +530,25 @@ def test_decompositions_require_blocks():
     g = _row_decay_generator(E35)
     with pytest.raises(NotBlockFinite):
         canonical_decomposition(g)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda b, g: hs_inner(g, g), id="hs_inner"),
+        pytest.param(lambda b, g: verify_cyclic(g, g), id="verify_cyclic"),
+        pytest.param(lambda b, g: is_ip_preserving(g), id="is_ip_preserving"),
+        pytest.param(lambda b, g: is_unitary(g), id="is_unitary"),
+        pytest.param(lambda b, g: canonical_decomposition(g), id="canonical_decomposition"),
+        pytest.param(lambda b, g: symmetric_decomposition(g), id="symmetric_decomposition"),
+        pytest.param(lambda b, g: factor_trace_class(g), id="factor_trace_class"),
+        pytest.param(lambda b, g: b * g, id="block_mul_generator"),
+        pytest.param(lambda b, g: b + g, id="block_add_generator"),
+        pytest.param(lambda b, g: b - g, id="block_sub_generator"),
+        pytest.param(lambda b, g: verify_cyclic(b, g), id="verify_cyclic_mixed"),
+        pytest.param(lambda b, g: hs_inner(b, g), id="hs_inner_mixed"),
+    ],
+)
+def test_block_only_entry_points_reject_generators(call):
+    with pytest.raises(NotBlockFinite):
+        call(identity(E35, 4), _row_decay_generator(E35))
