@@ -52,7 +52,7 @@ def _square_class_name(context: ExtensionContext) -> str:
 
 def cmd_field(args: argparse.Namespace) -> Any:
     context = _context(args)
-    witness = hilbert.find_isotropic(context, 3, args.seed_bound)
+    witness = hilbert.find_isotropic(context, 3)
     report = {
         "p": context.base.p,
         "precision": context.base.precision,
@@ -60,7 +60,7 @@ def cmd_field(args: argparse.Namespace) -> Any:
         "square_class": context.mu_class,
         "square_class_name": _square_class_name(context),
         "ramified": context.is_ramified(),
-        "isotropy_index": hilbert.isotropy_index(context, args.seed_bound),
+        "isotropy_index": hilbert.isotropy_index(context),
         "isotropic_witness": jsonio.vector_to_dict(witness) if witness else None,
         "extension_count": 7 if context.base.p == 2 else 3,
     }
@@ -168,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         if mu:
             sp.add_argument("--mu", type=int, required=True, help="non-square radicand")
         sp.add_argument("--precision", type=int, default=5, help="significant digits")
-        sp.add_argument(
-            "--seed-bound", type=int, default=None, help="search budget override"
-        )
 
     sp = add_parser("field", help="classify the extension Q_p(sqrt(mu))")
     common(sp)

@@ -60,10 +60,6 @@ class EmptyFamily(ValidationError):
     code = "empty_family"
 
 
-class SearchBoundExceeded(PadicError):
-    code = "search_bound_exceeded"
-
-
 class SearchExhausted(PadicError):
     code = "search_exhausted"
 

@@ -17,7 +17,6 @@ from .errors import (
     EmptyFamily,
     PrecisionExhausted,
     RequiresOddP,
-    SearchBoundExceeded,
     SearchExhausted,
     ValidationError,
 )
@@ -329,25 +328,21 @@ class BasisRotation:
                 raise ValidationError("need z*conj(z) = 2 with |z| = 1")
 
     def apply(self, v: PVector) -> PVector:
-        if v.context != self.context:
-            raise ContextMismatch("vector from a different extension")
-        out = {i: z for i, z in v.items()}
-        for i, j, z in self.pairs:
-            zi = z.inv()
-            vi, vj = v.entry(i), v.entry(j)
-            out[i] = zi * (vi + vj)
-            out[j] = zi * (vi - vj)
-        return PVector(self.context, out)
+        return self._rotate(v, conjugate=False)
 
     def apply_inverse(self, v: PVector) -> PVector:
+        return self._rotate(v, conjugate=True)
+
+    def _rotate(self, v: PVector, conjugate: bool) -> PVector:
+        """Each pair maps (v_i, v_j) to c (v_i + v_j, v_i - v_j), c = 1/z or 1/conj(z)."""
         if v.context != self.context:
             raise ContextMismatch("vector from a different extension")
         out = {i: z for i, z in v.items()}
         for i, j, z in self.pairs:
-            ci = z.conj().inv()
+            c = (z.conj() if conjugate else z).inv()
             vi, vj = v.entry(i), v.entry(j)
-            out[i] = ci * (vi + vj)
-            out[j] = ci * (vi - vj)
+            out[i] = c * (vi + vj)
+            out[j] = c * (vi - vj)
         return PVector(self.context, out)
 
 
@@ -394,9 +389,7 @@ def _verify_isotropic(v: PVector) -> PVector:
     return v
 
 
-def find_isotropic(
-    context: ExtensionContext, max_support: int, search_bound: int | None = None
-) -> PVector | None:
+def find_isotropic(context: ExtensionContext, max_support: int) -> PVector | None:
     """A nonzero v with <v, v> = 0 of minimal support, or None if the
     minimal support exceeds ``max_support``."""
     if max_support < 2:
@@ -420,11 +413,13 @@ def find_isotropic(
         return _verify_isotropic(v)
     # p = 3 mod 4: support 2 exactly when the reduced radicand is a unit
     if context.reduced_mu.valuation == 0:
-        z = _norm_minus_one_element(context, search_bound)
+        x, y = _minus_one_as_norm(context, context.reduced_mu)
+        # back to coordinates over sqrt(mu)
+        z = context.element(x, y * context.sqrt_scale.inv())
         return _verify_isotropic(PVector(context, {1: z, 2: context.one()}))
     if max_support < 3:
         return None
-    a, b = _sum_of_two_squares_is_minus_one(context, search_bound)
+    a, b = _minus_one_as_norm(context, context.base.from_int(-1))
     v = PVector(
         context,
         {1: context.from_base(a), 2: context.from_base(b), 3: context.one()},
@@ -432,62 +427,29 @@ def find_isotropic(
     return _verify_isotropic(v)
 
 
-def _norm_minus_one_element(context: ExtensionContext, bound: int | None = None) -> QuadExtElement:
-    """z with z*conj(z) = -1, for odd p and a unit reduced radicand."""
+def _minus_one_as_norm(context: ExtensionContext, c: PadicNumber) -> tuple[PadicNumber, PadicNumber]:
+    """Exact x, y in Q_p with x**2 - c*y**2 = -1, for odd p and a unit c
+    that is not a square mod p.
+
+    The residue equation then forces x0 != 0, so the first residue
+    solution (x0, y0) keeps y = y0 and lifts x by a square root.
+    """
     base = context.base
     p = context.p
-    r = context.reduced_mu.unit % p
-    limit = bound if bound is not None else p * p
-    tried = 0
-    for x0 in range(p):
+    r = c.unit % p
+    for x0 in range(1, p):
         for y0 in range(p):
-            tried += 1
-            if tried > limit:
-                raise SearchBoundExceeded("residue search budget exhausted")
-            if (x0 * x0 - r * y0 * y0 + 1) % p:
-                continue
-            mu_red = context.reduced_mu
-            if x0 % p:
+            if (x0 * x0 - r * y0 * y0 + 1) % p == 0:
                 y = base.from_int(y0)
-                x = padic.sqrt(mu_red * y * y - base.one())
-            else:
-                x = base.from_int(x0)
-                y = padic.sqrt((x * x + base.one()) / mu_red)
-            # back to coordinates over sqrt(mu)
-            return context.element(x, y * context.sqrt_scale.inv())
+                return padic.sqrt(c * y * y - base.one()), y
     raise SearchExhausted("-1 is not a norm of this extension")
 
 
-def _sum_of_two_squares_is_minus_one(
-    context: ExtensionContext, bound: int | None = None
-) -> tuple[PadicNumber, PadicNumber]:
-    """Exact a, b in Q_p with a**2 + b**2 + 1 = 0 (p odd)."""
-    base = context.base
-    p = context.p
-    limit = bound if bound is not None else p * p
-    tried = 0
-    for a0 in range(p):
-        for b0 in range(p):
-            tried += 1
-            if tried > limit:
-                raise SearchBoundExceeded("residue search budget exhausted")
-            if (a0 * a0 + b0 * b0 + 1) % p:
-                continue
-            if a0 % p:
-                b = base.from_int(b0)
-                a = padic.sqrt(-(base.one() + b * b))
-            else:
-                a = base.from_int(a0)
-                b = padic.sqrt(-(base.one() + a * a))
-            return a, b
-    raise SearchExhausted("no residue solution; p is not prime?")
-
-
-def isotropy_index(context: ExtensionContext, search_bound: int | None = None) -> int:
+def isotropy_index(context: ExtensionContext) -> int:
     """Minimal support of a nonzero isotropic vector: always 2 or 3."""
-    if find_isotropic(context, 2, search_bound) is not None:
+    if find_isotropic(context, 2) is not None:
         return 2
-    v = find_isotropic(context, 3, search_bound)
+    v = find_isotropic(context, 3)
     if v is None:
         raise SearchExhausted("no isotropic vector of support <= 3 found")
     return 3

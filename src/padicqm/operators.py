@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     ContextMismatch,
@@ -255,17 +255,44 @@ def rank_one(phi: PVector, psi: PVector, dim: int | None = None) -> BlockOperato
     if phi.context != psi.context:
         raise ContextMismatch("vectors from different extensions")
     ctx = phi.context
-    top = max(phi.support() + psi.support(), default=1)
-    d = dim if dim is not None else top
-    if d < top:
-        raise DimensionMismatch("dim does not cover the supports")
+    d = dim if dim is not None else max(phi.support() + psi.support(), default=1)
+    return _rank_one_sum(ctx, d, [(ctx.one(), phi, psi)])
+
+
+def _rank_one_sum(
+    context: ExtensionContext,
+    dim: int,
+    terms: Iterable[tuple[QuadExtElement, PVector, PVector]],
+) -> BlockOperator:
+    """sum_j w_j |e_j><f_j| on a dim-by-dim block.
+
+    Each entry collects only its nonzero contributions w * (e[m] conj(f[n]))
+    and is summed once, so the sum truncates once per entry.
+    """
+    cells: dict[tuple[int, int], list[QuadExtElement]] = {}
+    for w, e, f in terms:
+        if max(e.support() + f.support(), default=1) > dim:
+            raise DimensionMismatch("dim does not cover the supports")
+        f_conj = [(n, fn.conj()) for n, fn in f.items()]
+        for m, em in e.items():
+            for n, fn in f_conj:
+                cells.setdefault((m, n), []).append(w * (em * fn))
     return BlockOperator(
-        ctx,
+        context,
         [
-            [phi.entry(m) * psi.entry(n).conj() for n in range(1, d + 1)]
-            for m in range(1, d + 1)
+            [quad_sum(context, cells.get((m, n), [])) for n in range(1, dim + 1)]
+            for m in range(1, dim + 1)
         ],
     )
+
+
+def _hermitian(
+    terms: Iterable[tuple[QuadExtElement, PVector, PVector]],
+) -> Iterator[tuple[QuadExtElement, PVector, PVector]]:
+    """Each (sigma, e, f) with its adjoint partner (conj(sigma), f, e)."""
+    for sig, e, f in terms:
+        yield sig, e, f
+        yield sig.conj(), f, e
 
 
 def from_rotation(rotation: BasisRotation, dim: int) -> BlockOperator:
@@ -352,7 +379,7 @@ def affine_certificate(
 
 
 def _magnitude_within(z: QuadExtElement, bound: float | Fraction) -> bool:
-    if z.is_zero:
+    if z.is_zero or bound == -INF:
         return True
     if bound == INF:
         return False
@@ -449,6 +476,8 @@ class GeneratorOperator(MatrixOperator):
         floor = self.frontier_bound()
         if floor == INF:
             return peak
+        if floor == -INF:
+            raise TailNotBounded("certificate gives no bound beyond the window")
         tail = Magnitude(self.context.p, -int(math.ceil(2 * Fraction(floor))))
         if tail > peak:
             raise TailDominates("certificate admits tail entries above the window max")
@@ -623,10 +652,7 @@ class CanonicalDecomposition:
     terms: tuple[tuple[QuadExtElement, PVector, PVector], ...]
 
     def reconstruct(self) -> BlockOperator:
-        acc = zero_operator(self.context, self.dim)
-        for lam, e, f in self.terms:
-            acc = acc + rank_one(e, f, self.dim).scale(lam)
-        return acc
+        return _rank_one_sum(self.context, self.dim, self.terms)
 
     def max_weight(self) -> Magnitude:
         return max_abs(self.context, (lam for lam, _, _ in self.terms))
@@ -688,11 +714,7 @@ class SymmetricDecomposition:
     terms: tuple[tuple[QuadExtElement, PVector, PVector], ...]
 
     def reconstruct(self) -> BlockOperator:
-        acc = zero_operator(self.context, self.dim)
-        for sig, e, f in self.terms:
-            acc = acc + rank_one(e, f, self.dim).scale(sig)
-            acc = acc + rank_one(f, e, self.dim).scale(sig.conj())
-        return acc
+        return _rank_one_sum(self.context, self.dim, _hermitian(self.terms))
 
     def trace_by_formula(self):
         """2 * sum_j sc(sigma_j <f_j, e_j>), an element of Q_p."""
@@ -736,10 +758,8 @@ def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
 def factor_trace_class(r: MatrixOperator) -> tuple[BlockOperator, BlockOperator]:
     """A pair S, T of trace-class blocks with S T = R."""
     _require_block("factorization", r)
-    canon = canonical_decomposition(r)
-    s = zero_operator(r.context, r.dim)
-    t = zero_operator(r.context, r.dim)
-    for lam, e, f in canon.terms:
-        s = s + rank_one(e, e, r.dim).scale(lam)
-        t = t + rank_one(e, f, r.dim)
+    terms = canonical_decomposition(r).terms
+    one = r.context.one()
+    s = _rank_one_sum(r.context, r.dim, [(lam, e, e) for lam, e, _ in terms])
+    t = _rank_one_sum(r.context, r.dim, [(one, e, f) for _, e, f in terms])
     return s, t

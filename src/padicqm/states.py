@@ -27,11 +27,12 @@ from .hilbert import PVector, inner_product
 from .operators import (
     BlockOperator,
     Magnitude,
+    _hermitian,
+    _rank_one_sum,
     canonical_decomposition,
     classify,
     identity,
     operator_norm,
-    rank_one,
     symmetric_decomposition,
     trace,
 )
@@ -196,7 +197,7 @@ def simple_statistical(
     ctx = phi.context
     ip = inner_product(phi, psi)
     dim = max(phi.support() + psi.support())
-    raw = rank_one(phi, psi, dim).scale(sigma) + rank_one(psi, phi, dim).scale(sigma.conj())
+    raw = _rank_one_sum(ctx, dim, _hermitian([(sigma, phi, psi)]))
     if ip.is_zero:
         normalizer = sigma + sigma.conj()
         if normalizer.is_zero:
@@ -221,19 +222,12 @@ def split_zero_trace(s: StatisticalOperator) -> tuple[ZeroTraceOperator, Statist
 
     Returns (S0, S1) with s = S0 + S1, trace(S0) = 0 and trace(S1) = 1.
     """
-    dec = symmetric_decomposition(s.op)
-    ctx = s.op.context
-    dim = s.op.dim
-    from .operators import zero_operator
-
-    s0 = zero_operator(ctx, dim)
-    s1 = zero_operator(ctx, dim)
-    for sig, e, f in dec.terms:
-        term = rank_one(e, f, dim).scale(sig) + rank_one(f, e, dim).scale(sig.conj())
-        if inner_product(e, f).is_zero:
-            s0 = s0 + term
-        else:
-            s1 = s1 + term
+    ctx, dim = s.op.context, s.op.dim
+    orthogonal, overlapping = [], []
+    for term in symmetric_decomposition(s.op).terms:
+        _, e, f = term
+        (orthogonal if inner_product(e, f).is_zero else overlapping).append(term)
+    s0, s1 = (_rank_one_sum(ctx, dim, _hermitian(part)) for part in (orthogonal, overlapping))
     return make_zero_trace(s0), make_statistical(s1)
 
 
@@ -273,11 +267,10 @@ def make_sovm(effects: list[BlockOperator]) -> Sovm:
 
 def sovm_from_symmetric_decomposition(s: StatisticalOperator) -> Sovm:
     """Effects Id - S and one summand per symmetric-decomposition term."""
-    dec = symmetric_decomposition(s.op)
-    dim = s.op.dim
-    effects = [identity(s.op.context, dim) - s.op]
-    for sig, e, f in dec.terms:
-        effects.append(rank_one(e, f, dim).scale(sig) + rank_one(f, e, dim).scale(sig.conj()))
+    ctx, dim = s.op.context, s.op.dim
+    effects = [identity(ctx, dim) - s.op]
+    for term in symmetric_decomposition(s.op).terms:
+        effects.append(_rank_one_sum(ctx, dim, _hermitian([term])))
     return make_sovm(effects)
 
 

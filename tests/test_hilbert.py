@@ -214,6 +214,16 @@ def test_find_isotropic_examples():
     assert find_isotropic(E33, 1) is None
 
 
+def test_ramified_three_mod_four_witness_digits():
+    # Q_3(sqrt(3)) needs support 3: a**2 + b**2 = -1 lifted in a, b = 1
+    v = find_isotropic(E33, 3)
+    assert [(i, z.sc.valuation, z.sc.digits(), z.ac.is_zero) for i, z in v.items()] == [
+        (1, 0, [1, 1, 2, 0, 0, 2], True),
+        (2, 0, [1, 0, 0, 0, 0, 0], True),
+        (3, 0, [1, 0, 0, 0, 0, 0], True),
+    ]
+
+
 @pytest.mark.parametrize(
     "p,mu",
     [

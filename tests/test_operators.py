@@ -1,6 +1,7 @@
 """Matrix operators: norms, classification, unitarity, trace calculus and
 decompositions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ from padicqm.errors import (
     PrecisionExhausted,
     RequiresOddP,
     TailDominates,
+    TailNotBounded,
     ValidationError,
 )
 from padicqm.operators import adjoint, four_squares_unit_solution
@@ -257,6 +259,24 @@ def test_generator_tail_dominates():
 
     g = GeneratorOperator(E35, 3, entry, affine_certificate(0, 0, 0))
     with pytest.raises(TailDominates):
+        operator_norm(g)
+
+
+def test_generator_accepts_unbounded_window_entries():
+    from padicqm import DecayCertificate
+
+    # a -inf valuation bound constrains nothing
+    cert = DecayCertificate(bound=lambda m, n: -math.inf)
+    g = GeneratorOperator(E35, 2, lambda m, n: E35.one(), cert)
+    assert g.entry(2, 1) == E35.one()
+
+
+def test_generator_norm_without_tail_bound():
+    from padicqm import DecayCertificate
+
+    cert = DecayCertificate(bound=lambda m, n: 0 if max(m, n) <= 3 else -math.inf)
+    g = GeneratorOperator(E35, 3, lambda m, n: E35.one(), cert)
+    with pytest.raises(TailNotBounded):
         operator_norm(g)
 
 
