@@ -119,13 +119,19 @@ def cmd_decompose(args: argparse.Namespace) -> Any:
     return report
 
 
-def cmd_unitary_check(args: argparse.Namespace) -> Any:
-    op = jsonio.operator_from_dict(_load(args.operator))
+def _unitarity(op: operators.MatrixOperator) -> dict[str, Any]:
+    """Unitarity, IP preservation and norm; is_unitary already implies IP
+    preservation, so a unitary block costs one U* U product, not two."""
+    unitary = operators.is_unitary(op)
     return {
-        "unitary": operators.is_unitary(op),
-        "ip_preserving": operators.is_ip_preserving(op),
+        "unitary": unitary,
+        "ip_preserving": unitary or operators.is_ip_preserving(op),
         "norm": jsonio.magnitude_to_dict(operators.operator_norm(op)),
     }
+
+
+def cmd_unitary_check(args: argparse.Namespace) -> Any:
+    return _unitarity(jsonio.operator_from_dict(_load(args.operator)))
 
 
 def cmd_pair(args: argparse.Namespace) -> Any:
@@ -144,9 +150,7 @@ def cmd_counterexample(args: argparse.Namespace) -> Any:
     op = operators.build_norm_inflating_ip_preserver(context, args.K)
     return {
         "operator": jsonio.operator_to_dict(op),
-        "ip_preserving": operators.is_ip_preserving(op),
-        "unitary": operators.is_unitary(op),
-        "norm": jsonio.magnitude_to_dict(operators.operator_norm(op)),
+        **_unitarity(op),
         "solution": list(operators.four_squares_unit_solution(context.base.p, args.K)),
     }
 
@@ -174,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_field)
 
     sp = add_parser("sqrt", help="p-adic square root of a rational")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=5)
+    common(sp, mu=False)
     sp.add_argument("value", help="integer or fraction a/b")
     sp.set_defaults(handler=cmd_sqrt)
 

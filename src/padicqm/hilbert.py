@@ -9,7 +9,7 @@ isotropic vectors together with the isotropy index of the extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import padic
 from .errors import (
@@ -29,15 +29,10 @@ class PVector:
 
     __slots__ = ("context", "_entries")
 
-    def __init__(
-        self,
-        context: ExtensionContext,
-        entries: Mapping[int, QuadExtElement] | Iterable[tuple[int, QuadExtElement]],
-    ) -> None:
+    def __init__(self, context: ExtensionContext, entries: Mapping[int, QuadExtElement]) -> None:
         self.context = context
-        items = entries.items() if isinstance(entries, Mapping) else entries
         data: dict[int, QuadExtElement] = {}
-        for i, z in items:
+        for i, z in entries.items():
             if i < 1:
                 raise ValidationError("indices are 1-based")
             if z.context != context:
@@ -113,20 +108,18 @@ def sup_norm(v: PVector) -> Magnitude:
 # The residue field is F_p (F_2) for a ramified extension, F_{p^2} for the
 # unramified one with odd p, and F_4 for the unramified 2-adic extension.
 
-_PRIME, _QUAD, _GF4 = "prime", "quad", "gf4"
-
 
 @dataclass(frozen=True)
 class _ResidueField:
+    """F_p[s]/(s**2 - t*s - r); a residue (a0, a1) stands for a0 + a1*s.
+
+    (p) is F_p, where every residue is (a, 0); (p, r) with r a non-residue
+    is F_{p^2}; (2, 1, 1) is F_4.
+    """
+
     p: int
-    kind: str
-    r: int = 0  # the non-residue with s**2 = r, for kind "quad"
-
-    def zero(self) -> tuple[int, int]:
-        return (0, 0)
-
-    def one(self) -> tuple[int, int]:
-        return (1, 0)
+    r: int = 0
+    t: int = 0
 
     def is_zero(self, a: tuple[int, int]) -> bool:
         return a == (0, 0)
@@ -138,40 +131,28 @@ class _ResidueField:
         return ((-a[0]) % self.p, (-a[1]) % self.p)
 
     def mul(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        if self.kind == _QUAD:
-            return (
-                (a[0] * b[0] + self.r * a[1] * b[1]) % self.p,
-                (a[0] * b[1] + a[1] * b[0]) % self.p,
-            )
-        if self.kind == _GF4:  # s**2 = s + 1
-            return (
-                (a[0] * b[0] + a[1] * b[1]) % 2,
-                (a[0] * b[1] + a[1] * b[0] + a[1] * b[1]) % 2,
-            )
-        return (a[0] * b[0] % self.p, 0)
+        top = a[1] * b[1]  # the s**2 coefficient, reduced by s**2 = t*s + r
+        return (
+            (a[0] * b[0] + self.r * top) % self.p,
+            (a[0] * b[1] + a[1] * b[0] + self.t * top) % self.p,
+        )
 
     def inv(self, a: tuple[int, int]) -> tuple[int, int]:
+        """a times its conjugate a0 + a1*(t - s) is the norm N in F_p."""
         if self.is_zero(a):
             raise ZeroDivisionError
-        if self.kind == _QUAD:
-            d = (a[0] * a[0] - self.r * a[1] * a[1]) % self.p
-            di = pow(d, -1, self.p)
-            return (a[0] * di % self.p, (-a[1]) * di % self.p)
-        if self.kind == _GF4:
-            table = {(1, 0): (1, 0), (0, 1): (1, 1), (1, 1): (0, 1)}
-            return table[a]
-        return (pow(a[0], -1, self.p), 0)
+        n = (a[0] * a[0] + self.t * a[0] * a[1] - self.r * a[1] * a[1]) % self.p
+        n_inv = pow(n, -1, self.p)
+        return ((a[0] + self.t * a[1]) * n_inv % self.p, (-a[1]) * n_inv % self.p)
 
 
 def residue_field(context: ExtensionContext) -> _ResidueField:
     p = context.p
+    if context.is_ramified():
+        return _ResidueField(p)
     if p == 2:
-        if context.mu_class == 5:
-            return _ResidueField(2, _GF4)
-        return _ResidueField(2, _PRIME)
-    if context.reduced_mu.valuation == 0:
-        return _ResidueField(p, _QUAD, context.reduced_mu.unit % p)
-    return _ResidueField(p, _PRIME)
+        return _ResidueField(2, 1, 1)  # s**2 = s + 1
+    return _ResidueField(p, context.reduced_mu.unit % p)
 
 
 def _digit(x: PadicNumber) -> int:
@@ -187,28 +168,20 @@ def _coordinate_residue(context: ExtensionContext, z: QuadExtElement) -> tuple[i
     """Residue of an integral z (|z| <= 1) in the residue field."""
     x = z.sc
     y = z.ac * context.sqrt_scale  # coordinate over the reduced radicand
-    p = context.p
-    if p != 2:
-        if context.reduced_mu.valuation == 0:
-            return (_digit(x), _digit(y))
-        return (_digit(x), 0)
+    if context.p != 2:
+        return (_digit(x), _digit(y) if context.reduced_mu.valuation == 0 else 0)
     gamma = context.mu_class
+    if gamma not in (3, 5, 7):
+        return (_digit(x), 0)
+    # gamma = 5, integral basis {1, (1+sqrt(5))/2}: z = (x - y) + 2y * theta;
+    # gamma = 3, 7, uniformizer 1 + sqrt(gamma):    z = (x - y) + y * pi
+    try:
+        a = x - y
+    except PrecisionExhausted:
+        a = context.base.zero()
     if gamma == 5:
-        # integral basis {1, (1+sqrt(5))/2}:  z = (x - y) + 2y * theta
-        try:
-            a = x - y
-        except PrecisionExhausted:
-            a = context.base.zero()
-        two = context.base.from_int(2)
-        return (_digit(a), _digit(two * y))
-    if gamma in (3, 7):
-        # uniformizer 1 + sqrt(gamma):  z = (x - y) + y * pi
-        try:
-            a = x - y
-        except PrecisionExhausted:
-            a = context.base.zero()
-        return (_digit(a), 0)
-    return (_digit(x), 0)
+        return (_digit(a), _digit(context.base.from_int(2) * y))
+    return (_digit(a), 0)
 
 
 def uniformizer(context: ExtensionContext) -> QuadExtElement:
@@ -222,18 +195,25 @@ def uniformizer(context: ExtensionContext) -> QuadExtElement:
     return root
 
 
+def _scalar_of_magnitude(context: ExtensionContext, target: Magnitude) -> QuadExtElement:
+    """A scalar of the given magnitude with one vanishing coordinate where
+    the context allows it; multiplication by such a scalar is lossless at
+    fixed precision, which keeps decomposition round trips exact.
+
+    Only Q_2(sqrt(3)) and Q_2(sqrt(7)) lack one-coordinate elements of
+    half-integer magnitude; there the mixed uniformizer 1 + sqrt(gamma)
+    is used and callers re-verify the reconstruction.
+    """
+    cap = context.base.precision
+    e2 = target.exp2
+    if e2 % 2 == 0:
+        return context.from_base(PadicNumber(context.base, -e2 // 2, 1, cap))
+    return uniformizer(context).scale_base(PadicNumber(context.base, -(e2 + 1) // 2, 1, cap))
+
+
 def _scale_to_unit_norm(v: PVector) -> PVector:
     ctx = v.context
-    e2 = sup_norm(v).exp2
-    if e2 % 2 == 0:
-        c = ctx.from_base(_p_power(ctx, e2 // 2))
-    else:
-        c = uniformizer(ctx).scale_base(_p_power(ctx, (e2 - 1) // 2))
-    return v.scale(c)
-
-
-def _p_power(ctx: ExtensionContext, k: int) -> PadicNumber:
-    return PadicNumber(ctx.base, k, 1, ctx.base.precision)
+    return v.scale(_scalar_of_magnitude(ctx, Magnitude(ctx.p, -sup_norm(v).exp2)))
 
 
 def is_norm_orthogonal(vectors: list[PVector]) -> bool:

@@ -23,7 +23,7 @@ from .operators import (
 )
 from .padic import PadicContext, PadicNumber
 from .quadext import ExtensionContext, Magnitude, QuadExtElement
-from .states import PadicDistribution, Sovm, StatisticalOperator
+from .states import PadicDistribution, Sovm, StatisticalOperator, make_sovm, make_statistical
 
 
 def padic_to_dict(x: PadicNumber) -> dict[str, Any]:
@@ -148,22 +148,22 @@ def operator_from_dict(data: Any) -> MatrixOperator:
                 [quadext_from_dict(z, context) for z in row] for row in data["entries"]
             ]
             decay = data["decay"]
-            cert = affine_certificate(
-                Fraction(str(decay.get("base", 0))),
-                Fraction(str(decay.get("row_coeff", 0))),
-                Fraction(str(decay.get("col_coeff", 0))),
-                diagonal_only=decay.get("support", "all") == "diagonal",
-            )
-
-            def entry_fn(m: int, n: int) -> QuadExtElement:
-                return rows[m - 1][n - 1]
-
             decl = {
                 "base": decay.get("base", 0),
                 "row_coeff": decay.get("row_coeff", 0),
                 "col_coeff": decay.get("col_coeff", 0),
                 "support": decay.get("support", "all"),
             }
+            cert = affine_certificate(
+                Fraction(str(decl["base"])),
+                Fraction(str(decl["row_coeff"])),
+                Fraction(str(decl["col_coeff"])),
+                diagonal_only=decl["support"] == "diagonal",
+            )
+
+            def entry_fn(m: int, n: int) -> QuadExtElement:
+                return rows[m - 1][n - 1]
+
             return GeneratorOperator(context, window, entry_fn, cert, decay_decl=decl)
         raise ParseError(f"unknown operator kind {kind!r}")
     except ParseError:
@@ -224,8 +224,6 @@ def sovm_to_dict(s: Sovm) -> dict[str, Any]:
 
 
 def sovm_from_dict(data: Any) -> Sovm:
-    from .states import make_sovm
-
     try:
         effects = [operator_from_dict(e) for e in data["effects"]]
     except KeyError as exc:
@@ -236,8 +234,6 @@ def sovm_from_dict(data: Any) -> Sovm:
 
 
 def statistical_from_dict(data: Any) -> StatisticalOperator:
-    from .states import make_statistical
-
     op = operator_from_dict(data)
     if not isinstance(op, BlockOperator):
         raise ParseError("statistical operators must be block operators")

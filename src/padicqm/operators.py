@@ -33,7 +33,7 @@ from .errors import (
     TailNotBounded,
     ValidationError,
 )
-from .hilbert import BasisRotation, PVector, basis_vector, inner_product
+from .hilbert import BasisRotation, PVector, _scalar_of_magnitude, basis_vector, inner_product
 from .quadext import ExtensionContext, Magnitude, QuadExtElement, max_abs, quad_sum
 
 INF = math.inf
@@ -378,6 +378,15 @@ def affine_certificate(
     )
 
 
+def _magnitude_below(p: int, floor: float | Fraction) -> Magnitude:
+    """The largest |z| that a certificate floor v(z) >= floor admits."""
+    if floor == INF:
+        return Magnitude.zero(p)
+    if floor == -INF:
+        raise TailNotBounded("certificate gives no bound beyond the window")
+    return Magnitude(p, -int(math.ceil(2 * Fraction(floor))))
+
+
 def _magnitude_within(z: QuadExtElement, bound: float | Fraction) -> bool:
     if z.is_zero or bound == -INF:
         return True
@@ -473,13 +482,7 @@ class GeneratorOperator(MatrixOperator):
     def norm(self) -> Magnitude:
         """The window max, when the certificate keeps the tail below it."""
         peak = max_abs(self.context, self._materialized.values())
-        floor = self.frontier_bound()
-        if floor == INF:
-            return peak
-        if floor == -INF:
-            raise TailNotBounded("certificate gives no bound beyond the window")
-        tail = Magnitude(self.context.p, -int(math.ceil(2 * Fraction(floor))))
-        if tail > peak:
+        if _magnitude_below(self.context.p, self.frontier_bound()) > peak:
             raise TailDominates("certificate admits tail entries above the window max")
         return peak
 
@@ -556,12 +559,7 @@ def trace(t: MatrixOperator) -> QuadExtElement:
 def trace_tail_bound(t: GeneratorOperator) -> Magnitude:
     """Ultrametric bound on the dropped diagonal tail of the trace."""
     w = t.window + 1
-    floor = t.certificate.bound(w, w)
-    if floor == INF:
-        return Magnitude.zero(t.context.p)
-    if floor == -INF:
-        raise TailNotBounded("certificate gives no diagonal bound")
-    return Magnitude(t.context.p, -int(math.ceil(2 * Fraction(floor))))
+    return _magnitude_below(t.context.p, t.certificate.bound(w, w))
 
 
 def hs_inner(s: MatrixOperator, t: MatrixOperator) -> QuadExtElement:
@@ -658,26 +656,6 @@ class CanonicalDecomposition:
         return max_abs(self.context, (lam for lam, _, _ in self.terms))
 
 
-def _magnitude_pivot(context: ExtensionContext, target: Magnitude) -> QuadExtElement:
-    """A scalar of the given magnitude with one vanishing coordinate where
-    the context allows it; multiplication by such a scalar is lossless at
-    fixed precision, which keeps decomposition round trips exact.
-
-    Only Q_2(sqrt(3)) and Q_2(sqrt(7)) lack one-coordinate elements of
-    half-integer magnitude; there the mixed uniformizer 1 + sqrt(gamma)
-    is used and callers re-verify the reconstruction.
-    """
-    from .hilbert import uniformizer
-    from .padic import PadicNumber
-
-    cap = context.base.precision
-    e2 = target.exp2
-    if e2 % 2 == 0:
-        return context.from_base(PadicNumber(context.base, -e2 // 2, 1, cap))
-    pi = uniformizer(context)
-    return pi.scale_base(PadicNumber(context.base, -(e2 + 1) // 2, 1, cap))
-
-
 def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     """Row decomposition: e_j runs over the standard basis vectors of the
     nonzero rows, lambda_j is the canonical scalar matching the row's
@@ -698,7 +676,7 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
         ]
         if not nonzero:
             continue
-        lam = _magnitude_pivot(c.context, max_abs(c.context, (z for _, z in nonzero)))
+        lam = _scalar_of_magnitude(c.context, max_abs(c.context, (z for _, z in nonzero)))
         lam_inv = lam.inv()
         f = PVector(c.context, {n: (lam_inv * z).conj() for n, z in nonzero})
         terms.append((lam, basis_vector(c.context, m), f))

@@ -192,16 +192,7 @@ class PadicNumber:
         a, b = (self, other) if self.valuation <= other.valuation else (other, self)
         d = b.valuation - a.valuation
         s = _symmetric(a.unit, p**a.prec) + p**d * _symmetric(b.unit, p**b.prec)
-        if s == 0:
-            return self.context.zero()
-        v = a.valuation + int_valuation(s, p)
-        if v >= absolute:
-            raise PrecisionExhausted(
-                "cancellation consumed every known digit; raise the precision"
-            )
-        prec = absolute - v
-        unit = (s // p ** (v - a.valuation)) % p**prec
-        return PadicNumber(self.context, v, unit, prec)
+        return _truncate(self.context, a.valuation, absolute, s)
 
     def __neg__(self) -> PadicNumber:
         if self.is_zero:
@@ -237,9 +228,6 @@ class PadicNumber:
         )
 
 
-# -- squares and square classes ------------------------------------------------
-
-
 def padic_sum(context: PadicContext, terms: list[PadicNumber]) -> PadicNumber:
     """Sum with a single final truncation.
 
@@ -257,16 +245,29 @@ def padic_sum(context: PadicContext, terms: list[PadicNumber]) -> PadicNumber:
     v0 = min(t.valuation for t in live)
     absolute = min(t.valuation + t.prec for t in live)
     s = sum(_symmetric(t.unit, p**t.prec) * p ** (t.valuation - v0) for t in live)
+    return _truncate(context, v0, absolute, s)
+
+
+def _truncate(context: PadicContext, v0: int, absolute: int, s: int) -> PadicNumber:
+    """The lifted sum p**v0 * s, known below p**absolute.
+
+    The one cancellation rule of every sum: s == 0 is exact zero, a
+    valuation at or past ``absolute`` raises PrecisionExhausted, and
+    otherwise the result keeps min(absolute - v, cap) digits.
+    """
     if s == 0:
         return context.zero()
+    p = context.p
     v = v0 + int_valuation(s, p)
     if v >= absolute:
         raise PrecisionExhausted(
             "cancellation consumed every known digit; raise the precision"
         )
     prec = min(absolute - v, context.precision)
-    unit = (s // p ** (v - v0)) % p**prec
-    return PadicNumber(context, v, unit, prec)
+    return PadicNumber(context, v, (s // p ** (v - v0)) % p**prec, prec)
+
+
+# -- squares and square classes ------------------------------------------------
 
 
 def is_square(a: PadicNumber) -> bool:
@@ -277,14 +278,7 @@ def is_square(a: PadicNumber) -> bool:
     """
     if a.is_zero:
         raise ZeroInput("squareness of zero is undefined here")
-    if a.valuation % 2:
-        return False
-    p = a.context.p
-    if p == 2:
-        if a.prec < 3:
-            raise PrecisionExhausted("squareness mod 8 needs three known digits")
-        return a.unit % 8 == 1
-    return pow(a.unit % p, (p - 1) // 2, p) == 1
+    return a.valuation % 2 == 0 and square_class(a) == 1
 
 
 def sqrt(a: PadicNumber, companion: bool = False) -> PadicNumber:

@@ -105,26 +105,15 @@ def affine_combine(points: list, coefficients: list[PadicNumber]):
         raise DimensionMismatch("points and coefficients must align")
     if not is_affine_combination(coefficients):
         raise SumNotOne("coefficients must sum to 1")
-    first = points[0]
-    if isinstance(first, StatisticalOperator):
-        mix = _combine_blocks([s.op for s in points], coefficients)
-        return make_statistical(mix)
-    if isinstance(first, BlockOperator):
-        return _combine_blocks(points, coefficients)
-    if isinstance(first, PVector):
-        acc = points[0].scale(first.context.from_base(coefficients[0]))
-        for v, c in zip(points[1:], coefficients[1:]):
-            acc = acc + v.scale(v.context.from_base(c))
-        return acc
-    raise ValidationError("unsupported point type")
-
-
-def _combine_blocks(ops: list[BlockOperator], coefficients: list[PadicNumber]) -> BlockOperator:
-    ctx = ops[0].context
-    acc = ops[0].scale(ctx.from_base(coefficients[0]))
-    for op, c in zip(ops[1:], coefficients[1:]):
-        acc = acc + op.scale(ctx.from_base(c))
-    return acc
+    statistical = isinstance(points[0], StatisticalOperator)
+    xs = [s.op for s in points] if statistical else points
+    if not isinstance(xs[0], (BlockOperator, PVector)):
+        raise ValidationError("unsupported point type")
+    ctx = xs[0].context
+    acc = xs[0].scale(ctx.from_base(coefficients[0]))
+    for x, c in zip(xs[1:], coefficients[1:]):
+        acc = acc + x.scale(ctx.from_base(c))
+    return make_statistical(acc) if statistical else acc
 
 
 # -- statistical and density operators ----------------------------------------

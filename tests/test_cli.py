@@ -4,6 +4,7 @@ import json
 
 import helpers
 from padicqm import (
+    BlockOperator,
     GeneratorOperator,
     affine_certificate,
     basis_vector,
@@ -226,3 +227,20 @@ def test_cli_round_trips_its_own_output(tmp_path, capsys):
     data = json.loads(out)
     op = operator_from_dict(data["operator"])
     assert op.dim == 4
+
+
+def test_unitary_check_of_identity_makes_two_products(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps(operator_to_dict(identity(E35, 4))))
+    products = []
+    block_mul = BlockOperator.__mul__
+
+    def counting_mul(a, b):
+        products.append((a.dim, b.dim))
+        return block_mul(a, b)
+
+    monkeypatch.setattr(BlockOperator, "__mul__", counting_mul)
+    code, out, _ = run(capsys, "unitary-check", str(path))
+    data = json.loads(out)
+    assert code == 0 and data["unitary"] is True and data["ip_preserving"] is True
+    assert len(products) == 2  # U* U once, U U* once

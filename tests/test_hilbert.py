@@ -30,6 +30,7 @@ from padicqm.errors import (
     SearchExhausted,
     ValidationError,
 )
+from padicqm.hilbert import residue_field
 
 E35 = helpers.ext_ctx(3, 5)
 E33 = helpers.ext_ctx(3, 3)
@@ -254,3 +255,52 @@ def test_exhaustive_small_search_agrees_for_3_2():
 def test_norm_two_search_exhausts_honestly():
     with pytest.raises(SearchExhausted):
         find_norm_two_element(E33)  # 2 is not a norm of Q_3(sqrt3)
+
+
+def _reference_field_ops(ctx):
+    """mul and inv by the three per-kind formulas: F_4 with s**2 = s + 1,
+    F_{p^2} with s**2 = r, and F_p."""
+    p = ctx.p
+    if p == 2 and ctx.mu_class == 5:
+        table = {(1, 0): (1, 0), (0, 1): (1, 1), (1, 1): (0, 1)}
+
+        def mul(a, b):
+            top = a[1] * b[1]
+            return ((a[0] * b[0] + top) % 2, (a[0] * b[1] + a[1] * b[0] + top) % 2)
+
+        return mul, table.__getitem__, [(x, y) for x in range(2) for y in range(2)]
+    if p != 2 and ctx.reduced_mu.valuation == 0:
+        r = ctx.reduced_mu.unit % p
+
+        def mul(a, b):
+            return ((a[0] * b[0] + r * a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p)
+
+        def inv(a):
+            di = pow((a[0] * a[0] - r * a[1] * a[1]) % p, -1, p)
+            return (a[0] * di % p, (-a[1]) * di % p)
+
+        return mul, inv, [(x, y) for x in range(p) for y in range(p)]
+    return (
+        lambda a, b: (a[0] * b[0] % p, 0),
+        lambda a: (pow(a[0], -1, p), 0),
+        [(x, 0) for x in range(p)],
+    )
+
+
+@pytest.mark.parametrize(
+    "p, mu",
+    [(2, m) for m in (2, 3, 5, 6, 7, 10, 14)]
+    + [(p, m) for p, eta in ((3, 2), (5, 2), (7, 3)) for m in (eta, p, eta * p)],
+)
+def test_residue_field_matches_per_kind_formulas(p, mu):
+    ctx = helpers.ext_ctx(p, mu, 8)
+    fld = residue_field(ctx)
+    mul, inv, elements = _reference_field_ops(ctx)
+    for a in elements:
+        for b in elements:
+            assert fld.mul(a, b) == mul(a, b)
+        if a != (0, 0):
+            assert fld.inv(a) == inv(a)
+            assert fld.mul(a, fld.inv(a)) == (1, 0)
+    with pytest.raises(ZeroDivisionError):
+        fld.inv((0, 0))

@@ -1,5 +1,6 @@
 """Field arithmetic, square testing and square classes in Q_p."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from padicqm.errors import (
     DivisionByZero,
     InvalidPrime,
     NotASquare,
+    PadicError,
     PrecisionExhausted,
     UnsupportedForP2,
     ValidationError,
@@ -226,3 +228,50 @@ def test_padic_sum_matches_sequential_when_benign():
 def test_digits_reject_zero():
     with pytest.raises(ZeroInput):
         C3.zero().digits()
+
+
+def _outcome(call):
+    """(valuation, unit, prec) of the result, or the type of the raised error."""
+    try:
+        x = call()
+    except PadicError as exc:
+        return type(exc)
+    return x if isinstance(x, bool) else (x.valuation, x.unit, x.prec)
+
+
+def _truncated(rng, ctx, min_val=-2, max_val=2):
+    prec = rng.randint(1, ctx.precision)
+    digits = [rng.randrange(1, ctx.p)] + [rng.randrange(ctx.p) for _ in range(prec - 1)]
+    return ctx.from_digits(rng.randint(min_val, max_val), digits)
+
+
+@pytest.mark.parametrize("ctx", [C2, C3, PadicContext(5, 8)], ids=lambda c: f"p{c.p}")
+def test_add_and_two_term_sum_share_the_cancellation_rule(ctx):
+    rng = random.Random(ctx.p)
+    kinds = {"random": 0, "exact zero": 0, "deep": 0}
+    for _ in range(400):
+        a = _truncated(rng, ctx)
+        kind = rng.choice(list(kinds))
+        if kind == "random":  # valuations in a short range: equal ones are common
+            b = ctx.zero() if rng.random() < 0.05 else _truncated(rng, ctx)
+        elif kind == "exact zero":
+            b = -a
+        else:  # a perturbation k digits below the leading one survives the cancellation
+            k = rng.randint(1, ctx.precision + 1)
+            b = -(a + _truncated(rng, ctx, a.valuation + k, a.valuation + k))
+        kinds[kind] += 1
+        assert _outcome(lambda: a + b) == _outcome(lambda: padic_sum(ctx, [a, b]))
+    assert min(kinds.values()) > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_square_is_parity_then_square_class(p):
+    ctx = PadicContext(p, 5)
+    for n in range(1, 5):
+        for digits in itertools.product(range(p), repeat=n):
+            if digits[0] == 0:
+                continue
+            for v in (-1, 0, 1, 2):
+                x = ctx.from_digits(v, list(digits))
+                expected = _outcome(lambda: x.valuation % 2 == 0 and square_class(x) == 1)
+                assert _outcome(lambda: is_square(x)) == expected

@@ -43,6 +43,7 @@ from padicqm.errors import (
     SumNotOne,
     TraceNotOne,
     TraceNotZero,
+    ValidationError,
 )
 from padicqm.quadext import Magnitude
 from padicqm.states import StatisticalOperator, ZeroTraceOperator
@@ -307,3 +308,24 @@ def test_per_effect_bound():
                 assert lhs <= operator_norm(a) * s.norm()
         except PrecisionExhausted:
             continue
+
+
+def test_affine_combine_blocks_matches_stepwise_sum():
+    rng = random.Random(17)
+    blocks = [helpers.rand_block(rng, E35, 3) for _ in range(3)]
+    a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+    coeffs = [B3.from_int(a), B3.from_int(b), B3.from_int(1 - a - b)]
+    acc = blocks[0].scale(E35.from_base(coeffs[0]))
+    for op, c in zip(blocks[1:], coeffs[1:]):
+        acc = acc + op.scale(E35.from_base(c))
+    mix = affine_combine(blocks, coeffs)
+
+    def coords(op):
+        return [(x.valuation, x.unit, x.prec) for row in op.rows for z in row for x in (z.sc, z.ac)]
+
+    assert coords(mix) == coords(acc)
+
+
+def test_affine_combine_rejects_unsupported_points():
+    with pytest.raises(ValidationError):
+        affine_combine([1, 2], [B3.from_int(2), B3.from_int(-1)])
