@@ -51,7 +51,8 @@ def random_generator(rng, ctx):
             return ctx.zero()
         return ctx.from_base(ctx.base.from_fraction(Fraction(ctx.base.p) ** (a * m + b * n)))
 
-    return GeneratorOperator(ctx, 3, entry, affine_certificate(0, a, b, diagonal_only=diagonal))
+    window = BlockOperator(ctx, [[entry(m, n) for n in range(1, 4)] for m in range(1, 4)])
+    return GeneratorOperator(window, affine_certificate(0, a, b, diagonal_only=diagonal))
 
 
 def main() -> None:

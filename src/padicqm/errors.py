@@ -84,10 +84,6 @@ class TailDominates(PadicError):
     code = "tail_dominates"
 
 
-class TailNotBounded(PadicError):
-    code = "tail_not_bounded"
-
-
 class NotSelfAdjoint(ValidationError):
     code = "not_self_adjoint"
 

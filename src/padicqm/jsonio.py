@@ -2,7 +2,7 @@
 
 Numbers serialize with little-endian digit lists; exact zero carries a
 null valuation.  Operators are either exact blocks or generator windows
-with an affine decay declaration.
+with their affine decay certificate.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from .hilbert import PVector
 from .operators import (
     BlockOperator,
     CanonicalDecomposition,
+    DecayCertificate,
     GeneratorOperator,
     MatrixOperator,
     OperatorClassification,
     SymmetricDecomposition,
-    affine_certificate,
 )
 from .padic import PadicContext, PadicNumber
 from .quadext import ExtensionContext, Magnitude, QuadExtElement
@@ -106,6 +106,10 @@ def vector_from_dict(data: Any, context: ExtensionContext) -> PVector:
         raise ParseError(f"bad vector: {exc}") from exc
 
 
+# The affine part of a decay certificate; rationals are written as strings.
+_AFFINE_FIELDS = ("base", "row_coeff", "col_coeff")
+
+
 def operator_to_dict(a: MatrixOperator) -> dict[str, Any]:
     if isinstance(a, BlockOperator):
         return {
@@ -115,18 +119,14 @@ def operator_to_dict(a: MatrixOperator) -> dict[str, Any]:
             "entries": [[quadext_to_dict(z) for z in row] for row in a.rows],
         }
     if isinstance(a, GeneratorOperator):
-        decay = a.decay_decl
-        if decay is None:
-            raise ParseError("only affine-certificate generators serialize")
+        cert = a.certificate
+        decay = {k: str(getattr(cert, k)) for k in _AFFINE_FIELDS}
         return {
             "kind": "generator",
             "context": context_to_dict(a.context),
             "window": a.window,
-            "entries": [
-                [quadext_to_dict(a.entry(m, n)) for n in range(1, a.window + 1)]
-                for m in range(1, a.window + 1)
-            ],
-            "decay": decay,
+            "entries": [[quadext_to_dict(z) for z in row] for row in a.block.rows],
+            "decay": {**decay, "support": cert.support},
         }
     raise ParseError("unknown operator kind")
 
@@ -135,37 +135,21 @@ def operator_from_dict(data: Any) -> MatrixOperator:
     try:
         context = context_from_dict(data["context"])
         kind = data["kind"]
+        if kind not in ("block_finite", "generator"):
+            raise ParseError(f"unknown operator kind {kind!r}")
+        size = "dim" if kind == "block_finite" else "window"
+        rows = [[quadext_from_dict(z, context) for z in row] for row in data["entries"]]
+        if len(rows) != int(data[size]):
+            raise ParseError(f"{size} does not match the entry grid")
+        block = BlockOperator(context, rows)
         if kind == "block_finite":
-            rows = [
-                [quadext_from_dict(z, context) for z in row] for row in data["entries"]
-            ]
-            if len(rows) != int(data["dim"]):
-                raise ParseError("dim does not match the entry grid")
-            return BlockOperator(context, rows)
-        if kind == "generator":
-            window = int(data["window"])
-            rows = [
-                [quadext_from_dict(z, context) for z in row] for row in data["entries"]
-            ]
-            decay = data["decay"]
-            decl = {
-                "base": decay.get("base", 0),
-                "row_coeff": decay.get("row_coeff", 0),
-                "col_coeff": decay.get("col_coeff", 0),
-                "support": decay.get("support", "all"),
-            }
-            cert = affine_certificate(
-                Fraction(str(decl["base"])),
-                Fraction(str(decl["row_coeff"])),
-                Fraction(str(decl["col_coeff"])),
-                diagonal_only=decl["support"] == "diagonal",
-            )
-
-            def entry_fn(m: int, n: int) -> QuadExtElement:
-                return rows[m - 1][n - 1]
-
-            return GeneratorOperator(context, window, entry_fn, cert, decay_decl=decl)
-        raise ParseError(f"unknown operator kind {kind!r}")
+            return block
+        decay = data["decay"]
+        cert = DecayCertificate(
+            *(Fraction(str(decay.get(k, 0))) for k in _AFFINE_FIELDS),
+            decay.get("support", "all"),
+        )
+        return GeneratorOperator(block, cert)
     except ParseError:
         raise
     except Exception as exc:

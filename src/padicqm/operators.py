@@ -2,9 +2,10 @@
 
 Two operator kinds are supported.  Block-finite operators store an exact
 k-by-k block and every classification question is decidable.  Generator
-backed operators carry an entry callback, a materialized window and a
-decay certificate that lower-bounds entry valuations; limit conditions
-become certificate checks reported as CertifiedByDecay.
+backed operators carry a window block and an affine decay certificate
+that lower-bounds the valuations of the entries beyond it; limit
+conditions are derived from the certificate's coefficients and reported
+as CertifiedByDecay.
 
 On top of the classification sit the trace functional, the
 Hilbert-Schmidt product, canonical and symmetric decompositions, the
@@ -14,10 +15,10 @@ trace-class factorization and the finite-dimensional unitarity test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     ContextMismatch,
@@ -30,7 +31,6 @@ from .errors import (
     RequiresOddP,
     SearchExhausted,
     TailDominates,
-    TailNotBounded,
     ValidationError,
 )
 from .hilbert import BasisRotation, PVector, _scalar_of_magnitude, basis_vector, inner_product
@@ -317,28 +317,56 @@ def from_rotation(rotation: BasisRotation, dim: int) -> BlockOperator:
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    """Valuation lower bounds for entries, plus declared decay directions.
+    """The affine valuation lower bound base + row_coeff*m + col_coeff*n.
 
-    ``bound(m, n)`` must satisfy |A_mn| <= p**(-bound(m, n)) and be
-    monotone nondecreasing in max(m, n) beyond the window; math.inf marks
-    entries known to vanish.  The divergence flags assert how the bound
-    grows and are the sole source for limit verdicts: a missing flag makes
-    the corresponding condition Refuted.
+    Entries satisfy |A_mn| <= p**(-bound(m, n)); with ``support``
+    "diagonal" the off-diagonal entries vanish.  Nonnegative coefficients
+    make the bound nondecreasing in both indices, and every limit verdict
+    is derived from them.
     """
 
-    bound: Callable[[int, int], float | Fraction]
-    row_divergent: bool = False
-    col_divergent: bool = False
-    pringsheim_divergent: bool = False
-    joint_divergent: bool = False
-    diag_divergent: bool = False
+    base: Fraction
+    row_coeff: Fraction
+    col_coeff: Fraction
+    support: str = "all"
 
     def __post_init__(self) -> None:
-        if self.joint_divergent:
-            object.__setattr__(self, "row_divergent", True)
-            object.__setattr__(self, "col_divergent", True)
-            object.__setattr__(self, "pringsheim_divergent", True)
-            object.__setattr__(self, "diag_divergent", True)
+        if self.row_coeff < 0 or self.col_coeff < 0:
+            raise ValidationError("decay coefficients must be nonnegative")
+        if self.support not in ("all", "diagonal"):
+            raise ValidationError(f"unknown decay support {self.support!r}")
+
+    def bound(self, m: int, n: int) -> float | Fraction:
+        if self.support == "diagonal" and m != n:
+            return INF
+        return self.base + self.row_coeff * m + self.col_coeff * n
+
+    def adjoint(self) -> DecayCertificate:
+        return replace(self, row_coeff=self.col_coeff, col_coeff=self.row_coeff)
+
+    def floor_beyond(self, window: int) -> Fraction:
+        """The least bound on the shell max(m, n) = window + 1 and beyond."""
+        t = window + 1
+        if self.support == "diagonal":
+            return self.bound(t, t)
+        return min(self.bound(t, 1), self.bound(1, t))
+
+    @property
+    def row_divergent(self) -> bool:
+        return self.support == "diagonal" or self.row_coeff > 0
+
+    @property
+    def col_divergent(self) -> bool:
+        return self.support == "diagonal" or self.col_coeff > 0
+
+    @property
+    def grows(self) -> bool:
+        """The bound diverges along max(m, n) and along the diagonal."""
+        return self.row_coeff + self.col_coeff > 0
+
+    @property
+    def joint_divergent(self) -> bool:
+        return self.grows and self.row_divergent and self.col_divergent
 
 
 def affine_certificate(
@@ -348,174 +376,109 @@ def affine_certificate(
     diagonal_only: bool = False,
 ) -> DecayCertificate:
     """Certificate for bounds of the shape base + a*m + b*n (a, b >= 0)."""
-    if row_coeff < 0 or col_coeff < 0:
-        raise ValidationError("decay coefficients must be nonnegative")
-
-    if diagonal_only:
-        def bound(m: int, n: int) -> float | Fraction:
-            return base + row_coeff * m + col_coeff * n if m == n else INF
-
-        grow = row_coeff + col_coeff > 0
-        return DecayCertificate(
-            bound,
-            row_divergent=True,
-            col_divergent=True,
-            pringsheim_divergent=grow,
-            joint_divergent=grow,
-            diag_divergent=grow,
-        )
-
-    def bound(m: int, n: int) -> float | Fraction:
-        return base + row_coeff * m + col_coeff * n
-
     return DecayCertificate(
-        bound,
-        row_divergent=row_coeff > 0,
-        col_divergent=col_coeff > 0,
-        pringsheim_divergent=row_coeff > 0 or col_coeff > 0,
-        joint_divergent=row_coeff > 0 and col_coeff > 0,
-        diag_divergent=row_coeff + col_coeff > 0,
+        Fraction(base),
+        Fraction(row_coeff),
+        Fraction(col_coeff),
+        "diagonal" if diagonal_only else "all",
     )
 
 
-def _magnitude_below(p: int, floor: float | Fraction) -> Magnitude:
+def _magnitude_below(p: int, floor: Fraction) -> Magnitude:
     """The largest |z| that a certificate floor v(z) >= floor admits."""
-    if floor == INF:
-        return Magnitude.zero(p)
-    if floor == -INF:
-        raise TailNotBounded("certificate gives no bound beyond the window")
-    return Magnitude(p, -int(math.ceil(2 * Fraction(floor))))
+    return Magnitude(p, -math.ceil(2 * floor))
 
 
 def _magnitude_within(z: QuadExtElement, bound: float | Fraction) -> bool:
-    if z.is_zero or bound == -INF:
+    if z.is_zero:
         return True
     if bound == INF:
         return False
-    return Fraction(z.norm_form().valuation, 2) >= Fraction(bound)
+    return Fraction(z.norm_form().valuation, 2) >= bound
 
 
 class GeneratorOperator(MatrixOperator):
-    """Operator given by an entry callback with a decay certificate.
+    """A window block whose entries beyond it obey a decay certificate.
 
-    Entries with both indices at most ``window`` are materialized at
-    construction and validated against the certificate bound.
+    Only the window entries are known; each is checked against the
+    certificate bound at construction.
     """
 
-    __slots__ = ("context", "window", "entry_fn", "certificate", "decay_decl", "_materialized")
+    __slots__ = ("block", "certificate")
 
-    def __init__(
-        self,
-        context: ExtensionContext,
-        window: int,
-        entry_fn: Callable[[int, int], QuadExtElement],
-        certificate: DecayCertificate,
-        decay_decl: dict | None = None,
-    ) -> None:
-        if window < 1:
+    def __init__(self, block: BlockOperator, certificate: DecayCertificate) -> None:
+        if block.dim < 1:
             raise ValidationError("window must be at least 1")
-        self.context = context
-        self.window = window
-        self.entry_fn = entry_fn
-        self.certificate = certificate
-        self.decay_decl = decay_decl
-        mat: dict[tuple[int, int], QuadExtElement] = {}
-        for m in range(1, window + 1):
-            for n in range(1, window + 1):
-                z = entry_fn(m, n)
-                if z.context != context:
-                    raise ContextMismatch("entry from a different extension")
-                if not _magnitude_within(z, certificate.bound(m, n)):
+        for m in range(1, block.dim + 1):
+            for n in range(1, block.dim + 1):
+                if not _magnitude_within(block.entry(m, n), certificate.bound(m, n)):
                     raise ValidationError(
                         f"window entry ({m},{n}) violates the decay bound"
                     )
-                if not z.is_zero:
-                    mat[(m, n)] = z
-        self._materialized = mat
-        floors = [self._frontier_floor(window + k) for k in range(1, 5)]
-        if any(lo > hi for lo, hi in zip(floors, floors[1:])):
-            raise ValidationError(
-                "decay bound must be nondecreasing in max(m, n) beyond the window"
-            )
-
-    def _frontier_floor(self, t: int) -> float | Fraction:
-        along = [self.certificate.bound(t, n) for n in range(1, t + 1)]
-        along += [self.certificate.bound(m, t) for m in range(1, t + 1)]
-        return min(along)
+        self.block = block
+        self.certificate = certificate
 
     @property
-    def span(self) -> int:
-        return self.window
+    def context(self) -> ExtensionContext:
+        return self.block.context
+
+    @property
+    def window(self) -> int:
+        return self.block.dim
+
+    span = window
 
     def entry(self, m: int, n: int) -> QuadExtElement:
         if m > self.window or n > self.window:
             raise OutsideWindow("entry beyond the materialized window")
-        return self._materialized.get((m, n), self.context.zero())
-
-    def frontier_bound(self) -> float | Fraction:
-        """Valuation floor just beyond the window (monotone beyond it)."""
-        return self._frontier_floor(self.window + 1)
+        return self.block.entry(m, n)
 
     def adjoint(self) -> GeneratorOperator:
-        cert = self.certificate
-        if not cert.col_divergent:
+        if not self.certificate.col_divergent:
             raise NotAdjointable("certificate declares no column decay")
-        swapped = DecayCertificate(
-            bound=lambda m, n: cert.bound(n, m),
-            row_divergent=cert.col_divergent,
-            col_divergent=cert.row_divergent,
-            pringsheim_divergent=cert.pringsheim_divergent,
-            joint_divergent=cert.joint_divergent,
-            diag_divergent=cert.diag_divergent,
-        )
-        entry = self.entry_fn
-        return GeneratorOperator(
-            self.context, self.window, lambda m, n: entry(n, m).conj(), swapped
-        )
+        return GeneratorOperator(self.block.adjoint(), self.certificate.adjoint())
 
     def apply(self, v: PVector) -> PVector:
         """Rows inside the window; the certificate bounds the dropped rest."""
         if any(i > self.window for i in v.support()):
             raise OutsideWindow("vector support exceeds the window")
-        return super().apply(v)
+        return self.block.apply(v)
 
     def norm(self) -> Magnitude:
         """The window max, when the certificate keeps the tail below it."""
-        peak = max_abs(self.context, self._materialized.values())
-        if _magnitude_below(self.context.p, self.frontier_bound()) > peak:
+        peak = self.block.norm()
+        tail = _magnitude_below(self.context.p, self.certificate.floor_beyond(self.window))
+        if tail > peak:
             raise TailDominates("certificate admits tail entries above the window max")
         return peak
 
     def classify(self) -> OperatorClassification:
-        """Limit conditions read from the certificate's declared decay."""
+        """Limit conditions derived from the certificate's coefficients.
+
+        A decay bound cannot fix the entries beyond the window, so
+        self-adjointness is never certified.
+        """
         cert = self.certificate
-        adjointable = _certified(cert.row_divergent and cert.col_divergent, "row and column decay")
-        witness = _symmetry_witness(self)
-        if witness is None and adjointable.holds:
-            self_adjoint = FlagReport(
-                True, Verdict.CERTIFIED_BY_DECAY, "window symmetric; adjointability certified"
-            )
-        else:
-            self_adjoint = FlagReport(False, Verdict.REFUTED, witness or adjointable.witness)
+        witness = _symmetry_witness(self.block) or "certificate declares no symmetry"
         return OperatorClassification(
             bounded=_certified(cert.row_divergent, "row decay"),
-            adjointable=adjointable,
-            self_adjoint=self_adjoint,
-            compact=_certified(
-                cert.row_divergent and cert.pringsheim_divergent, "row and joint-index decay"
+            adjointable=_certified(
+                cert.row_divergent and cert.col_divergent, "row and column decay"
             ),
+            self_adjoint=FlagReport(False, Verdict.REFUTED, witness),
+            compact=_certified(cert.row_divergent and cert.grows, "row and joint-index decay"),
             trace_class=_certified(cert.joint_divergent, "total decay"),
             traceable_wrt_standard_basis=_certified(
-                cert.row_divergent and cert.diag_divergent, "row and diagonal decay"
+                cert.row_divergent and cert.grows, "row and diagonal decay"
             ),
         )
 
     def trace(self) -> QuadExtElement:
         """The window diagonal sum, if the certificate makes it traceable."""
         cert = self.certificate
-        if not (cert.joint_divergent or (cert.row_divergent and cert.diag_divergent)):
+        if not (cert.row_divergent and cert.grows):
             raise NotTraceClass("certificate does not support a trace")
-        return super().trace()
+        return self.block.trace()
 
     def __repr__(self) -> str:
         return f"GeneratorOperator(window={self.window})"
@@ -714,7 +677,7 @@ def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
     still exact.
     """
     _require_block("decomposition", t)
-    if not classify(t).self_adjoint.holds:
+    if _symmetry_witness(t) is not None:
         raise NotSelfAdjoint("symmetric decomposition needs a self-adjoint block")
     half = t.context.from_base(t.context.base.from_fraction(Fraction(1, 2)))
     rows = []

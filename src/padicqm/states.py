@@ -29,8 +29,8 @@ from .operators import (
     Magnitude,
     _hermitian,
     _rank_one_sum,
+    _symmetry_witness,
     canonical_decomposition,
-    classify,
     identity,
     operator_norm,
     symmetric_decomposition,
@@ -84,8 +84,8 @@ def _coefficient_sum(coefficients: list[PadicNumber]) -> PadicNumber:
 
 def is_affine_combination(coefficients: list[PadicNumber]) -> bool:
     """Coefficients in Q_p summing to 1."""
-    ctx = coefficients[0].context
-    return _coefficient_sum(coefficients) == ctx.one()
+    total = _coefficient_sum(coefficients)
+    return total == total.context.one()
 
 
 def is_convex_combination(coefficients: list[PadicNumber]) -> bool:
@@ -105,10 +105,13 @@ def affine_combine(points: list, coefficients: list[PadicNumber]):
         raise DimensionMismatch("points and coefficients must align")
     if not is_affine_combination(coefficients):
         raise SumNotOne("coefficients must sum to 1")
-    statistical = isinstance(points[0], StatisticalOperator)
-    xs = [s.op for s in points] if statistical else points
-    if not isinstance(xs[0], (BlockOperator, PVector)):
+    kind = type(points[0])
+    if kind not in (StatisticalOperator, BlockOperator, PVector):
         raise ValidationError("unsupported point type")
+    if not all(type(x) is kind for x in points):
+        raise ValidationError("points of different kinds")
+    statistical = kind is StatisticalOperator
+    xs = [s.op for s in points] if statistical else points
     ctx = xs[0].context
     acc = xs[0].scale(ctx.from_base(coefficients[0]))
     for x, c in zip(xs[1:], coefficients[1:]):
@@ -140,7 +143,8 @@ class ZeroTraceOperator:
 
 
 def _require_self_adjoint(op: BlockOperator) -> None:
-    if not classify(op).self_adjoint.holds:
+    # a generator is never self-adjoint: its certificate only bounds the tail
+    if not isinstance(op, BlockOperator) or _symmetry_witness(op) is not None:
         raise NotSelfAdjoint("operator is not self-adjoint")
 
 

@@ -80,6 +80,13 @@ def rand_vector(rng: random.Random, ctx: ExtensionContext, dim: int, **kw) -> PV
     return PVector(ctx, {i: rand_quad(rng, ctx, **kw) for i in range(1, dim + 1)})
 
 
+def window(ctx: ExtensionContext, size: int, entry) -> BlockOperator:
+    """The size-by-size block of entry(m, n), indices from 1."""
+    return BlockOperator(
+        ctx, [[entry(m, n) for n in range(1, size + 1)] for m in range(1, size + 1)]
+    )
+
+
 def rand_block(rng: random.Random, ctx: ExtensionContext, dim: int, **kw) -> BlockOperator:
     return BlockOperator(
         ctx, [[rand_quad(rng, ctx, **kw) for _ in range(dim)] for _ in range(dim)]

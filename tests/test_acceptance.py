@@ -274,7 +274,9 @@ def test_criterion_11_classification_lattice():
             return ctx.from_base(ctx.base.from_fraction(Fraction(3) ** (a * m + b * n)))
 
         operators.append(
-            GeneratorOperator(ctx, 3, entry, affine_certificate(0, a, b, diagonal_only=diag_only))
+            GeneratorOperator(
+                helpers.window(ctx, 3, entry), affine_certificate(0, a, b, diagonal_only=diag_only)
+            )
         )
     assert len(operators) == 1000
     for op in operators:

@@ -163,10 +163,7 @@ def test_unitary_check_counterexample(tmp_path, capsys):
 
 
 def test_unitary_check_rejects_generator(tmp_path, capsys):
-    decay = {"base": 0, "row_coeff": 0, "col_coeff": 0, "support": "all"}
-    op = GeneratorOperator(
-        E35, 2, identity(E35, 2).entry, affine_certificate(0, 0, 0), decay_decl=decay
-    )
+    op = GeneratorOperator(identity(E35, 2), affine_certificate(0, 0, 0))
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(operator_to_dict(op)))
     code, out, err = run(capsys, "unitary-check", str(path))

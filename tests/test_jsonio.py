@@ -1,11 +1,14 @@
 """Round trips for every JSON wire format."""
 
+import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import helpers
-from padicqm import affine_certificate, basis_vector, classify, make_sovm, rank_one
+from padicqm import affine_certificate, basis_vector, classify, identity, make_sovm, rank_one
 from padicqm.errors import ParseError
 from padicqm.jsonio import (
     classification_to_dict,
@@ -69,13 +72,42 @@ def test_generator_operator_round_trip():
     def entry(m, n):
         return E35.from_base(B3.from_int(3 ** (m + n)))
 
-    decl = {"base": 0, "row_coeff": 1, "col_coeff": 1, "support": "all"}
-    g = GeneratorOperator(E35, 3, entry, affine_certificate(0, 1, 1), decay_decl=decl)
+    g = GeneratorOperator(helpers.window(E35, 3, entry), affine_certificate(0, 1, 1))
     back = operator_from_dict(operator_to_dict(g))
     assert isinstance(back, GeneratorOperator)
     assert back.window == 3
     assert back.entry(2, 3) == g.entry(2, 3)
     assert classify(back).trace_class.holds
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        affine_certificate(0, 1, 1),
+        affine_certificate(Fraction(-1, 2), Fraction(1, 2), 2),
+        affine_certificate(1, 0, 1, diagonal_only=True),
+    ],
+    ids=["integral", "rational", "diagonal"],
+)
+def test_generator_round_trip_keeps_the_certificate(cert):
+    def entry(m, n):
+        if cert.bound(m, n) == math.inf:
+            return E35.zero()
+        return E35.from_base(B3.from_fraction(Fraction(3) ** math.ceil(cert.bound(m, n))))
+
+    g = GeneratorOperator(helpers.window(E35, 3, entry), cert)
+    data = json.loads(json.dumps(operator_to_dict(g)))
+    back = operator_from_dict(data)
+    assert back.certificate == cert
+    assert back.block == g.block
+    assert classify(back) == classify(g)
+
+
+def test_generator_window_must_match_the_entry_grid():
+    data = operator_to_dict(GeneratorOperator(identity(E35, 2), affine_certificate(0, 0, 0)))
+    data["window"] = 3
+    with pytest.raises(ParseError, match="window does not match"):
+        operator_from_dict(data)
 
 
 def test_classification_report_shape():

@@ -1,7 +1,6 @@
 """Matrix operators: norms, classification, unitarity, trace calculus and
 decompositions."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ import pytest
 import helpers
 from padicqm import (
     BlockOperator,
+    DecayCertificate,
     GeneratorOperator,
     Magnitude,
     PVector,
@@ -48,7 +48,6 @@ from padicqm.errors import (
     PrecisionExhausted,
     RequiresOddP,
     TailDominates,
-    TailNotBounded,
     ValidationError,
 )
 from padicqm.operators import adjoint, four_squares_unit_solution
@@ -174,7 +173,7 @@ def test_block_classification_flags():
     assert cls2.self_adjoint.verdict == Verdict.REFUTED
     assert cls2.trace_class.holds
     # the same window as a generator refutes self-adjointness at the same entry
-    window = GeneratorOperator(E35, 4, asym.entry, affine_certificate(-10, 0, 0))
+    window = GeneratorOperator(asym, affine_certificate(-10, 0, 0))
     assert classify(window).self_adjoint.witness == cls2.self_adjoint.witness
 
 
@@ -183,7 +182,7 @@ def _row_decay_generator(ctx):
     def entry(m, n):
         return p_power(ctx, m)
 
-    return GeneratorOperator(ctx, 4, entry, affine_certificate(0, 1, 0))
+    return GeneratorOperator(helpers.window(ctx, 4, entry), affine_certificate(0, 1, 0))
 
 
 def test_generator_row_decay_only():
@@ -202,7 +201,9 @@ def test_generator_diagonal_decay_is_trace_class():
     def entry(m, n):
         return p_power(E35, m) if m == n else E35.zero()
 
-    g = GeneratorOperator(E35, 5, entry, affine_certificate(0, 1, 0, diagonal_only=True))
+    g = GeneratorOperator(
+        helpers.window(E35, 5, entry), affine_certificate(0, 1, 0, diagonal_only=True)
+    )
     cls = classify(g)
     assert cls.trace_class.holds
     assert cls.trace_class.verdict == Verdict.CERTIFIED_BY_DECAY
@@ -217,7 +218,7 @@ def test_generator_total_decay():
     def entry(m, n):
         return p_power(E35, m + n)
 
-    g = GeneratorOperator(E35, 4, entry, affine_certificate(0, 1, 1))
+    g = GeneratorOperator(helpers.window(E35, 4, entry), affine_certificate(0, 1, 1))
     cls = classify(g)
     assert cls.trace_class.holds
     assert cls.compact.holds and cls.adjointable.holds
@@ -231,18 +232,15 @@ def test_generator_window_validation():
         return E35.one()
 
     with pytest.raises(ValidationError):
-        GeneratorOperator(E35, 3, entry, affine_certificate(1, 0, 0))  # bound demands p^-1
+        GeneratorOperator(helpers.window(E35, 3, entry), affine_certificate(1, 0, 0))  # bound demands p^-1
 
 
 def test_generator_rejects_decreasing_bound():
-    from padicqm import DecayCertificate
-
-    def entry(m, n):
-        return E35.zero()
-
-    shrinking = DecayCertificate(bound=lambda m, n: -max(m, n), row_divergent=False)
+    # a negative coefficient would let the bound shrink beyond the window
     with pytest.raises(ValidationError):
-        GeneratorOperator(E35, 3, entry, shrinking)
+        DecayCertificate(Fraction(0), Fraction(-1), Fraction(0))
+    with pytest.raises(ValidationError):
+        affine_certificate(0, 0, -1)
 
 
 def test_generator_outside_window():
@@ -257,26 +255,8 @@ def test_generator_tail_dominates():
     def entry(m, n):
         return p_power(E35, 5) if m == n else E35.zero()
 
-    g = GeneratorOperator(E35, 3, entry, affine_certificate(0, 0, 0))
+    g = GeneratorOperator(helpers.window(E35, 3, entry), affine_certificate(0, 0, 0))
     with pytest.raises(TailDominates):
-        operator_norm(g)
-
-
-def test_generator_accepts_unbounded_window_entries():
-    from padicqm import DecayCertificate
-
-    # a -inf valuation bound constrains nothing
-    cert = DecayCertificate(bound=lambda m, n: -math.inf)
-    g = GeneratorOperator(E35, 2, lambda m, n: E35.one(), cert)
-    assert g.entry(2, 1) == E35.one()
-
-
-def test_generator_norm_without_tail_bound():
-    from padicqm import DecayCertificate
-
-    cert = DecayCertificate(bound=lambda m, n: 0 if max(m, n) <= 3 else -math.inf)
-    g = GeneratorOperator(E35, 3, lambda m, n: E35.one(), cert)
-    with pytest.raises(TailNotBounded):
         operator_norm(g)
 
 
@@ -289,7 +269,7 @@ def test_classification_lattice_on_generated_operators():
         def entry(m, n, a=a, b=b):
             return p_power(E35, a * m + b * n)
 
-        ops.append(GeneratorOperator(E35, 3, entry, affine_certificate(0, a, b)))
+        ops.append(GeneratorOperator(helpers.window(E35, 3, entry), affine_certificate(0, a, b)))
     for op in ops:
         cls = classify(op)
         if cls.trace_class.holds:

@@ -1,6 +1,7 @@
 """Field arithmetic, square testing and square classes in Q_p."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 
 import helpers
-from padicqm import PadicContext, find_eta, is_square, sqrt, square_class
+from padicqm import PadicContext, find_eta, is_prime, is_square, sqrt, square_class
 from padicqm.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -33,6 +34,21 @@ def test_context_validation():
         PadicContext(4, 5)
     with pytest.raises(ValidationError):
         PadicContext(3, 4)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(-3, 10**5))
+
+
+def test_is_prime_decides_large_primes():
+    assert is_prime(10**18 + 3)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    PadicContext(10**18 + 3, 5)
+    with pytest.raises(ValidationError):
+        is_prime(10**25 + 13)
 
 
 def test_one_plus_two_is_three():

@@ -44,6 +44,7 @@ from padicqm.errors import (
     TraceNotOne,
     TraceNotZero,
     ValidationError,
+    ZeroInput,
 )
 from padicqm.quadext import Magnitude
 from padicqm.states import StatisticalOperator, ZeroTraceOperator
@@ -329,3 +330,29 @@ def test_affine_combine_blocks_matches_stepwise_sum():
 def test_affine_combine_rejects_unsupported_points():
     with pytest.raises(ValidationError):
         affine_combine([1, 2], [B3.from_int(2), B3.from_int(-1)])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        pytest.param(lambda: [make_statistical(identity(E35, 1)), identity(E35, 1)], id="state_then_block"),
+        pytest.param(lambda: [identity(E35, 1), basis_vector(E35, 1)], id="block_then_vector"),
+    ],
+)
+def test_affine_combine_rejects_mixed_point_kinds(points):
+    with pytest.raises(ValidationError, match="points of different kinds") as info:
+        affine_combine(points(), [B3.from_int(2), B3.from_int(-1)])
+    assert info.type is ValidationError
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: is_affine_combination([]), id="is_affine_combination"),
+        pytest.param(lambda: is_convex_combination([]), id="is_convex_combination"),
+        pytest.param(lambda: affine_combine([], []), id="affine_combine"),
+    ],
+)
+def test_empty_coefficients_raise_zero_input(call):
+    with pytest.raises(ZeroInput):
+        call()
