@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -69,33 +70,11 @@ class OperatorClassification:
 
 
 class MatrixOperator:
-    """Common interface of BlockOperator and GeneratorOperator.  Each kind
-    supplies ``entry``, ``span``, ``adjoint``, ``norm`` and ``classify``;
-    entries (m, n) with m, n <= ``span`` are known exactly."""
+    """Common interface of BlockOperator and GeneratorOperator, with no
+    behaviour of its own.  Each kind carries a ``context`` and supplies
+    ``entry``, ``apply``, ``trace``, ``adjoint``, ``norm`` and ``classify``."""
 
     context: ExtensionContext
-    span: int
-
-    def apply(self, v: PVector) -> PVector:
-        """Matrix-vector product over the span; exact for block operators."""
-        if self.context != v.context:
-            raise ContextMismatch("operator and vector over different extensions")
-        ctx = self.context
-        out: dict[int, QuadExtElement] = {}
-        for m in range(1, self.span + 1):
-            terms = []
-            for n, vn in v.items():
-                amn = self.entry(m, n)
-                if not amn.is_zero:
-                    terms.append(amn * vn)
-            acc = quad_sum(ctx, terms)
-            if not acc.is_zero:
-                out[m] = acc
-        return PVector(ctx, out)
-
-    def trace(self) -> QuadExtElement:
-        """Sum of the diagonal entries inside the span."""
-        return quad_sum(self.context, [self.entry(m, m) for m in range(1, self.span + 1)])
 
 
 class BlockOperator(MatrixOperator):
@@ -117,15 +96,26 @@ class BlockOperator(MatrixOperator):
         self.dim = dim
         self.rows = tuple(tuple(row) for row in rows)
 
-    @property
-    def span(self) -> int:
-        return self.dim
-
     def entry(self, m: int, n: int) -> QuadExtElement:
-        """Matrix entry with 1-based indices; zero outside the block."""
-        if 1 <= m <= self.dim and 1 <= n <= self.dim:
+        """Matrix entry with 1-based indices: zero beyond the block,
+        ValidationError below 1."""
+        if m < 1 or n < 1:
+            raise ValidationError("indices are 1-based")
+        if m <= self.dim and n <= self.dim:
             return self.rows[m - 1][n - 1]
         return self.context.zero()
+
+    def _padded(self, d: int) -> tuple[tuple[QuadExtElement, ...], ...]:
+        """``rows`` zero-padded to d-by-d (d >= dim); ``rows`` itself when d == dim.
+
+        Blocks of different sizes meet in arithmetic and comparison as the
+        larger block, the smaller one vanishing outside its own.
+        """
+        if d == self.dim:
+            return self.rows
+        z = self.context.zero()
+        pad = (z,) * (d - self.dim)
+        return tuple(row + pad for row in self.rows) + ((z,) * d,) * (d - self.dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockOperator):
@@ -133,21 +123,14 @@ class BlockOperator(MatrixOperator):
         if self.context != other.context:
             return False
         d = max(self.dim, other.dim)
-        return all(
-            self.entry(m, n) == other.entry(m, n)
-            for m in range(1, d + 1)
-            for n in range(1, d + 1)
-        )
+        return self._padded(d) == other._padded(d)
 
     def __add__(self, other: BlockOperator) -> BlockOperator:
         self._check(other)
         d = max(self.dim, other.dim)
         return BlockOperator(
             self.context,
-            [
-                [self.entry(m, n) + other.entry(m, n) for n in range(1, d + 1)]
-                for m in range(1, d + 1)
-            ],
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self._padded(d), other._padded(d))],
         )
 
     def __neg__(self) -> BlockOperator:
@@ -163,28 +146,38 @@ class BlockOperator(MatrixOperator):
     def __mul__(self, other: BlockOperator) -> BlockOperator:
         """Operator composition; entries accumulate with one truncation."""
         self._check(other)
-        d = max(self.dim, other.dim)
-        rows = []
-        for m in range(1, d + 1):
-            row = []
-            for n in range(1, d + 1):
-                terms = []
-                for k in range(1, d + 1):
-                    a, b = self.entry(m, k), other.entry(k, n)
-                    if not a.is_zero and not b.is_zero:
-                        terms.append(a * b)
-                row.append(quad_sum(self.context, terms))
-            rows.append(row)
-        return BlockOperator(self.context, rows)
-
-    def adjoint(self) -> BlockOperator:
+        ctx, d = self.context, max(self.dim, other.dim)
+        cols = list(zip(*other._padded(d)))
         return BlockOperator(
-            self.context,
+            ctx,
             [
-                [self.rows[n][m].conj() for n in range(self.dim)]
-                for m in range(self.dim)
+                [
+                    quad_sum(ctx, [a * b for a, b in zip(row, col) if not (a.is_zero or b.is_zero)])
+                    for col in cols
+                ]
+                for row in self._padded(d)
             ],
         )
+
+    def apply(self, v: PVector) -> PVector:
+        """Matrix-vector product, exact; coordinates beyond the block meet zero columns."""
+        if self.context != v.context:
+            raise ContextMismatch("operator and vector over different extensions")
+        ctx = self.context
+        inside = [(n - 1, vn) for n, vn in v.items() if n <= self.dim]
+        out: dict[int, QuadExtElement] = {}
+        for m, row in enumerate(self.rows, 1):
+            acc = quad_sum(ctx, [row[k] * vn for k, vn in inside if not row[k].is_zero])
+            if not acc.is_zero:
+                out[m] = acc
+        return PVector(ctx, out)
+
+    def trace(self) -> QuadExtElement:
+        """Sum of the diagonal entries."""
+        return quad_sum(self.context, [row[m] for m, row in enumerate(self.rows)])
+
+    def adjoint(self) -> BlockOperator:
+        return BlockOperator(self.context, [[z.conj() for z in col] for col in zip(*self.rows)])
 
     def norm(self) -> Magnitude:
         """sup |A_mn|, exact."""
@@ -218,12 +211,13 @@ def _require_block(what: str, *ops: MatrixOperator) -> None:
         raise NotBlockFinite(f"{what} needs exact blocks")
 
 
-def _symmetry_witness(a: MatrixOperator) -> str | None:
-    """The first entry (m, n), m <= n <= span, with A_mn != conj(A_nm)."""
-    for m in range(1, a.span + 1):
-        for n in range(m, a.span + 1):
-            if a.entry(m, n) != a.entry(n, m).conj():
-                return f"entry ({m},{n})"
+def _symmetry_witness(a: BlockOperator) -> str | None:
+    """The first entry (m, n), m <= n <= dim, with A_mn != conj(A_nm)."""
+    rows = a.rows
+    for m in range(a.dim):
+        for n in range(m, a.dim):
+            if rows[m][n] != rows[n][m].conj():
+                return f"entry ({m + 1},{n + 1})"
     return None
 
 
@@ -231,15 +225,11 @@ def _symmetry_witness(a: MatrixOperator) -> str | None:
 
 
 def zero_operator(context: ExtensionContext, dim: int) -> BlockOperator:
-    z = context.zero()
-    return BlockOperator(context, [[z for _ in range(dim)] for _ in range(dim)])
+    return diagonal(context, [context.zero()] * dim)
 
 
 def identity(context: ExtensionContext, dim: int) -> BlockOperator:
-    z, one = context.zero(), context.one()
-    return BlockOperator(
-        context, [[one if m == n else z for n in range(dim)] for m in range(dim)]
-    )
+    return diagonal(context, [context.one()] * dim)
 
 
 def diagonal(context: ExtensionContext, values: list[QuadExtElement]) -> BlockOperator:
@@ -298,9 +288,7 @@ def _hermitian(
 def from_rotation(rotation: BasisRotation, dim: int) -> BlockOperator:
     """The block unitary sending each basis vector to its rotated image."""
     ctx = rotation.context
-    rows = [[ctx.zero() for _ in range(dim)] for _ in range(dim)]
-    for m in range(dim):
-        rows[m][m] = ctx.one()
+    rows = [list(row) for row in identity(ctx, dim).rows]
     for i, j, z in rotation.pairs:
         if j > dim or i > dim:
             raise DimensionMismatch("rotation pair outside the block")
@@ -331,6 +319,8 @@ class DecayCertificate:
     support: str = "all"
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, Rational) for x in (self.base, self.row_coeff, self.col_coeff)):
+            raise ValidationError("decay base and coefficients must be rational")
         if self.row_coeff < 0 or self.col_coeff < 0:
             raise ValidationError("decay coefficients must be nonnegative")
         if self.support not in ("all", "diagonal"):
@@ -409,9 +399,9 @@ class GeneratorOperator(MatrixOperator):
     def __init__(self, block: BlockOperator, certificate: DecayCertificate) -> None:
         if block.dim < 1:
             raise ValidationError("window must be at least 1")
-        for m in range(1, block.dim + 1):
-            for n in range(1, block.dim + 1):
-                if not _magnitude_within(block.entry(m, n), certificate.bound(m, n)):
+        for m, row in enumerate(block.rows, 1):
+            for n, z in enumerate(row, 1):
+                if not _magnitude_within(z, certificate.bound(m, n)):
                     raise ValidationError(
                         f"window entry ({m},{n}) violates the decay bound"
                     )
@@ -425,8 +415,6 @@ class GeneratorOperator(MatrixOperator):
     @property
     def window(self) -> int:
         return self.block.dim
-
-    span = window
 
     def entry(self, m: int, n: int) -> QuadExtElement:
         if m > self.window or n > self.window:
@@ -498,7 +486,7 @@ def adjoint(a: MatrixOperator) -> MatrixOperator:
 
 
 def apply(a: MatrixOperator, v: PVector) -> PVector:
-    """Matrix-vector product; see MatrixOperator.apply."""
+    """Matrix-vector product; exact for blocks, window rows for generators."""
     return a.apply(v)
 
 
@@ -631,12 +619,8 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     """
     _require_block("decomposition", c)
     terms = []
-    for m in range(1, c.dim + 1):
-        nonzero = [
-            (n, z)
-            for n in range(1, c.dim + 1)
-            if not (z := c.entry(m, n)).is_zero
-        ]
+    for m, row in enumerate(c.rows, 1):
+        nonzero = [(n, z) for n, z in enumerate(row, 1) if not z.is_zero]
         if not nonzero:
             continue
         lam = _scalar_of_magnitude(c.context, max_abs(c.context, (z for _, z in nonzero)))
@@ -680,18 +664,14 @@ def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
     if _symmetry_witness(t) is not None:
         raise NotSelfAdjoint("symmetric decomposition needs a self-adjoint block")
     half = t.context.from_base(t.context.base.from_fraction(Fraction(1, 2)))
-    rows = []
-    for m in range(1, t.dim + 1):
-        row = []
-        for n in range(1, t.dim + 1):
-            if m < n:
-                row.append(t.entry(m, n))
-            elif m == n:
-                row.append(half * t.entry(m, m))
-            else:
-                row.append(t.context.zero())
-        rows.append(row)
-    upper = BlockOperator(t.context, rows)
+    z = t.context.zero()
+    upper = BlockOperator(
+        t.context,
+        [
+            [a if m < n else half * a if m == n else z for n, a in enumerate(row)]
+            for m, row in enumerate(t.rows)
+        ],
+    )
     canon = canonical_decomposition(upper)
     return SymmetricDecomposition(t.context, t.dim, canon.terms)
 

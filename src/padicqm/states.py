@@ -245,17 +245,16 @@ class Sovm:
 def make_sovm(effects: list[BlockOperator]) -> Sovm:
     if not effects:
         raise ZeroInput("need at least one effect")
-    dim = effects[0].dim
-    ctx = effects[0].context
     acc = None
     for a in effects:
-        if a.dim != dim:
-            raise DimensionMismatch("effects must share one block dimension")
+        # the kind check comes first: only a block has a dim
         _require_self_adjoint(a)
+        if a.dim != effects[0].dim:
+            raise DimensionMismatch("effects must share one block dimension")
         acc = a if acc is None else acc + a
-    if acc != identity(ctx, dim):
+    if acc != identity(acc.context, acc.dim):
         raise SumNotIdentity("effects must sum to the identity")
-    return Sovm(tuple(effects), dim)
+    return Sovm(tuple(effects), acc.dim)
 
 
 def sovm_from_symmetric_decomposition(s: StatisticalOperator) -> Sovm:

@@ -194,3 +194,10 @@ def test_verdicts_match_the_declared_flag_model(support):
             ), case
             swapped = (col, row, pring, joint, diag)
             assert verdicts(classify(adj)) == declared_verdicts(swapped), case
+
+
+@pytest.mark.parametrize("field", ["base", "row_coeff", "col_coeff"])
+def test_certificate_rejects_non_rational_fields(field):
+    fields = {"base": Fraction(0), "row_coeff": Fraction(1), "col_coeff": Fraction(1), field: None}
+    with pytest.raises(ValidationError, match="rational"):
+        DecayCertificate(**fields)

@@ -552,3 +552,33 @@ def test_decompositions_require_blocks():
 def test_block_only_entry_points_reject_generators(call):
     with pytest.raises(NotBlockFinite):
         call(identity(E35, 4), _row_decay_generator(E35))
+
+
+def test_block_arithmetic_pads_the_smaller_block_with_zeros():
+    # rank_one sizes itself by the support, so ordinary use mixes sizes
+    e1, e2 = basis_vector(E35, 1), basis_vector(E35, 2)
+    p1, p2 = rank_one(e1, e1), rank_one(e2, e2)
+    i2 = identity(E35, 2)
+    assert (p1.dim, p2.dim) == (1, 2)
+    assert p1 + p2 == i2
+    assert i2 - p1 == p2
+    assert i2 * p1 == rank_one(e1, e1, 2)
+    assert (p1 * identity(E35, 3)).dim == 3
+    assert diagonal(E35, [E35.one(), E35.zero()]) == identity(E35, 1)
+    assert i2 != identity(E35, 1)
+    assert hs_inner(p1, i2) == E35.one()
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (-1, 1), (1, 0)])
+def test_entry_indices_below_one_raise(m, n):
+    block = identity(E35, 2)
+    g = GeneratorOperator(block, affine_certificate(0, 0, 0))
+    for op in (block, g):
+        with pytest.raises(ValidationError, match="indices are 1-based") as info:
+            op.entry(m, n)
+        assert info.type is ValidationError
+
+
+def test_block_entry_beyond_the_block_is_zero():
+    block = identity(E35, 2)
+    assert block.entry(3, 1).is_zero and block.entry(1, 3).is_zero

@@ -7,7 +7,9 @@ import pytest
 
 import helpers
 from padicqm import (
+    GeneratorOperator,
     PVector,
+    affine_certificate,
     affine_combine,
     basis_vector,
     diagonal,
@@ -356,3 +358,16 @@ def test_affine_combine_rejects_mixed_point_kinds(points):
 def test_empty_coefficients_raise_zero_input(call):
     with pytest.raises(ZeroInput):
         call()
+
+
+@pytest.mark.parametrize(
+    "effects",
+    [
+        pytest.param(lambda g: [g], id="generator_only"),
+        pytest.param(lambda g: [identity(E35, 2), g], id="block_then_generator"),
+    ],
+)
+def test_make_sovm_rejects_a_generator_effect(effects):
+    g = GeneratorOperator(identity(E35, 2), affine_certificate(0, 0, 0))
+    with pytest.raises(NotSelfAdjoint):
+        make_sovm(effects(g))
