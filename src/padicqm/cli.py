@@ -8,6 +8,7 @@ failures, 3 for parse failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -155,7 +156,10 @@ def cmd_counterexample(args: argparse.Namespace) -> Any:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between
+    calls, so every in-process ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="padicqm",
         description="Exact operator calculus over quadratic extensions of Q_p.",
@@ -175,48 +179,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("field", help="classify the extension Q_p(sqrt(mu))")
     common(sp)
-    sp.set_defaults(handler=cmd_field)
 
     sp = add_parser("sqrt", help="p-adic square root of a rational")
     common(sp, mu=False)
     sp.add_argument("value", help="integer or fraction a/b")
-    sp.set_defaults(handler=cmd_sqrt)
 
     sp = add_parser("classify", help="classification report for operator JSON")
     sp.add_argument("operator", nargs="+", help="operator JSON files")
-    sp.set_defaults(handler=cmd_classify)
 
     sp = add_parser("trace", help="trace of an operator JSON")
     sp.add_argument("operator")
-    sp.set_defaults(handler=cmd_trace)
 
     sp = add_parser("decompose", help="canonical (and symmetric) decomposition")
     sp.add_argument("operator")
     sp.add_argument("--symmetric", action="store_true")
-    sp.set_defaults(handler=cmd_decompose)
 
     sp = add_parser("unitary-check", help="unitarity and IP preservation")
     sp.add_argument("operator")
-    sp.set_defaults(handler=cmd_unitary_check)
 
     sp = add_parser("pair", help="pair a SOVM with a statistical operator")
     sp.add_argument("sovm")
     sp.add_argument("state")
-    sp.set_defaults(handler=cmd_pair)
 
     sp = add_parser("counterexample", help="IP-preserving non-unitary 4x4 block")
     common(sp)
     sp.add_argument("--K", type=int, default=1, help="norm exponent")
-    sp.set_defaults(handler=cmd_counterexample)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on every call, so a handler rebound on this module after
+    # the parser was built (a tracer's wrapper, a test double) is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        payload = args.handler(args)
+        payload = handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

@@ -30,6 +30,7 @@ from .operators import (
     _hermitian,
     _rank_one_sum,
     _symmetry_witness,
+    _trace_of_product,
     canonical_decomposition,
     identity,
     operator_norm,
@@ -269,14 +270,16 @@ def sovm_from_symmetric_decomposition(s: StatisticalOperator) -> Sovm:
 def pair(sovm: Sovm, s: StatisticalOperator) -> PadicDistribution:
     """The p-adic probability distribution {tr(A_i S)}.
 
-    Every value lies in Q_p; the total is exactly 1.  A density operator
-    paired with a contractive SOVM lands in the probability simplex.
+    Each value is one sum over the d^2 products (A_i)_mk S_km, without
+    forming A_i S.  Every value lies in Q_p; the total is exactly 1.  A
+    density operator paired with a contractive SOVM lands in the
+    probability simplex.
     """
     if sovm.dim != s.op.dim:
         raise DimensionMismatch("SOVM and state have different block dimensions")
     values = []
     for a in sovm.effects:
-        t = trace(a * s.op)
+        t = _trace_of_product(a, s.op)
         if not t.ac.is_zero:
             raise ValidationError("internal error: pairing value left the base field")
         values.append(t.sc)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import helpers
 from padicqm import (
     BlockOperator,
@@ -15,6 +17,7 @@ from padicqm import (
     make_statistical,
     rank_one,
 )
+from padicqm import cli
 from padicqm.cli import main
 from padicqm.jsonio import operator_to_dict, sovm_to_dict
 
@@ -241,3 +244,44 @@ def test_unitary_check_of_identity_makes_two_products(tmp_path, capsys, monkeypa
     data = json.loads(out)
     assert code == 0 and data["unitary"] is True and data["ip_preserving"] is True
     assert len(products) == 2  # U* U once, U U* once
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_reused_parser_does_not_carry_flags_between_calls(tmp_path, capsys):
+    op = rank_one(basis_vector(E35, 1), basis_vector(E35, 1), 2)
+    path = tmp_path / "sa.json"
+    path.write_text(json.dumps(operator_to_dict(op)))
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "decompose", "--symmetric", "--out", str(target), str(path))
+    assert code == 0 and out == "" and "symmetric" in json.loads(target.read_text())
+    target.unlink()
+    code, out, _ = run(capsys, "decompose", str(path))
+    assert code == 0 and "symmetric" not in json.loads(out)
+    assert not target.exists()
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    code, out, _ = run(capsys, "sqrt", "--p", "7", "2")
+    assert code == 0 and json.loads(out)["root"]["digits"] == [3, 1, 2, 6, 1]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for argv in (["sqrt", "--p", "7", "2"], ["field", "--p", "3", "--mu", "5"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_handler_rebound_after_the_parser_was_built_is_the_one_run(capsys, monkeypatch):
+    assert run(capsys, "sqrt", "--p", "7", "2")[0] == 0
+    monkeypatch.setattr(cli, "cmd_sqrt", lambda args: {"rebound": args.value})
+    code, out, _ = run(capsys, "sqrt", "--p", "7", "2")
+    assert code == 0 and json.loads(out) == {"rebound": "2"}
