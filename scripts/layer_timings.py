@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Best-of-N timings of the arithmetic layers, printed as one JSON object.
+
+    python scripts/layer_timings.py [--repeat 5] [--max-dim 32]
+
+Inputs are random values from the fixed seed SEED over p = 3, mu = 5,
+precision 20, with valuations 0 to 2.  Scalar operations are timed over a
+batch and reported in microseconds per operation; block products (d = 4,
+8, 16, 32, up to ``--max-dim``) and ``hs_inner`` (d = 16, or ``--max-dim``
+when smaller) in milliseconds per call.  Each figure is the fastest of
+``--repeat`` runs.
+"""
+
+import argparse
+import json
+import pathlib
+import platform
+import random
+import sys
+from time import perf_counter
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from padicqm import (  # noqa: E402
+    BlockOperator,
+    ExtensionContext,
+    PadicContext,
+    PadicNumber,
+    QuadExtElement,
+    hs_inner,
+)
+from padicqm.padic import padic_sum  # noqa: E402
+
+P, MU, PRECISION = 3, 5, 20
+SEED = 0
+BATCH = 2000  # scalar operations per timed run
+SUM_TERMS = 16
+BLOCK_DIMS = (4, 8, 16, 32)
+HS_DIM = 16
+
+
+def _number(rng: random.Random, ctx: PadicContext) -> PadicNumber:
+    u = rng.randrange(1, ctx.modulus)
+    while u % ctx.p == 0:
+        u = rng.randrange(1, ctx.modulus)
+    return PadicNumber(ctx, rng.randrange(0, 3), u, ctx.precision)
+
+
+def _element(rng: random.Random, ext: ExtensionContext) -> QuadExtElement:
+    return QuadExtElement(ext, _number(rng, ext.base), _number(rng, ext.base))
+
+
+def _block(rng: random.Random, ext: ExtensionContext, d: int) -> BlockOperator:
+    return BlockOperator(ext, [[_element(rng, ext) for _ in range(d)] for _ in range(d)])
+
+
+def _best(fn, repeat: int) -> float:
+    """The fastest of ``repeat`` timed calls of fn, in seconds."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = perf_counter()
+        fn()
+        best = min(best, perf_counter() - t0)
+    return best
+
+
+def _pairwise(op, xs, ys):
+    def run():
+        for x, y in zip(xs, ys):
+            op(x, y)
+
+    return run
+
+
+def timings(repeat: int, max_dim: int) -> dict[str, float]:
+    rng = random.Random(SEED)
+    ctx = PadicContext(P, PRECISION)
+    ext = ExtensionContext(ctx, ctx.from_int(MU))
+    xs = [_number(rng, ctx) for _ in range(BATCH)]
+    ys = [_number(rng, ctx) for _ in range(BATCH)]
+    zs = [_element(rng, ext) for _ in range(BATCH)]
+    ws = [_element(rng, ext) for _ in range(BATCH)]
+    sums = [xs[i : i + SUM_TERMS] for i in range(0, BATCH, SUM_TERMS)]
+
+    def run_sums():
+        for terms in sums:
+            padic_sum(ctx, terms)
+
+    us_per = 1e6 / BATCH
+    out = {
+        "padic.add_us": _best(_pairwise(PadicNumber.__add__, xs, ys), repeat) * us_per,
+        "padic.mul_us": _best(_pairwise(PadicNumber.__mul__, xs, ys), repeat) * us_per,
+        f"padic.sum{SUM_TERMS}_us": _best(run_sums, repeat) * 1e6 / len(sums),
+        "quadext.mul_us": _best(_pairwise(QuadExtElement.__mul__, zs, ws), repeat) * us_per,
+    }
+    for d in (d for d in BLOCK_DIMS if d <= max_dim):
+        a, b = _block(rng, ext, d), _block(rng, ext, d)
+        out[f"block_mul.d{d}_ms"] = _best(lambda: a * b, repeat) * 1e3
+    d = min(HS_DIM, max_dim)
+    s, t = _block(rng, ext, d), _block(rng, ext, d)
+    out[f"hs_inner.d{d}_ms"] = _best(lambda: hs_inner(s, t), repeat) * 1e3
+    return {k: round(v, 3) for k, v in out.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5, help="timed runs per figure")
+    parser.add_argument("--max-dim", type=int, default=32, help="largest block dimension timed")
+    args = parser.parse_args()
+    if args.repeat < 1 or args.max_dim < 1:
+        parser.error("--repeat and --max-dim must be positive")
+    report = {
+        "python": platform.python_version(),
+        "context": {"p": P, "mu": MU, "precision": PRECISION},
+        "repeat": args.repeat,
+        "timings": timings(args.repeat, args.max_dim),
+    }
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
     ContextMismatch,
@@ -35,7 +35,16 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import BasisRotation, PVector, _scalar_of_magnitude, basis_vector, inner_product
-from .quadext import ExtensionContext, Magnitude, QuadExtElement, max_abs, quad_sum
+from .quadext import (
+    ExtensionContext,
+    Magnitude,
+    QuadExtElement,
+    _dot,
+    _lhs_coords,
+    _rhs_coords,
+    max_abs,
+    quad_sum,
+)
 
 INF = math.inf
 
@@ -144,30 +153,28 @@ class BlockOperator(MatrixOperator):
         return BlockOperator(self.context, [[alpha * z for z in row] for row in self.rows])
 
     def __mul__(self, other: BlockOperator) -> BlockOperator:
-        """Operator composition; entries accumulate with one truncation."""
+        """Operator composition.  Each entry is one sum of its products
+        A_ik B_kj on integer coordinates (``quadext._dot``), with the digits
+        of ``quad_sum`` over the scalar products A_ik * B_kj: each product
+        truncates its sc and ac sums, then the entry sum truncates once."""
         self._check(other)
         ctx, d = self.context, max(self.dim, other.dim)
-        cols = list(zip(*other._padded(d)))
-        return BlockOperator(
-            ctx,
-            [
-                [
-                    quad_sum(ctx, [a * b for a, b in zip(row, col) if not (a.is_zero or b.is_zero)])
-                    for col in cols
-                ]
-                for row in self._padded(d)
-            ],
-        )
+        rows = [[_lhs_coords(z) for z in row] for row in self._padded(d)]
+        cols = [[_rhs_coords(z) for z in col] for col in zip(*other._padded(d))]
+        return BlockOperator(ctx, [[_dot(ctx, row, col) for col in cols] for row in rows])
 
     def apply(self, v: PVector) -> PVector:
-        """Matrix-vector product, exact; coordinates beyond the block meet zero columns."""
+        """Matrix-vector product, exact; coordinates beyond the block meet
+        zero columns.  Each coordinate is one integer-coordinate sum, as in
+        ``__mul__``."""
         if self.context != v.context:
             raise ContextMismatch("operator and vector over different extensions")
         ctx = self.context
-        inside = [(n - 1, vn) for n, vn in v.items() if n <= self.dim]
+        inside = [(n - 1, _rhs_coords(vn)) for n, vn in v.items() if n <= self.dim]
+        ys = [y for _, y in inside]
         out: dict[int, QuadExtElement] = {}
         for m, row in enumerate(self.rows, 1):
-            acc = quad_sum(ctx, [row[k] * vn for k, vn in inside if not row[k].is_zero])
+            acc = _dot(ctx, [_lhs_coords(row[k]) for k, _ in inside], ys)
             if not acc.is_zero:
                 out[m] = acc
         return PVector(ctx, out)
@@ -397,6 +404,7 @@ class GeneratorOperator(MatrixOperator):
     __slots__ = ("block", "certificate")
 
     def __init__(self, block: BlockOperator, certificate: DecayCertificate) -> None:
+        _require_block("a generator window", block)
         if block.dim < 1:
             raise ValidationError("window must be at least 1")
         for m, row in enumerate(block.rows, 1):
@@ -461,6 +469,12 @@ class GeneratorOperator(MatrixOperator):
             ),
         )
 
+    def _no_arithmetic(self, *_: object) -> NoReturn:
+        raise NotBlockFinite("block arithmetic needs exact blocks")
+
+    # exact arithmetic is defined on blocks, whose entries are all known
+    __add__ = __sub__ = __mul__ = __neg__ = scale = _no_arithmetic
+
     def trace(self) -> QuadExtElement:
         """The window diagonal sum, if the certificate makes it traceable."""
         cert = self.certificate
@@ -509,6 +523,8 @@ def trace(t: MatrixOperator) -> QuadExtElement:
 
 def trace_tail_bound(t: GeneratorOperator) -> Magnitude:
     """Ultrametric bound on the dropped diagonal tail of the trace."""
+    if not isinstance(t, GeneratorOperator):
+        raise ValidationError("only a generator-backed operator drops a tail")
     w = t.window + 1
     return _magnitude_below(t.context.p, t.certificate.bound(w, w))
 
@@ -517,19 +533,15 @@ def _trace_of_product(a: BlockOperator, b: BlockOperator) -> QuadExtElement:
     """tr(AB) as one sum over the nonzero A_mk B_km, without forming AB.
 
     O(d^2) products and one truncation, where ``trace(a * b)`` makes d^3
-    and truncates each diagonal entry before the sum.
+    and truncates each diagonal entry before the sum.  The sum runs on
+    integer coordinates (``quadext._dot``) with the digits of ``quad_sum``
+    over the scalar products A_mk * B_km.
     """
     a._check(b)
     d = max(a.dim, b.dim)
-    return quad_sum(
-        a.context,
-        [
-            x * y
-            for row, col in zip(a._padded(d), zip(*b._padded(d)))
-            for x, y in zip(row, col)
-            if not (x.is_zero or y.is_zero)
-        ],
-    )
+    xs = [_lhs_coords(x) for row in a._padded(d) for x in row]
+    ys = [_rhs_coords(y) for col in zip(*b._padded(d)) for y in col]
+    return _dot(a.context, xs, ys)
 
 
 def hs_inner(s: MatrixOperator, t: MatrixOperator) -> QuadExtElement:

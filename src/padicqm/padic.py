@@ -33,6 +33,10 @@ from .errors import (
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Largest exponent a context caches p**e for.  The table's bits grow with
+# the square of its length, and a precision comes from the caller.
+_POWER_TABLE = 64
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for n < 3.3e24, refused above."""
@@ -78,6 +82,9 @@ class PadicContext:
     p: int
     precision: int
     modulus: int = field(init=False, repr=False, compare=False)
+    # p**0 .. p**min(2 * precision, _POWER_TABLE): the digit moduli and the
+    # usual valuation gaps of a moderate precision
+    _powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -85,6 +92,14 @@ class PadicContext:
         if self.precision < 5:
             raise ValidationError("precision must be at least 5")
         object.__setattr__(self, "modulus", self.p**self.precision)
+        top = min(2 * self.precision, _POWER_TABLE)
+        object.__setattr__(self, "_powers", tuple(self.p**e for e in range(top + 1)))
+
+    def _power(self, e: int) -> int:
+        """p**e for e >= 0: from the table, or computed past it (the loops
+        of ``_sum_triples`` and ``quadext._mul_add`` inline this)."""
+        powers = self._powers
+        return powers[e] if e < len(powers) else self.p**e
 
     def zero(self) -> PadicNumber:
         return PadicNumber(self, None, 0, self.precision)
@@ -123,11 +138,6 @@ class PadicContext:
         return PadicNumber(self, valuation, unit, len(digits))
 
 
-def _symmetric(unit: int, modulus: int) -> int:
-    """Lift a canonical unit to the symmetric residue system."""
-    return unit if unit <= modulus // 2 else unit - modulus
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class PadicNumber:
     """Element of Q_p known to ``prec`` significant digits.
@@ -148,7 +158,8 @@ class PadicNumber:
         else:
             if not 1 <= self.prec <= self.context.precision:
                 raise ValidationError("precision out of range")
-            if not (0 < self.unit < self.context.p**self.prec) or self.unit % self.context.p == 0:
+            modulus = self.context._power(self.prec)
+            if not (0 < self.unit < modulus) or self.unit % self.context.p == 0:
                 raise ValidationError("unit must be reduced and coprime to p")
 
     # -- predicates ---------------------------------------------------------
@@ -202,12 +213,8 @@ class PadicNumber:
             return other
         if other.is_zero:
             return self
-        p = self.context.p
-        absolute = min(self.valuation + self.prec, other.valuation + other.prec)
-        a, b = (self, other) if self.valuation <= other.valuation else (other, self)
-        d = b.valuation - a.valuation
-        s = _symmetric(a.unit, p**a.prec) + p**d * _symmetric(b.unit, p**b.prec)
-        return _truncate(self.context, a.valuation, absolute, s)
+        terms = [(self.valuation, self.unit, self.prec), (other.valuation, other.unit, other.prec)]
+        return _number(self.context, _sum_triples(self.context, terms))
 
     def __neg__(self) -> PadicNumber:
         if self.is_zero:
@@ -223,7 +230,7 @@ class PadicNumber:
         if self.is_zero or other.is_zero:
             return self.context.zero()
         prec = min(self.prec, other.prec)
-        unit = self.unit * other.unit % self.context.p**prec
+        unit = self.unit * other.unit % self.context._power(prec)
         return PadicNumber(self.context, self.valuation + other.valuation, unit, prec)
 
     def inv(self) -> PadicNumber:
@@ -248,38 +255,74 @@ def padic_sum(context: PadicContext, terms: list[PadicNumber]) -> PadicNumber:
 
     Accumulating exactly and truncating once never loses digits to the
     order of summation and only reports PrecisionExhausted when the total
-    itself cancels below every known digit.
+    itself cancels below every known digit.  Every term, exact zeros
+    included, must live in ``context``.
     """
-    live = [t for t in terms if not t.is_zero]
-    if not live:
-        return context.zero()
-    for t in live:
+    for t in terms:
         if t.context != context:
             raise ContextMismatch("operands live in different contexts")
-    p = context.p
-    v0 = min(t.valuation for t in live)
-    absolute = min(t.valuation + t.prec for t in live)
-    s = sum(_symmetric(t.unit, p**t.prec) * p ** (t.valuation - v0) for t in live)
+    live = [(t.valuation, t.unit, t.prec) for t in terms if not t.is_zero]
+    return _number(context, _sum_triples(context, live))
+
+
+# -- the integer layer: (valuation, unit, prec) triples, None for exact zero ----
+
+
+def _number(context: PadicContext, t: tuple[int, int, int] | None) -> PadicNumber:
+    return context.zero() if t is None else PadicNumber(context, *t)
+
+
+def _sum_triples(
+    context: PadicContext, terms: list[tuple[int, int, int]]
+) -> tuple[int, int, int] | None:
+    """The rule of ``padic_sum`` on the triples of its nonzero terms.
+
+    s is the sum of the symmetric lifts scaled to the least valuation v0,
+    rescaled in place whenever a term lowers v0; ``PadicContext._power``
+    is inlined.
+    """
+    if not terms:
+        return None
+    powers, top, p = context._powers, len(context._powers), context.p
+    v0, absolute, s = terms[0][0], terms[0][0] + terms[0][2], 0
+    for v, u, prec in terms:
+        m = powers[prec] if prec < top else p**prec
+        if u > m >> 1:
+            u -= m
+        if v >= v0:
+            e = v - v0
+            s += u * (powers[e] if e < top else p**e)
+        else:
+            e = v0 - v
+            s = s * (powers[e] if e < top else p**e) + u
+            v0 = v
+        if v + prec < absolute:
+            absolute = v + prec
     return _truncate(context, v0, absolute, s)
 
 
-def _truncate(context: PadicContext, v0: int, absolute: int, s: int) -> PadicNumber:
-    """The lifted sum p**v0 * s, known below p**absolute.
+def _truncate(
+    context: PadicContext, v0: int, absolute: int, s: int
+) -> tuple[int, int, int] | None:
+    """The lifted sum p**v0 * s, known below p**absolute, as a triple.
 
-    The one cancellation rule of every sum: s == 0 is exact zero, a
+    The one cancellation rule of every sum: s == 0 is exact zero (None), a
     valuation at or past ``absolute`` raises PrecisionExhausted, and
     otherwise the result keeps min(absolute - v, cap) digits.
     """
     if s == 0:
-        return context.zero()
+        return None
     p = context.p
-    v = v0 + int_valuation(s, p)
+    v = v0
+    while not s % p:
+        s //= p
+        v += 1
     if v >= absolute:
         raise PrecisionExhausted(
             "cancellation consumed every known digit; raise the precision"
         )
-    prec = min(absolute - v, context.precision)
-    return PadicNumber(context, v, (s // p ** (v - v0)) % p**prec, prec)
+    prec = absolute - v if absolute - v < context.precision else context.precision
+    return v, s % context._power(prec), prec
 
 
 # -- squares and square classes ------------------------------------------------

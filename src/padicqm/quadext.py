@@ -246,3 +246,100 @@ def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtE
     sc = padic.padic_sum(context.base, [t.sc for t in terms])
     ac = padic.padic_sum(context.base, [t.ac for t in terms])
     return QuadExtElement(context, sc, ac)
+
+
+# -- the integer kernel of sums of products ------------------------------------
+#
+# Coordinates are padic's (valuation, unit, prec) triples, None for exact
+# zero; an element is None when both of its coordinates are.
+
+
+def _rhs_coords(z: QuadExtElement):
+    """(sc, ac) of a right factor."""
+    if z.is_zero:
+        return None
+    sc, ac = z.sc, z.ac
+    return (
+        None if sc.is_zero else (sc.valuation, sc.unit, sc.prec),
+        None if ac.is_zero else (ac.valuation, ac.unit, ac.prec),
+    )
+
+
+def _lhs_coords(z: QuadExtElement):
+    """(sc, mu*ac, ac) of a left factor; mu*ac as PadicNumber.__mul__ gives it."""
+    coords = _rhs_coords(z)
+    if coords is None:
+        return None
+    sc, ac = coords
+    if ac is None:
+        return sc, None, None
+    mu = z.context.mu
+    prec = min(mu.prec, ac[2])
+    return sc, (mu.valuation + ac[0], mu.unit * ac[1] % mu.context._power(prec), prec), ac
+
+
+def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
+    """sum_k x_k * y_k from ``_lhs_coords`` of the x_k and ``_rhs_coords``
+    of the y_k, digit for digit ``quad_sum(context, [x * y ...])``.
+
+    Each term takes the steps of ``QuadExtElement.__mul__``: the products
+    sc*sc' + (mu*ac)*ac' and sc*ac' + ac*sc', each reduced to the smaller
+    precision, and each two-product sum lifted and truncated as
+    ``PadicNumber.__add__`` does it.  The terms of each coordinate are then
+    summed by the rule of ``padic_sum``.  No scalar object is built before
+    the result.
+    """
+    base = context.base
+    sc_terms, ac_terms = [], []
+    for x, y in zip(xs, ys):
+        if x is None or y is None:
+            continue
+        xsc, xmac, xac = x
+        ysc, yac = y
+        t = _mul_add(base, xsc, ysc, xmac, yac)
+        if t is not None:
+            sc_terms.append(t)
+        t = _mul_add(base, xsc, yac, xac, ysc)
+        if t is not None:
+            ac_terms.append(t)
+    return QuadExtElement(
+        context,
+        padic._number(base, padic._sum_triples(base, sc_terms)),
+        padic._number(base, padic._sum_triples(base, ac_terms)),
+    )
+
+
+def _mul_add(base: PadicContext, a, b, c, d):
+    """a*b + c*d on coordinate triples, as ``PadicNumber`` computes it.
+
+    The two-product sum is ``padic._sum_triples`` of the two products
+    written out; calling it from here made block products about a fifth
+    slower.
+    """
+    powers, top, p = base._powers, len(base._powers), base.p
+    if c is None or d is None:
+        if a is None or b is None:
+            return None
+        prec = a[2] if a[2] < b[2] else b[2]
+        return a[0] + b[0], a[1] * b[1] % (powers[prec] if prec < top else p**prec), prec
+    prec2 = c[2] if c[2] < d[2] else d[2]
+    m2 = powers[prec2] if prec2 < top else p**prec2
+    u2 = c[1] * d[1] % m2
+    v2 = c[0] + d[0]
+    if a is None or b is None:
+        return v2, u2, prec2
+    prec1 = a[2] if a[2] < b[2] else b[2]
+    m1 = powers[prec1] if prec1 < top else p**prec1
+    u1 = a[1] * b[1] % m1
+    v1 = a[0] + b[0]
+    # the symmetric lifts, scaled to the lower valuation
+    if u1 > m1 >> 1:
+        u1 -= m1
+    if u2 > m2 >> 1:
+        u2 -= m2
+    absolute = v1 + prec1 if v1 + prec1 < v2 + prec2 else v2 + prec2
+    if v1 > v2:
+        v1, u1, v2, u2 = v2, u2, v1, u1
+    e = v2 - v1
+    s = u1 + (powers[e] if e < top else p**e) * u2
+    return padic._truncate(base, v1, absolute, s)

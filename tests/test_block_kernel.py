@@ -1,0 +1,279 @@
+"""The integer kernel of block products against the scalar route.
+
+``BlockOperator.__mul__``, ``operators._trace_of_product`` and
+``BlockOperator.apply`` sum their products on integer coordinates
+(``quadext._dot``).  Each must give the digits of the scalar route written
+out below, ``quad_sum`` over the ``QuadExtElement`` products, in every
+case: the same (valuation, unit, prec) on both coordinates of every
+entry, or the same error type and message.  Nothing is skipped.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+from padicqm import (
+    BlockOperator,
+    PadicNumber,
+    PVector,
+    QuadExtElement,
+    hs_inner,
+    identity,
+    make_sovm,
+    make_statistical,
+    pair,
+    sovm_from_symmetric_decomposition,
+    verify_cyclic,
+)
+from padicqm.errors import ContextMismatch, PadicError
+from padicqm.operators import _trace_of_product
+from padicqm.padic import PadicContext
+from padicqm.quadext import ExtensionContext, quad_sum
+
+PRECISION = 5  # a low cap makes cancellations and exhausted sums common
+CLASSES = {2: (2, 3, 5, 6, 7, 10, 14), 3: (2, 3, 6), 5: (2, 5, 10), 7: (3, 7, 21)}
+
+
+def _contexts() -> list[ExtensionContext]:
+    """All 16 extension classes for p in {2, 3, 5, 7}.  Every other mu
+    carries a factor p**2 and one digit fewer than the cap, so that mu*ac
+    shifts valuations and cuts precision."""
+    out = []
+    for p, labels in CLASSES.items():
+        base = PadicContext(p, PRECISION)
+        for i, label in enumerate(labels):
+            mu = base.from_int(label)
+            if i % 2:
+                k = PRECISION - 1
+                mu = PadicNumber(base, mu.valuation + 2, mu.unit % p**k, k)
+            out.append(ExtensionContext(base, mu))
+    return out
+
+
+CONTEXTS = _contexts()
+
+
+def test_the_contexts_cover_every_class():
+    assert len({(e.p, e.mu_class) for e in CONTEXTS}) == 16
+
+
+# -- the scalar route -----------------------------------------------------------
+
+
+def _scalar_dot(ctx, xs, ys):
+    return quad_sum(ctx, [x * y for x, y in zip(xs, ys) if not (x.is_zero or y.is_zero)])
+
+
+def _scalar_product(a, b):
+    d = max(a.dim, b.dim)
+    return [
+        [
+            _scalar_dot(
+                a.context,
+                [a.entry(i, k) for k in range(1, d + 1)],
+                [b.entry(k, j) for k in range(1, d + 1)],
+            )
+            for j in range(1, d + 1)
+        ]
+        for i in range(1, d + 1)
+    ]
+
+
+def _scalar_trace_of_product(a, b):
+    d = range(1, max(a.dim, b.dim) + 1)
+    return _scalar_dot(
+        a.context, [a.entry(m, k) for m in d for k in d], [b.entry(k, m) for m in d for k in d]
+    )
+
+
+def _scalar_apply(a, v):
+    out = {}
+    for m in range(1, a.dim + 1):
+        row = [a.entry(m, n) for n, _ in v.items()]
+        acc = _scalar_dot(a.context, row, [z for _, z in v.items()])
+        if not acc.is_zero:
+            out[m] = acc
+    return out
+
+
+# -- outcomes -----------------------------------------------------------------------
+
+
+def _digits(z: QuadExtElement) -> tuple:
+    return tuple((x.valuation, x.unit, x.prec) for x in (z.sc, z.ac))
+
+
+def _outcome(fn, view):
+    try:
+        return view(fn())
+    except PadicError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _rows(entries):
+    return [[_digits(z) for z in row] for row in entries]
+
+
+def _vector(entries: dict):
+    return {m: _digits(z) for m, z in entries.items()}
+
+
+def _compare_all(a, b, v):
+    """The three kernel callers against the scalar route; the outcomes."""
+    cases = [
+        (lambda: (a * b).rows, lambda: _scalar_product(a, b), _rows),
+        (lambda: _trace_of_product(a, b), lambda: _scalar_trace_of_product(a, b), _digits),
+        (lambda: dict(a.apply(v).items()), lambda: _scalar_apply(a, v), _vector),
+    ]
+    outcomes = []
+    for kernel, scalar, view in cases:
+        got, expected = _outcome(kernel, view), _outcome(scalar, view)
+        assert got == expected
+        outcomes.append(expected)
+    return outcomes
+
+
+# -- random operands --------------------------------------------------------------
+
+
+def _coordinate(rng: random.Random, ctx: PadicContext) -> PadicNumber:
+    """Zero, or a number with 1 to ``precision`` known digits."""
+    if rng.random() < 0.25:
+        return ctx.zero()
+    k = rng.randint(1, ctx.precision)
+    digits = [rng.randrange(1, ctx.p)] + [rng.randrange(ctx.p) for _ in range(k - 1)]
+    return ctx.from_digits(rng.randint(-1, 1), digits)
+
+
+def _element(rng, ctx: ExtensionContext) -> QuadExtElement:
+    return QuadExtElement(ctx, _coordinate(rng, ctx.base), _coordinate(rng, ctx.base))
+
+
+def _operands(rng: random.Random, ctx: ExtensionContext):
+    """Two blocks of sizes 1..4 each and a vector over indices 1..5."""
+
+    def block():
+        d = rng.randint(1, 4)
+        return BlockOperator(ctx, [[_element(rng, ctx) for _ in range(d)] for _ in range(d)])
+
+    support = rng.sample(range(1, 6), rng.randint(0, 5))
+    return block(), block(), PVector(ctx, {n: _element(rng, ctx) for n in support})
+
+
+def _cancellations(a, b) -> int:
+    """Entries of AB with a coordinate that is exact zero while some of its
+    terms are not."""
+    d = range(1, max(a.dim, b.dim) + 1)
+    try:
+        ab = a * b
+    except PadicError:
+        return 0
+    count = 0
+    for i in d:
+        for j in d:
+            total, terms = ab.entry(i, j), [a.entry(i, k) * b.entry(k, j) for k in d]
+            count += any(
+                getattr(total, c).is_zero and any(not getattr(t, c).is_zero for t in terms)
+                for c in ("sc", "ac")
+            )
+    return count
+
+
+def test_kernel_matches_the_scalar_route_on_a_seeded_sweep():
+    rng = random.Random(20)
+    raised = cancelled = 0
+    for ctx in CONTEXTS:
+        for _ in range(30):
+            a, b, v = _operands(rng, ctx)
+            raised += sum(o[0] == "raised" for o in _compare_all(a, b, v) if isinstance(o, tuple))
+            cancelled += _cancellations(a, b)
+    # the sweep reaches the corners, not only the easy middle
+    assert raised > 100 and cancelled > 10
+
+
+@st.composite
+def _hypothesis_operands(draw):
+    ctx = draw(st.sampled_from(CONTEXTS))
+    return _operands(random.Random(draw(st.integers(0, 2**32))), ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hypothesis_operands())
+def test_kernel_matches_the_scalar_route(operands):
+    _compare_all(*operands)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda e: f"p{e.p}-mu{e.mu_class}")
+def test_valuation_gaps_beyond_the_power_table(ctx):
+    # gaps of 13 and more, past p**(2 * precision), inside a term
+    # (sc*sc' against mu*ac*ac') and between the terms of one entry,
+    # with the lower valuation first and last
+    base = ctx.base
+    x1 = QuadExtElement(ctx, base.from_digits(0, [1, 1]), base.from_digits(6, [1, 0, 1]))
+    x2 = QuadExtElement(ctx, base.from_digits(-8, [1]), base.zero())
+    y1 = QuadExtElement(ctx, base.from_digits(0, [1]), base.from_digits(7, [1, 1]))
+    y2 = QuadExtElement(ctx, base.from_digits(-5, [1, 1, 1]), base.from_digits(-9, [1]))
+    a = BlockOperator(ctx, [[x1, x2], [x2, x1]])
+    b = BlockOperator(ctx, [[y1, y2], [y2, y1]])
+    v = PVector(ctx, {1: y2, 2: y1})
+    assert 2 * PRECISION < 13
+    _compare_all(a, b, v)
+    _compare_all(b, a, v)
+
+
+def test_kernel_matches_the_scalar_route_past_the_power_table():
+    # at precision 80 the digit moduli themselves lie past the cached powers
+    rng = random.Random(21)
+    for p, mu in ((2, 3), (3, 5), (7, 3)):
+        ctx = helpers.ext_ctx(p, mu, 80)
+        for _ in range(4):
+            _compare_all(*_operands(rng, ctx))
+
+
+# -- no scalar product is formed, and operands are checked ---------------------
+
+
+def _refuse(*_):
+    raise AssertionError("a scalar product was formed")
+
+
+def test_kernel_callers_form_no_scalar_product(monkeypatch):
+    ctx = helpers.ext_ctx(3, 5, 8)
+    rng = random.Random(9)
+    s, t = helpers.rand_block(rng, ctx, 3), helpers.rand_block(rng, ctx, 3)
+    v = helpers.rand_vector(rng, ctx, 3)
+    state = helpers.rand_statistical(rng, ctx, 3)
+    sovm = sovm_from_symmetric_decomposition(state)
+    calls = [
+        lambda: _rows((s * t).rows),
+        lambda: _digits(hs_inner(s, t)),
+        lambda: [_digits(z) for z in verify_cyclic(s, t)],
+        lambda: _vector(dict(s.apply(v).items())),
+        lambda: [(w.valuation, w.unit, w.prec) for w in pair(sovm, state).weights],
+    ]
+    expected = [call() for call in calls]
+    monkeypatch.setattr(QuadExtElement, "__mul__", _refuse)
+    monkeypatch.setattr(PadicNumber, "__mul__", _refuse)
+    assert [call() for call in calls] == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda a, b: a * b, id="mul"),
+        pytest.param(lambda a, b: hs_inner(a, b), id="hs_inner"),
+        pytest.param(lambda a, b: verify_cyclic(a, b), id="verify_cyclic"),
+        pytest.param(lambda a, b: a.apply(PVector(b.context, {1: b.context.one()})), id="apply"),
+        pytest.param(lambda a, b: pair(make_sovm([a]), make_statistical(b)), id="pair"),
+    ],
+)
+def test_kernel_callers_reject_mixed_extensions(monkeypatch, call):
+    e35, e53 = helpers.ext_ctx(3, 5, 8), helpers.ext_ctx(5, 3, 8)
+    a, b = identity(e35, 1), identity(e53, 1)
+    monkeypatch.setattr(QuadExtElement, "__mul__", _refuse)
+    monkeypatch.setattr(PadicNumber, "__mul__", _refuse)
+    with pytest.raises(ContextMismatch):
+        call(a, b)

@@ -212,6 +212,8 @@ def test_generator_diagonal_decay_is_trace_class():
     expected = E35.base.from_int(sum(3**m for m in range(1, 6)))
     assert trace(g) == E35.from_base(expected)
     assert trace_tail_bound(g) == Magnitude(3, -12)
+    with pytest.raises(ValidationError):
+        trace_tail_bound(g.block)
 
 
 def test_generator_total_decay():
@@ -547,6 +549,12 @@ def test_decompositions_require_blocks():
         pytest.param(lambda b, g: b - g, id="block_sub_generator"),
         pytest.param(lambda b, g: verify_cyclic(b, g), id="verify_cyclic_mixed"),
         pytest.param(lambda b, g: hs_inner(b, g), id="hs_inner_mixed"),
+        pytest.param(lambda b, g: g * b, id="generator_mul_block"),
+        pytest.param(lambda b, g: g + g, id="generator_add_generator"),
+        pytest.param(lambda b, g: g - b, id="generator_sub_block"),
+        pytest.param(lambda b, g: -g, id="generator_neg"),
+        pytest.param(lambda b, g: g.scale(b.context.one()), id="generator_scale"),
+        pytest.param(lambda b, g: GeneratorOperator(g, g.certificate), id="generator_window"),
     ],
 )
 def test_block_only_entry_points_reject_generators(call):

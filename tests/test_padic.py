@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,34 @@ def test_abs_examples():
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
         C3.one() + C5.one()
+
+
+def test_padic_sum_checks_the_context_of_exact_zero_terms():
+    c, c2 = PadicContext(3, 8), PadicContext(5, 8)
+    with pytest.raises(ContextMismatch):
+        c.one() + c2.zero()
+    with pytest.raises(ContextMismatch):
+        padic_sum(c, [c.one(), c2.zero()])
+    with pytest.raises(ContextMismatch):
+        padic_sum(c, [c2.zero()])
+
+
+def test_a_large_precision_context_is_cheap_and_exact():
+    tracemalloc.start()
+    try:
+        PadicContext(3, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # p**5000 is about 1 kB; a cached power per digit would be megabytes
+    assert peak < 256 * 1024
+    ctx = PadicContext(3, 200)
+    a, b = 3**150 + 2, 3**180 - 7
+    x, y = ctx.from_int(a), ctx.from_int(b)
+    assert x * y == ctx.from_int(a * b) and (x * y).prec == 200
+    assert x + y == ctx.from_int(a + b)
+    assert padic_sum(ctx, [x, y, -x]) == y
+    assert (x - ctx.from_int(2)).valuation == 150
 
 
 def test_precision_exhausted_on_deep_cancellation():

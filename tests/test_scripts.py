@@ -24,3 +24,24 @@ def test_script_exits_zero_with_json_report(argv):
     )
     assert done.returncode == 0, done.stderr
     assert isinstance(json.loads(done.stdout), dict)
+
+
+def test_layer_timings_reports_every_layer_at_its_smallest_size():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "layer_timings.py"), "--repeat", "1", "--max-dim", "4"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["context"] == {"p": 3, "mu": 5, "precision": 20}
+    assert set(report["timings"]) == {
+        "padic.add_us",
+        "padic.mul_us",
+        "padic.sum16_us",
+        "quadext.mul_us",
+        "block_mul.d4_ms",
+        "hs_inner.d4_ms",
+    }
+    assert all(t > 0 for t in report["timings"].values())

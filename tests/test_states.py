@@ -37,6 +37,7 @@ from padicqm import (
     zero_trace_perturb,
 )
 from padicqm.errors import (
+    ContextMismatch,
     DegenerateNormalizer,
     DimensionMismatch,
     NotSelfAdjoint,
@@ -89,6 +90,8 @@ def test_convexity_predicates():
     assert not is_convex_combination(lam)
     lam2 = [B3.from_int(2), B3.from_int(-1)]
     assert is_convex_combination(lam2)
+    with pytest.raises(ContextMismatch):
+        is_convex_combination([one, B5.zero()])
 
 
 def test_affine_combine_selects_first_point():
