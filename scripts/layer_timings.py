@@ -6,9 +6,11 @@
 Inputs are random values from the fixed seed SEED over p = 3, mu = 5,
 precision 20, with valuations 0 to 2.  Scalar operations are timed over a
 batch and reported in microseconds per operation; block products (d = 4,
-8, 16, 32, up to ``--max-dim``) and ``hs_inner`` (d = 16, or ``--max-dim``
-when smaller) in milliseconds per call.  Each figure is the fastest of
-``--repeat`` runs.
+8, 16, 32, up to ``--max-dim``) in milliseconds per call, and so are
+``hs_inner``, the canonical round trip (``reconstruct`` of
+``canonical_decomposition``) and ``factor_trace_class`` (d = 16, or
+``--max-dim`` when smaller).  Each figure is the fastest of ``--repeat``
+runs.
 """
 
 import argparse
@@ -27,6 +29,8 @@ from padicqm import (  # noqa: E402
     PadicContext,
     PadicNumber,
     QuadExtElement,
+    canonical_decomposition,
+    factor_trace_class,
     hs_inner,
 )
 from padicqm.padic import padic_sum  # noqa: E402
@@ -36,7 +40,7 @@ SEED = 0
 BATCH = 2000  # scalar operations per timed run
 SUM_TERMS = 16
 BLOCK_DIMS = (4, 8, 16, 32)
-HS_DIM = 16
+SINGLE_DIM = 16  # hs_inner, the canonical round trip and the factorization
 
 
 def _number(rng: random.Random, ctx: PadicContext) -> PadicNumber:
@@ -96,9 +100,13 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     for d in (d for d in BLOCK_DIMS if d <= max_dim):
         a, b = _block(rng, ext, d), _block(rng, ext, d)
         out[f"block_mul.d{d}_ms"] = _best(lambda: a * b, repeat) * 1e3
-    d = min(HS_DIM, max_dim)
+    d = min(SINGLE_DIM, max_dim)
     s, t = _block(rng, ext, d), _block(rng, ext, d)
     out[f"hs_inner.d{d}_ms"] = _best(lambda: hs_inner(s, t), repeat) * 1e3
+    out[f"reconstruct.d{d}_ms"] = (
+        _best(lambda: canonical_decomposition(s).reconstruct(), repeat) * 1e3
+    )
+    out[f"factor.d{d}_ms"] = _best(lambda: factor_trace_class(s), repeat) * 1e3
     return {k: round(v, 3) for k, v in out.items()}
 
 

@@ -41,6 +41,7 @@ from .quadext import (
     QuadExtElement,
     _dot,
     _lhs_coords,
+    _mul_add,
     _rhs_coords,
     max_abs,
     quad_sum,
@@ -156,7 +157,8 @@ class BlockOperator(MatrixOperator):
         """Operator composition.  Each entry is one sum of its products
         A_ik B_kj on integer coordinates (``quadext._dot``), with the digits
         of ``quad_sum`` over the scalar products A_ik * B_kj: each product
-        truncates its sc and ac sums, then the entry sum truncates once."""
+        enters as one residue per coordinate, and the entry sum truncates
+        once."""
         self._check(other)
         ctx, d = self.context, max(self.dim, other.dim)
         rows = [[_lhs_coords(z) for z in row] for row in self._padded(d)]
@@ -264,20 +266,32 @@ def _rank_one_sum(
     """sum_j w_j |e_j><f_j| on a dim-by-dim block.
 
     Each entry collects only its nonzero contributions w * (e[m] conj(f[n]))
-    and is summed once, so the sum truncates once per entry.
+    and is summed once, so the sum truncates once per entry.  It runs on
+    integer coordinates: e[m] conj(f[n]) takes the steps of
+    ``QuadExtElement.__mul__`` (``quadext._mul_add``), and each entry is one
+    ``quadext._dot`` with the w as left factors, with the digits of
+    ``quad_sum`` over the scalar products.
     """
-    cells: dict[tuple[int, int], list[QuadExtElement]] = {}
+    base = context.base
+    cells: dict[tuple[int, int], list] = {}
     for w, e, f in terms:
         if max(e.support() + f.support(), default=1) > dim:
             raise DimensionMismatch("dim does not cover the supports")
-        f_conj = [(n, fn.conj()) for n, fn in f.items()]
+        x = _lhs_coords(w)
+        f_conj = [(n, _rhs_coords(fn.conj())) for n, fn in f.items()]
         for m, em in e.items():
-            for n, fn in f_conj:
-                cells.setdefault((m, n), []).append(w * (em * fn))
+            esc, emac, eac = _lhs_coords(em)
+            for n, (fsc, fac) in f_conj:
+                y = (_mul_add(base, esc, fsc, emac, fac), _mul_add(base, esc, fac, eac, fsc))
+                cells.setdefault((m, n), []).append((x, y))
+    zero = context.zero()
     return BlockOperator(
         context,
         [
-            [quad_sum(context, cells.get((m, n), [])) for n in range(1, dim + 1)]
+            [
+                _dot(context, *zip(*cells[m, n])) if (m, n) in cells else zero
+                for n in range(1, dim + 1)
+            ]
             for m in range(1, dim + 1)
         ],
     )

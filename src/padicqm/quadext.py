@@ -282,12 +282,13 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
     """sum_k x_k * y_k from ``_lhs_coords`` of the x_k and ``_rhs_coords``
     of the y_k, digit for digit ``quad_sum(context, [x * y ...])``.
 
-    Each term takes the steps of ``QuadExtElement.__mul__``: the products
-    sc*sc' + (mu*ac)*ac' and sc*ac' + ac*sc', each reduced to the smaller
-    precision, and each two-product sum lifted and truncated as
-    ``PadicNumber.__add__`` does it.  The terms of each coordinate are then
-    summed by the rule of ``padic_sum``.  No scalar object is built before
-    the result.
+    Each term of each coordinate, sc*sc' + (mu*ac)*ac' or sc*ac' + ac*sc',
+    enters that coordinate's sum as one integer (``_residue``), and each
+    sum is truncated once, by the rule of ``padic_sum``.  A residue is the
+    term's value at the digits ``QuadExtElement.__mul__`` keeps, so every
+    entry is the same integer as the scalar route's, with the same
+    ``prec``, exact zeros and raises.  No scalar object is built before the
+    result.
     """
     base = context.base
     sc_terms, ac_terms = [], []
@@ -296,10 +297,10 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
             continue
         xsc, xmac, xac = x
         ysc, yac = y
-        t = _mul_add(base, xsc, ysc, xmac, yac)
+        t = _residue(base, xsc, ysc, xmac, yac)
         if t is not None:
             sc_terms.append(t)
-        t = _mul_add(base, xsc, yac, xac, ysc)
+        t = _residue(base, xsc, yac, xac, ysc)
         if t is not None:
             ac_terms.append(t)
     return QuadExtElement(
@@ -309,12 +310,55 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
     )
 
 
-def _mul_add(base: PadicContext, a, b, c, d):
-    """a*b + c*d on coordinate triples, as ``PadicNumber`` computes it.
+def _residue(base: PadicContext, a, b, c, d):
+    """The term a*b + c*d of a sum, on coordinate triples, as the triple
+    (v, r, k) that ``padic._sum_triples`` sums: the value r * p**v, known
+    to k digits; None for an exact zero.
 
-    The two-product sum is ``padic._sum_triples`` of the two products
-    written out; calling it from here made block products about a fifth
-    slower.
+    v is the lower of the two products' valuations, v + k the term's
+    absolute precision as ``PadicNumber`` tracks it, and r the residue
+    modulo p**k of the unreduced u_a*u_b*p**(v1-v) + u_c*u_d*p**(v2-v).
+    A unit product differs from its reduction by a multiple of p**prec,
+    so the sum's symmetric lift of r, times p**v, is exactly the term the
+    scalar route (``_mul_add``) hands the sum: its truncation keeps
+    v + k - v' <= cap digits at its valuation v' >= v, and a symmetric
+    residue scales with a power of p.  r is 0 only when v1 == v2; then the scalar route's
+    reduced, lifted two-product sum goes to ``padic._truncate``, which
+    drops it or raises.
+    """
+    if a is None or b is None:
+        if c is None or d is None:
+            return None
+        a, b, c, d = c, d, a, b
+    powers, top, p = base._powers, len(base._powers), base.p
+    v, n = a[0] + b[0], a[2] if a[2] < b[2] else b[2]
+    # e: how far the second product lies above the first
+    if c is None or d is None:
+        e = n
+    else:
+        v2, n2 = c[0] + d[0], c[2] if c[2] < d[2] else d[2]
+        if v2 < v:
+            a, b, c, d, v, n, v2, n2 = c, d, a, b, v2, n2, v, n
+        e = v2 - v
+    if e >= n:  # no second product inside the first one's digits
+        return v, a[1] * b[1] % (powers[n] if n < top else p**n), n
+    k = n if n < e + n2 else e + n2
+    m = powers[k] if k < top else p**k
+    ab, cd = a[1] * b[1], c[1] * d[1]
+    r = (ab + cd * (powers[e] if e < top else p**e)) % m
+    if r:
+        return v, r, k
+    # e == 0, and the sum cancels at least to the known digits
+    m1, m2 = powers[n] if n < top else p**n, powers[n2] if n2 < top else p**n2
+    u1, u2 = ab % m1, cd % m2
+    s = (u1 - m1 if u1 > m1 >> 1 else u1) + (u2 - m2 if u2 > m2 >> 1 else u2)
+    return padic._truncate(base, v, v + k, s)
+
+
+def _mul_add(base: PadicContext, a, b, c, d):
+    """a*b + c*d on coordinate triples, as ``PadicNumber`` computes it: a
+    product's coordinate, reduced and truncated (``_rank_one_sum`` builds
+    e[m] conj(f[n]) with it).  A term of a sum goes through ``_residue``.
     """
     powers, top, p = base._powers, len(base._powers), base.p
     if c is None or d is None:

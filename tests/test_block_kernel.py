@@ -1,11 +1,13 @@
 """The integer kernel of block products against the scalar route.
 
-``BlockOperator.__mul__``, ``operators._trace_of_product`` and
-``BlockOperator.apply`` sum their products on integer coordinates
-(``quadext._dot``).  Each must give the digits of the scalar route written
-out below, ``quad_sum`` over the ``QuadExtElement`` products, in every
-case: the same (valuation, unit, prec) on both coordinates of every
-entry, or the same error type and message.  Nothing is skipped.
+``BlockOperator.__mul__``, ``operators._trace_of_product``,
+``BlockOperator.apply`` and the rank-one sums (``operators._rank_one_sum``:
+decomposition reconstructions, ``factor_trace_class``, ``rank_one``) sum
+their products on integer coordinates (``quadext._dot``).  Each must give
+the digits of the scalar route written out below, ``quad_sum`` over the
+``QuadExtElement`` products, in every case: the same (valuation, unit,
+prec) on both coordinates of every entry, or the same error type and
+message.  Nothing is skipped.
 """
 
 import random
@@ -20,16 +22,23 @@ from padicqm import (
     PadicNumber,
     PVector,
     QuadExtElement,
+    canonical_decomposition,
+    factor_trace_class,
+    from_rotation,
     hs_inner,
     identity,
     make_sovm,
     make_statistical,
     pair,
+    rank_one,
+    rotation_on_pairs,
     sovm_from_symmetric_decomposition,
+    symmetric_decomposition,
     verify_cyclic,
 )
-from padicqm.errors import ContextMismatch, PadicError
-from padicqm.operators import _trace_of_product
+from padicqm import operators, states
+from padicqm.errors import ContextMismatch, PadicError, PrecisionExhausted
+from padicqm.operators import _hermitian, _trace_of_product
 from padicqm.padic import PadicContext
 from padicqm.quadext import ExtensionContext, quad_sum
 
@@ -99,6 +108,26 @@ def _scalar_apply(a, v):
     return out
 
 
+def _scalar_rank_one_sum(ctx, dim, terms):
+    """sum_j w_j |e_j><f_j|: each entry quad_sum over w * (e[m] conj(f[n]))."""
+    cells = {}
+    for w, e, f in terms:
+        for m, em in e.items():
+            for n, fn in f.items():
+                cells.setdefault((m, n), []).append(w * (em * fn.conj()))
+    d = range(1, dim + 1)
+    return [[quad_sum(ctx, cells.get((m, n), [])) for n in d] for m in d]
+
+
+def _scalar_factor(r):
+    terms = canonical_decomposition(r).terms
+    one = r.context.one()
+    return [
+        _scalar_rank_one_sum(r.context, r.dim, [(lam, e, e) for lam, e, _ in terms]),
+        _scalar_rank_one_sum(r.context, r.dim, [(one, e, f) for _, e, f in terms]),
+    ]
+
+
 # -- outcomes -----------------------------------------------------------------------
 
 
@@ -106,10 +135,10 @@ def _digits(z: QuadExtElement) -> tuple:
     return tuple((x.valuation, x.unit, x.prec) for x in (z.sc, z.ac))
 
 
-def _outcome(fn, view):
+def _outcome(fn, view, errors=PadicError):
     try:
         return view(fn())
-    except PadicError as exc:
+    except errors as exc:
         return ("raised", type(exc).__name__, str(exc))
 
 
@@ -134,6 +163,41 @@ def _compare_all(a, b, v):
         assert got == expected
         outcomes.append(expected)
     return outcomes
+
+
+def _compare_rank_one_sums(a, h, v, w):
+    """The rank-one callers against the scalar route; the outcomes."""
+    ctx = a.context
+
+    def canonical():
+        c = canonical_decomposition(a)
+        return _scalar_rank_one_sum(ctx, c.dim, c.terms)
+
+    def symmetric():
+        c = symmetric_decomposition(h)
+        return _scalar_rank_one_sum(ctx, c.dim, _hermitian(c.terms))
+
+    d = max(v.support() + w.support(), default=1)
+    cases = [
+        (lambda: canonical_decomposition(a).reconstruct().rows, canonical, _rows),
+        (lambda: symmetric_decomposition(h).reconstruct().rows, symmetric, _rows),
+        (lambda: [x.rows for x in factor_trace_class(a)], lambda: _scalar_factor(a), _pair_of_rows),
+        (lambda: rank_one(v, w).rows, lambda: _scalar_rank_one_sum(ctx, d, [(ctx.one(), v, w)]), _rows),
+    ]
+    # Both routes decompose alike.  ``QuadExtElement.ext_abs`` raises a bare
+    # TypeError on a nonzero entry whose norm form cancels to an exact zero
+    # (the sum rule of ``padic._truncate``); the two routes must agree there too.
+    errors = (PadicError, TypeError)
+    outcomes = []
+    for kernel, scalar, view in cases:
+        got, expected = _outcome(kernel, view, errors), _outcome(scalar, view, errors)
+        assert got == expected
+        outcomes.append(expected)
+    return outcomes
+
+
+def _pair_of_rows(pair_):
+    return [_rows(rows) for rows in pair_]
 
 
 # -- random operands --------------------------------------------------------------
@@ -161,6 +225,18 @@ def _operands(rng: random.Random, ctx: ExtensionContext):
 
     support = rng.sample(range(1, 6), rng.randint(0, 5))
     return block(), block(), PVector(ctx, {n: _element(rng, ctx) for n in support})
+
+
+def _hermitian_block(rng: random.Random, ctx: ExtensionContext) -> BlockOperator:
+    """A self-adjoint block of size 1..4, built entry by entry."""
+    d = rng.randint(1, 4)
+    rows = [[None] * d for _ in range(d)]
+    for m in range(d):
+        rows[m][m] = QuadExtElement(ctx, _coordinate(rng, ctx.base), ctx.base.zero())
+        for n in range(m + 1, d):
+            rows[m][n] = _element(rng, ctx)
+            rows[n][m] = rows[m][n].conj()
+    return BlockOperator(ctx, rows)
 
 
 def _cancellations(a, b) -> int:
@@ -192,6 +268,21 @@ def test_kernel_matches_the_scalar_route_on_a_seeded_sweep():
             cancelled += _cancellations(a, b)
     # the sweep reaches the corners, not only the easy middle
     assert raised > 100 and cancelled > 10
+
+
+def test_rank_one_sums_match_the_scalar_route_on_a_seeded_sweep():
+    rng = random.Random(22)
+    raised = valued = 0
+    for ctx in CONTEXTS:
+        for _ in range(30):
+            a, _, v = _operands(rng, ctx)
+            w = PVector(ctx, {n: _element(rng, ctx) for n in rng.sample(range(1, 6), rng.randint(0, 5))})
+            for o in _compare_rank_one_sums(a, _hermitian_block(rng, ctx), v, w):
+                is_raise = isinstance(o, tuple) and o[0] == "raised"
+                raised += is_raise
+                valued += not is_raise
+    # both sides of the cancellation rule are reached
+    assert raised > 100 and valued > 1000
 
 
 @st.composite
@@ -240,24 +331,89 @@ def _refuse(*_):
     raise AssertionError("a scalar product was formed")
 
 
+def _refusing_products(fn):
+    """fn, with every scalar product refused while it runs."""
+
+    def wrapped(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(QuadExtElement, "__mul__", _refuse)
+            patch.setattr(PadicNumber, "__mul__", _refuse)
+            return fn(*args)
+
+    return wrapped
+
+
 def test_kernel_callers_form_no_scalar_product(monkeypatch):
     ctx = helpers.ext_ctx(3, 5, 8)
     rng = random.Random(9)
     s, t = helpers.rand_block(rng, ctx, 3), helpers.rand_block(rng, ctx, 3)
-    v = helpers.rand_vector(rng, ctx, 3)
+    v, w = helpers.rand_vector(rng, ctx, 3), helpers.rand_vector(rng, ctx, 3)
     state = helpers.rand_statistical(rng, ctx, 3)
     sovm = sovm_from_symmetric_decomposition(state)
+    canonical, symmetric = canonical_decomposition(s), symmetric_decomposition(state.op)
     calls = [
         lambda: _rows((s * t).rows),
         lambda: _digits(hs_inner(s, t)),
         lambda: [_digits(z) for z in verify_cyclic(s, t)],
         lambda: _vector(dict(s.apply(v).items())),
         lambda: [(w.valuation, w.unit, w.prec) for w in pair(sovm, state).weights],
+        lambda: _rows(canonical.reconstruct().rows),
+        lambda: _rows(symmetric.reconstruct().rows),
+        lambda: _rows(rank_one(v, w).rows),
     ]
-    expected = [call() for call in calls]
-    monkeypatch.setattr(QuadExtElement, "__mul__", _refuse)
-    monkeypatch.setattr(PadicNumber, "__mul__", _refuse)
-    assert [call() for call in calls] == expected
+    # these decompose first, with scalar products; their rank-one sums form none
+    composed = [
+        lambda: [_rows(x.rows) for x in factor_trace_class(s)],
+        lambda: [_rows(e.rows) for e in sovm_from_symmetric_decomposition(state).effects],
+    ]
+    expected = [call() for call in calls + composed]
+    with monkeypatch.context() as patch:
+        patch.setattr(QuadExtElement, "__mul__", _refuse)
+        patch.setattr(PadicNumber, "__mul__", _refuse)
+        got = [call() for call in calls]
+    monkeypatch.setattr(operators, "_rank_one_sum", _refusing_products(operators._rank_one_sum))
+    monkeypatch.setattr(states, "_rank_one_sum", _refusing_products(states._rank_one_sum))
+    assert got + [call() for call in composed] == expected
+
+
+# -- the zero-residue corner: a term that cancels at its known digits ---------
+
+
+def test_conjugate_products_of_a_rotation_butterfly_cancel_exactly():
+    # every term conj(U_ki) * U_kj of adjoint(U) U has an exact-zero ac
+    # coordinate, on and off the diagonal
+    ctx = helpers.ext_ctx(3, 5, PRECISION)
+    u = from_rotation(rotation_on_pairs(ctx, [(1, 2), (3, 4)]), 4) * from_rotation(
+        rotation_on_pairs(ctx, [(1, 3), (2, 4)]), 4
+    )
+    ua = u.adjoint()
+    d = range(1, 5)
+    assert all((ua.entry(i, k) * u.entry(k, j)).ac.is_zero for i in d for j in d for k in d)
+    assert _compare_all(ua, u, PVector(ctx, {1: u.entry(1, 1)}))[0] == _rows(identity(ctx, 4).rows)
+
+
+def test_a_term_cancelling_below_its_digits_raises_as_the_scalar_route():
+    # 1 known mod 3, plus mu * 1 * 1 = 2: the term is 0 mod 3 and nonzero
+    ctx = helpers.ext_ctx(3, 2, PRECISION)
+    base = ctx.base
+    x = QuadExtElement(ctx, base.one(), base.one())
+    y = QuadExtElement(ctx, base.from_digits(0, [1]), base.one())
+    a, b = BlockOperator(ctx, [[x]]), BlockOperator(ctx, [[y]])
+    outcomes = _compare_all(a, b, PVector(ctx, {1: y}))
+    message = str(PrecisionExhausted("cancellation consumed every known digit; raise the precision"))
+    assert outcomes == [("raised", "PrecisionExhausted", message)] * 3
+
+
+def test_a_zero_residue_with_a_nonzero_lifted_sum_raises_for_p2():
+    # p = 2, equal valuations, one digit each: 1 + 1 is 0 mod 2, but the
+    # lifted sum is 2, so the term is exhausted, not an exact zero
+    ctx = helpers.ext_ctx(2, 3, PRECISION)
+    one_digit = ctx.base.from_digits(0, [1])
+    x = QuadExtElement(ctx, one_digit, one_digit)
+    a = BlockOperator(ctx, [[x]])
+    for b in (a, BlockOperator(ctx, [[x.conj()]])):
+        outcomes = _compare_all(a, b, PVector(ctx, {1: b.entry(1, 1)}))
+        assert [o[:2] for o in outcomes] == [("raised", "PrecisionExhausted")] * 3
 
 
 @pytest.mark.parametrize(
