@@ -8,8 +8,8 @@ precision 20, with valuations 0 to 2.  Scalar operations are timed over a
 batch and reported in microseconds per operation; block products (d = 4,
 8, 16, 32, up to ``--max-dim``) in milliseconds per call, and so are
 ``hs_inner``, the canonical round trip (``reconstruct`` of
-``canonical_decomposition``) and ``factor_trace_class`` (d = 16, or
-``--max-dim`` when smaller).  Each figure is the fastest of ``--repeat``
+``canonical_decomposition``), ``factor_trace_class`` and
+``operator_norm`` (d = 16, or ``--max-dim`` when smaller).  Each figure is the fastest of ``--repeat``
 runs.
 """
 
@@ -32,6 +32,7 @@ from padicqm import (  # noqa: E402
     canonical_decomposition,
     factor_trace_class,
     hs_inner,
+    operator_norm,
 )
 from padicqm.padic import padic_sum  # noqa: E402
 
@@ -40,7 +41,7 @@ SEED = 0
 BATCH = 2000  # scalar operations per timed run
 SUM_TERMS = 16
 BLOCK_DIMS = (4, 8, 16, 32)
-SINGLE_DIM = 16  # hs_inner, the canonical round trip and the factorization
+SINGLE_DIM = 16  # hs_inner, the canonical round trip, the factorization, the norm
 
 
 def _number(rng: random.Random, ctx: PadicContext) -> PadicNumber:
@@ -107,6 +108,7 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
         _best(lambda: canonical_decomposition(s).reconstruct(), repeat) * 1e3
     )
     out[f"factor.d{d}_ms"] = _best(lambda: factor_trace_class(s), repeat) * 1e3
+    out[f"operator_norm.d{d}_ms"] = _best(lambda: operator_norm(s), repeat) * 1e3
     return {k: round(v, 3) for k, v in out.items()}
 
 

@@ -426,10 +426,6 @@ def _minus_one_as_norm(context: ExtensionContext, c: PadicNumber) -> tuple[Padic
 
 
 def isotropy_index(context: ExtensionContext) -> int:
-    """Minimal support of a nonzero isotropic vector: always 2 or 3."""
-    if find_isotropic(context, 2) is not None:
-        return 2
-    v = find_isotropic(context, 3)
-    if v is None:
-        raise SearchExhausted("no isotropic vector of support <= 3 found")
-    return 3
+    """Minimal support of a nonzero isotropic vector, always 2 or 3: the
+    support of ``find_isotropic``'s witness, which is minimal."""
+    return len(find_isotropic(context, 3).support())

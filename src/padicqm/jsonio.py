@@ -38,8 +38,15 @@ def padic_to_dict(x: PadicNumber) -> dict[str, Any]:
 
 
 def padic_from_dict(data: Any, context: PadicContext | None = None) -> PadicNumber:
+    """A scalar; a declared ``p`` or ``precision`` must be the context's."""
     try:
         ctx = context or PadicContext(int(data["p"]), int(data["precision"]))
+        declared = data.get("p", ctx.p), data.get("precision", ctx.precision)
+        if context and declared != (ctx.p, ctx.precision):
+            raise ParseError(
+                f"scalar declares (p, precision) = {declared} in a context of "
+                f"({ctx.p}, {ctx.precision})"
+            )
         if data["valuation"] is None:
             return ctx.zero()
         return ctx.from_digits(int(data["valuation"]), [int(d) for d in data["digits"]])
@@ -57,8 +64,14 @@ def quadext_to_dict(z: QuadExtElement) -> dict[str, Any]:
     }
 
 
-def quadext_from_dict(data: Any, context: ExtensionContext) -> QuadExtElement:
+def quadext_from_dict(data: Any, context: ExtensionContext, mu_dict: Any = None) -> QuadExtElement:
+    """An element; a declared non-null ``mu`` must equal the context's.  An
+    element ``mu`` equal to ``mu_dict``, a dict already read as
+    ``context.mu``, is not parsed again."""
     try:
+        mu = data.get("mu")
+        if mu is not None and mu != mu_dict and padic_from_dict(mu, context.base) != context.mu:
+            raise ParseError("element declares a mu other than the context's")
         sc = padic_from_dict(data["sc"], context.base)
         ac = padic_from_dict(data["ac"], context.base)
         return QuadExtElement(context, sc, ac)
@@ -94,11 +107,20 @@ def vector_to_dict(v: PVector) -> dict[str, Any]:
     return {"entries": {str(i): quadext_to_dict(z) for i, z in v.items()}}
 
 
+def _entry(data: Any, context: ExtensionContext, mu_dict: Any, *where: int) -> QuadExtElement:
+    """``quadext_from_dict`` with the entry's index in its parse errors."""
+    try:
+        return quadext_from_dict(data, context, mu_dict)
+    except ParseError as exc:
+        raise ParseError(f"entry ({','.join(map(str, where))}): {exc}") from exc
+
+
 def vector_from_dict(data: Any, context: ExtensionContext) -> PVector:
     try:
+        mu_dict = padic_to_dict(context.mu)
         return PVector(
             context,
-            {int(i): quadext_from_dict(z, context) for i, z in data["entries"].items()},
+            {int(i): _entry(z, context, mu_dict, int(i)) for i, z in data["entries"].items()},
         )
     except ParseError:
         raise
@@ -138,7 +160,11 @@ def operator_from_dict(data: Any) -> MatrixOperator:
         if kind not in ("block_finite", "generator"):
             raise ParseError(f"unknown operator kind {kind!r}")
         size = "dim" if kind == "block_finite" else "window"
-        rows = [[quadext_from_dict(z, context) for z in row] for row in data["entries"]]
+        mu_dict = data["context"]["mu"]
+        rows = [
+            [_entry(z, context, mu_dict, m, n) for n, z in enumerate(row, 1)]
+            for m, row in enumerate(data["entries"], 1)
+        ]
         if len(rows) != int(data[size]):
             raise ParseError(f"{size} does not match the entry grid")
         block = BlockOperator(context, rows)

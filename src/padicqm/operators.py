@@ -267,10 +267,10 @@ def _rank_one_sum(
 
     Each entry collects only its nonzero contributions w * (e[m] conj(f[n]))
     and is summed once, so the sum truncates once per entry.  It runs on
-    integer coordinates: e[m] conj(f[n]) takes the steps of
-    ``QuadExtElement.__mul__`` (``quadext._mul_add``), and each entry is one
-    ``quadext._dot`` with the w as left factors, with the digits of
-    ``quad_sum`` over the scalar products.
+    integer coordinates: e[m] conj(f[n]) is ``quadext._mul_add``, one
+    closed ``_residue`` term, and each entry is one ``quadext._dot`` with
+    the w as left factors, with the digits of ``quad_sum`` over the scalar
+    products.
     """
     base = context.base
     cells: dict[tuple[int, int], list] = {}
@@ -405,7 +405,7 @@ def _magnitude_within(z: QuadExtElement, bound: float | Fraction) -> bool:
         return True
     if bound == INF:
         return False
-    return Fraction(z.norm_form().valuation, 2) >= bound
+    return Fraction(-z.ext_abs().exp2, 2) >= bound
 
 
 class GeneratorOperator(MatrixOperator):

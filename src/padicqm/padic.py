@@ -97,7 +97,7 @@ class PadicContext:
 
     def _power(self, e: int) -> int:
         """p**e for e >= 0: from the table, or computed past it (the loops
-        of ``_sum_triples`` and ``quadext._mul_add`` inline this)."""
+        of ``_sum_triples`` and ``quadext._residue`` inline this)."""
         powers = self._powers
         return powers[e] if e < len(powers) else self.p**e
 

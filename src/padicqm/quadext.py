@@ -10,7 +10,6 @@ representative of its square class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 from . import padic
@@ -44,19 +43,6 @@ class Magnitude:
     @property
     def is_one(self) -> bool:
         return self.exp2 == 0
-
-    def exponent(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroDivisionError("zero magnitude has no exponent")
-        return Fraction(self.exp2, 2)
-
-    def as_fraction(self) -> Fraction:
-        """The value as an exact rational; fails on half-integer exponents."""
-        if self.is_zero:
-            return Fraction(0)
-        if self.exp2 % 2:
-            raise ValidationError("half-integer exponent is not rational")
-        return Fraction(self.p) ** (self.exp2 // 2)
 
     def _key(self) -> tuple[int, int]:
         # zero sorts below every power of p
@@ -320,12 +306,12 @@ def _residue(base: PadicContext, a, b, c, d):
     modulo p**k of the unreduced u_a*u_b*p**(v1-v) + u_c*u_d*p**(v2-v).
     A unit product differs from its reduction by a multiple of p**prec,
     so the sum's symmetric lift of r, times p**v, is exactly the term the
-    scalar route (``_mul_add``) hands the sum: its truncation keeps
-    v + k - v' <= cap digits at its valuation v' >= v, and a symmetric
-    residue scales with a power of p.  r is 0 only when v1 == v2; then the scalar route's
-    reduced, lifted two-product sum goes to ``padic._truncate``, which
-    drops it or raises.
-    """
+    scalar route (``QuadExtElement.__mul__``) hands the sum: its
+    truncation keeps v + k - v' <= cap digits at its valuation v' >= v,
+    and a symmetric residue scales with a power of p.  r is 0 only when
+    v1 == v2; then the scalar route's reduced, lifted two-product sum goes
+    to ``padic._truncate``, which drops it or raises.  The one two-product
+    rule: ``_mul_add`` closes a single term."""
     if a is None or b is None:
         if c is None or d is None:
             return None
@@ -356,34 +342,8 @@ def _residue(base: PadicContext, a, b, c, d):
 
 
 def _mul_add(base: PadicContext, a, b, c, d):
-    """a*b + c*d on coordinate triples, as ``PadicNumber`` computes it: a
-    product's coordinate, reduced and truncated (``_rank_one_sum`` builds
-    e[m] conj(f[n]) with it).  A term of a sum goes through ``_residue``.
-    """
-    powers, top, p = base._powers, len(base._powers), base.p
-    if c is None or d is None:
-        if a is None or b is None:
-            return None
-        prec = a[2] if a[2] < b[2] else b[2]
-        return a[0] + b[0], a[1] * b[1] % (powers[prec] if prec < top else p**prec), prec
-    prec2 = c[2] if c[2] < d[2] else d[2]
-    m2 = powers[prec2] if prec2 < top else p**prec2
-    u2 = c[1] * d[1] % m2
-    v2 = c[0] + d[0]
-    if a is None or b is None:
-        return v2, u2, prec2
-    prec1 = a[2] if a[2] < b[2] else b[2]
-    m1 = powers[prec1] if prec1 < top else p**prec1
-    u1 = a[1] * b[1] % m1
-    v1 = a[0] + b[0]
-    # the symmetric lifts, scaled to the lower valuation
-    if u1 > m1 >> 1:
-        u1 -= m1
-    if u2 > m2 >> 1:
-        u2 -= m2
-    absolute = v1 + prec1 if v1 + prec1 < v2 + prec2 else v2 + prec2
-    if v1 > v2:
-        v1, u1, v2, u2 = v2, u2, v1, u1
-    e = v2 - v1
-    s = u1 + (powers[e] if e < top else p**e) * u2
-    return padic._truncate(base, v1, absolute, s)
+    """a*b + c*d on coordinate triples, as ``PadicNumber`` computes it: the
+    ``_residue`` term, closed as a sum of one term (``_rank_one_sum``
+    builds e[m] conj(f[n]) with it).  A unit residue is already closed."""
+    t = _residue(base, a, b, c, d)
+    return t if t is None or t[1] % base.p else padic._truncate(base, t[0], t[0] + t[2], t[1])

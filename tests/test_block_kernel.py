@@ -285,6 +285,31 @@ def test_rank_one_sums_match_the_scalar_route_on_a_seeded_sweep():
     assert raised > 100 and valued > 1000
 
 
+def test_weighted_rank_one_sums_match_the_scalar_route_on_a_seeded_sweep():
+    """General terms w |e><f|: a cell e[m] conj(f[n]) that cancels in part
+    meets a weight with fewer digits, so a cell left unclosed by the
+    two-product rule would carry the wrong precision into its entry."""
+    rng = random.Random(23)
+    raised = valued = 0
+    for ctx in CONTEXTS:
+        for _ in range(30):
+            terms = [
+                (
+                    _element(rng, ctx),
+                    PVector(ctx, {n: _element(rng, ctx) for n in rng.sample(range(1, 4), rng.randint(0, 3))}),
+                    PVector(ctx, {n: _element(rng, ctx) for n in rng.sample(range(1, 4), rng.randint(0, 3))}),
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            got = _outcome(lambda: operators._rank_one_sum(ctx, 3, terms).rows, _rows)
+            expected = _outcome(lambda: _scalar_rank_one_sum(ctx, 3, terms), _rows)
+            assert got == expected
+            is_raise = isinstance(expected, tuple) and expected[0] == "raised"
+            raised += is_raise
+            valued += not is_raise
+    assert raised > 20 and valued > 200
+
+
 @st.composite
 def _hypothesis_operands(draw):
     ctx = draw(st.sampled_from(CONTEXTS))

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from padicqm import affine_certificate, basis_vector, classify, identity, make_sovm, rank_one
@@ -134,3 +136,70 @@ def test_parse_errors():
         operator_from_dict({"kind": "mystery", "context": {"p": 3, "precision": 5, "mu": padic_to_dict(B3.from_int(5))}})
     with pytest.raises(ParseError):
         vector_from_dict({"entries": {"0": 1}}, E35)
+
+
+# -- declared fields must match the context -----------------------------------
+
+
+def _q35_block_dict():
+    return operator_to_dict(helpers.rand_block(random.Random(65), E35, 2))
+
+
+def test_a_scalar_of_another_prime_is_refused_with_its_entry():
+    data = _q35_block_dict()
+    data["entries"][0][1]["sc"].update(p=5, precision=9)
+    with pytest.raises(ParseError, match=r"entry \(1,2\): scalar declares \(p, precision\) = \(5, 9\)"):
+        operator_from_dict(data)
+
+
+def test_an_element_of_another_mu_is_refused_with_its_entry():
+    data = _q35_block_dict()
+    data["entries"][1][0]["mu"] = padic_to_dict(helpers.base_ctx(5, 8).from_int(2))
+    with pytest.raises(ParseError, match=r"entry \(2,1\)"):
+        operator_from_dict(data)
+    data["entries"][1][0]["mu"] = padic_to_dict(B3.from_int(7))
+    with pytest.raises(ParseError, match=r"entry \(2,1\): element declares a mu"):
+        operator_from_dict(data)
+
+
+def test_omitted_fields_and_a_null_mu_are_read_in_the_context():
+    a = helpers.rand_block(random.Random(66), E35, 2)
+    data = operator_to_dict(a)
+    data["entries"][0][0]["mu"] = None
+    del data["entries"][0][1]["mu"]
+    for key in ("p", "precision"):
+        del data["entries"][1][0]["sc"][key]
+        del data["entries"][1][1]["ac"][key]
+    assert operator_from_dict(data) == a
+
+
+def test_a_vector_entry_of_another_prime_is_refused_with_its_index():
+    data = vector_to_dict(helpers.rand_vector(random.Random(67), E35, 3))
+    data["entries"]["3"]["ac"]["p"] = 7
+    with pytest.raises(ParseError, match=r"entry \(3\)"):
+        vector_from_dict(data, E35)
+
+
+@st.composite
+def _one_field_changed(draw):
+    """An operator dict with one entry's p, precision or mu changed away from
+    the context's, and that entry's (m, n)."""
+    dim = draw(st.integers(1, 3))
+    data = operator_to_dict(helpers.rand_block(random.Random(draw(st.integers(0, 2**16))), E35, dim))
+    m, n = draw(st.integers(1, dim)), draw(st.integers(1, dim))
+    entry = data["entries"][m - 1][n - 1]
+    field = draw(st.sampled_from(["p", "precision", "mu"]))
+    if field == "mu":
+        other = draw(st.sampled_from([(3, 2), (3, 7), (3, 45), (5, 2), (7, 3)]))
+        entry["mu"] = padic_to_dict(helpers.base_ctx(other[0], 8).from_int(other[1]))
+    else:
+        scalar = entry[draw(st.sampled_from(["sc", "ac"]))]
+        scalar[field] = draw(st.integers(2, 40).filter(lambda k: k != scalar[field]))
+    return data, m, n
+
+
+@given(_one_field_changed())
+def test_changing_one_entry_field_raises_parse_error(case):
+    data, m, n = case
+    with pytest.raises(ParseError, match=rf"entry \({m},{n}\)"):
+        operator_from_dict(data)

@@ -45,5 +45,6 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "hs_inner.d4_ms",
         "reconstruct.d4_ms",
         "factor.d4_ms",
+        "operator_norm.d4_ms",
     }
     assert all(t > 0 for t in report["timings"].values())

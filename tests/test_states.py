@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from padicqm import (
+    BlockOperator,
     GeneratorOperator,
     PVector,
     affine_certificate,
     affine_combine,
     basis_vector,
+    canonical_decomposition,
     diagonal,
     find_isotropic,
     from_rotation,
@@ -41,6 +45,7 @@ from padicqm.errors import (
     DegenerateNormalizer,
     DimensionMismatch,
     NotSelfAdjoint,
+    PadicError,
     PrecisionExhausted,
     SumNotIdentity,
     SumNotOne,
@@ -55,6 +60,10 @@ from padicqm.states import StatisticalOperator, ZeroTraceOperator
 E35 = helpers.ext_ctx(3, 5, 8)
 B3 = E35.base
 B5 = helpers.base_ctx(5, 8)
+
+
+def _max_weight_is_one(s: StatisticalOperator) -> bool:
+    return canonical_decomposition(s.op).max_weight().is_one
 
 
 def test_distribution_examples():
@@ -118,10 +127,12 @@ def test_density_examples():
     s = simple_statistical(psi, psi, E35.one())
     assert isinstance(s, StatisticalOperator)
     assert is_density(s)
+    assert _max_weight_is_one(s)
     # diagonal simplex mixture
     ws = helpers.simplex_weights(B3, 5)
     diag = make_statistical(diagonal(E35, [E35.from_base(w) for w in ws]))
     assert is_density(diag)
+    assert _max_weight_is_one(diag)
     # zero-trace bump of magnitude p makes it statistical but not density
     t = rank_one(basis_vector(E35, 1), basis_vector(E35, 2), 5).scale(
         E35.from_base(B3.from_fraction(Fraction(1, 3)))
@@ -129,7 +140,53 @@ def test_density_examples():
     t = t + t.adjoint()
     bumped = zero_trace_perturb(diag, t)
     assert not is_density(bumped)
+    assert not _max_weight_is_one(bumped)
     assert bumped.norm() == Magnitude(3, 2)
+
+
+# one mu per extension class of Q_p, p in {2, 3, 5, 7}: all 16 classes
+EXTENSION_CLASSES = [
+    (2, 2), (2, 3), (2, 5), (2, 6), (2, 7), (2, 10), (2, 14),
+    (3, 2), (3, 3), (3, 6), (5, 2), (5, 5), (5, 10), (7, 3), (7, 7), (7, 21),
+]
+
+
+def _coordinate(rng: random.Random, ctx):
+    """Zero, or a number with 1 to ``precision`` known digits."""
+    if rng.random() < 0.25:
+        return ctx.zero()
+    k = rng.randint(1, ctx.precision)
+    digits = [rng.randrange(1, ctx.p)] + [rng.randrange(ctx.p) for _ in range(k - 1)]
+    return ctx.from_digits(rng.randint(-2, 2), digits)
+
+
+def _outcome(fn):
+    # a bare TypeError is what ext_abs raises on a norm form that cancels
+    # to exact zero (a known p = 2 defect), so it counts as an outcome
+    try:
+        return fn()
+    except (PadicError, TypeError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(EXTENSION_CLASSES), st.integers(0, 2**32))
+def test_largest_canonical_weight_is_the_operator_norm(cls, seed):
+    """Each canonical weight is the scalar of its row's largest magnitude,
+    so the largest weight is the norm: the invariant ``is_density`` rests on."""
+    ctx = helpers.ext_ctx(*cls, 5)
+    rng = random.Random(seed)
+    d = rng.randint(1, 4)
+    a = BlockOperator(
+        ctx,
+        [[ctx.element(_coordinate(rng, ctx.base), _coordinate(rng, ctx.base)) for _ in range(d)] for _ in range(d)],
+    )
+    norm = _outcome(lambda: operator_norm(a))
+    weight = _outcome(lambda: canonical_decomposition(a).max_weight())
+    if weight != norm:
+        # the mixed uniformizer's pivot scaling may exhaust a row's digits
+        assert (ctx.p, ctx.mu_class) in ((2, 3), (2, 7))
+        assert weight[:2] == ("raised", PrecisionExhausted)
 
 
 def test_simple_statistical_projection():
@@ -222,6 +279,7 @@ def test_pairing_sums_to_one_and_density_lands_in_simplex():
             ws = helpers.simplex_weights(B3, dim)
             density = make_statistical(u * diagonal(E35, [E35.from_base(w) for w in ws]) * ustar)
             assert is_density(density)
+            assert _max_weight_is_one(density)
             pvm = make_sovm(
                 [rank_one(basis_vector(E35, i), basis_vector(E35, i), dim) for i in range(1, dim + 1)]
             )
@@ -257,6 +315,7 @@ def test_density_stability_under_simplex_mixing():
         densities.append(make_statistical(u * diagonal(E35, [E35.from_base(w) for w in ws]) * u.adjoint()))
     mix = affine_combine(densities, [B3.from_int(1), B3.from_int(3), B3.from_int(-3)])
     assert is_density(mix)
+    assert _max_weight_is_one(mix)
 
 
 def test_zero_trace_perturbation():
