@@ -41,7 +41,7 @@ def padic_from_dict(data: Any, context: PadicContext | None = None) -> PadicNumb
     """A scalar; a declared ``p`` or ``precision`` must be the context's."""
     try:
         ctx = context or PadicContext(int(data["p"]), int(data["precision"]))
-        declared = data.get("p", ctx.p), data.get("precision", ctx.precision)
+        declared = int(data.get("p", ctx.p)), int(data.get("precision", ctx.precision))
         if context and declared != (ctx.p, ctx.precision):
             raise ParseError(
                 f"scalar declares (p, precision) = {declared} in a context of "
@@ -64,14 +64,8 @@ def quadext_to_dict(z: QuadExtElement) -> dict[str, Any]:
     }
 
 
-def quadext_from_dict(data: Any, context: ExtensionContext, mu_dict: Any = None) -> QuadExtElement:
-    """An element; a declared non-null ``mu`` must equal the context's.  An
-    element ``mu`` equal to ``mu_dict``, a dict already read as
-    ``context.mu``, is not parsed again."""
+def quadext_from_dict(data: Any, context: ExtensionContext) -> QuadExtElement:
     try:
-        mu = data.get("mu")
-        if mu is not None and mu != mu_dict and padic_from_dict(mu, context.base) != context.mu:
-            raise ParseError("element declares a mu other than the context's")
         sc = padic_from_dict(data["sc"], context.base)
         ac = padic_from_dict(data["ac"], context.base)
         return QuadExtElement(context, sc, ac)
@@ -108,9 +102,15 @@ def vector_to_dict(v: PVector) -> dict[str, Any]:
 
 
 def _entry(data: Any, context: ExtensionContext, mu_dict: Any, *where: int) -> QuadExtElement:
-    """``quadext_from_dict`` with the entry's index in its parse errors."""
+    """``quadext_from_dict`` with the entry's index in its parse errors.  A
+    declared non-null ``mu`` must be the context's; one equal to
+    ``mu_dict``, the context's ``mu`` as written, is not parsed again."""
     try:
-        return quadext_from_dict(data, context, mu_dict)
+        z = quadext_from_dict(data, context)
+        mu = data.get("mu")
+        if mu is not None and mu != mu_dict and padic_from_dict(mu, context.base) != context.mu:
+            raise ParseError("element declares a mu other than the context's")
+        return z
     except ParseError as exc:
         raise ParseError(f"entry ({','.join(map(str, where))}): {exc}") from exc
 

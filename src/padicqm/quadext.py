@@ -344,6 +344,6 @@ def _residue(base: PadicContext, a, b, c, d):
 def _mul_add(base: PadicContext, a, b, c, d):
     """a*b + c*d on coordinate triples, as ``PadicNumber`` computes it: the
     ``_residue`` term, closed as a sum of one term (``_rank_one_sum``
-    builds e[m] conj(f[n]) with it).  A unit residue is already closed."""
+    builds e[m] conj(f[n]) with it)."""
     t = _residue(base, a, b, c, d)
-    return t if t is None or t[1] % base.p else padic._truncate(base, t[0], t[0] + t[2], t[1])
+    return None if t is None else padic._truncate(base, t[0], t[0] + t[2], t[1])

@@ -173,6 +173,18 @@ def test_omitted_fields_and_a_null_mu_are_read_in_the_context():
     assert operator_from_dict(data) == a
 
 
+def test_string_fields_that_match_the_context_are_read_as_without_one():
+    a = helpers.rand_block(random.Random(68), E35, 2)
+    data = operator_to_dict(a)
+    data["entries"][0][1]["sc"].update(p="3", precision="8")
+    data["entries"][1][0]["mu"]["p"] = "3"
+    assert operator_from_dict(data) == a
+    assert padic_from_dict({"p": "3", "precision": "8", "valuation": None}, B3) == B3.zero()
+    data["entries"][1][1]["ac"]["p"] = "5"
+    with pytest.raises(ParseError, match=r"entry \(2,2\): scalar declares \(p, precision\) = \(5, 8\)"):
+        operator_from_dict(data)
+
+
 def test_a_vector_entry_of_another_prime_is_refused_with_its_index():
     data = vector_to_dict(helpers.rand_vector(random.Random(67), E35, 3))
     data["entries"]["3"]["ac"]["p"] = 7
