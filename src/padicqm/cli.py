@@ -72,7 +72,10 @@ def cmd_field(args: argparse.Namespace) -> Any:
 
 def cmd_sqrt(args: argparse.Namespace) -> Any:
     base = PadicContext(args.p, args.precision)
-    value = Fraction(args.value)
+    try:
+        value = Fraction(args.value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"value {args.value!r} is not a rational") from exc
     x = base.from_fraction(value)
     root = padic.sqrt(x)
     return {

@@ -3,10 +3,16 @@
 Numbers serialize with little-endian digit lists; exact zero carries a
 null valuation.  Operators are either exact blocks or generator windows
 with their affine decay certificate.
+
+One failure rule: malformed input is a ``ParseError`` (CLI exit 3),
+decided by ``_parse`` alone; the validation after parsing (``make_sovm``,
+``make_statistical``) keeps its ``ValidationError`` (exit 2).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from fractions import Fraction
 from typing import Any
 
@@ -26,6 +32,24 @@ from .quadext import ExtensionContext, Magnitude, QuadExtElement
 from .states import PadicDistribution, Sovm, StatisticalOperator, make_sovm, make_statistical
 
 
+def _parse(what: str):
+    """A ``ParseError`` passes; any other failure becomes ``ParseError(f"{what}: {exc}")``."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def parse(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except ParseError:
+                raise
+            except Exception as exc:
+                raise ParseError(f"{what}: {exc}") from exc
+
+        return parse
+
+    return decorate
+
+
 def padic_to_dict(x: PadicNumber) -> dict[str, Any]:
     out: dict[str, Any] = {
         "p": x.context.p,
@@ -37,23 +61,19 @@ def padic_to_dict(x: PadicNumber) -> dict[str, Any]:
     return out
 
 
+@_parse("bad p-adic number")
 def padic_from_dict(data: Any, context: PadicContext | None = None) -> PadicNumber:
     """A scalar; a declared ``p`` or ``precision`` must be the context's."""
-    try:
-        ctx = context or PadicContext(int(data["p"]), int(data["precision"]))
-        declared = int(data.get("p", ctx.p)), int(data.get("precision", ctx.precision))
-        if context and declared != (ctx.p, ctx.precision):
-            raise ParseError(
-                f"scalar declares (p, precision) = {declared} in a context of "
-                f"({ctx.p}, {ctx.precision})"
-            )
-        if data["valuation"] is None:
-            return ctx.zero()
-        return ctx.from_digits(int(data["valuation"]), [int(d) for d in data["digits"]])
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad p-adic number: {exc}") from exc
+    ctx = context or PadicContext(int(data["p"]), int(data["precision"]))
+    declared = int(data.get("p", ctx.p)), int(data.get("precision", ctx.precision))
+    if context and declared != (ctx.p, ctx.precision):
+        raise ParseError(
+            f"scalar declares (p, precision) = {declared} in a context of "
+            f"({ctx.p}, {ctx.precision})"
+        )
+    if data["valuation"] is None:
+        return ctx.zero()
+    return ctx.from_digits(int(data["valuation"]), [int(d) for d in data["digits"]])
 
 
 def quadext_to_dict(z: QuadExtElement) -> dict[str, Any]:
@@ -64,15 +84,11 @@ def quadext_to_dict(z: QuadExtElement) -> dict[str, Any]:
     }
 
 
+@_parse("bad extension element")
 def quadext_from_dict(data: Any, context: ExtensionContext) -> QuadExtElement:
-    try:
-        sc = padic_from_dict(data["sc"], context.base)
-        ac = padic_from_dict(data["ac"], context.base)
-        return QuadExtElement(context, sc, ac)
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad extension element: {exc}") from exc
+    sc = padic_from_dict(data["sc"], context.base)
+    ac = padic_from_dict(data["ac"], context.base)
+    return QuadExtElement(context, sc, ac)
 
 
 def context_to_dict(context: ExtensionContext) -> dict[str, Any]:
@@ -83,14 +99,10 @@ def context_to_dict(context: ExtensionContext) -> dict[str, Any]:
     }
 
 
+@_parse("bad extension context")
 def context_from_dict(data: Any) -> ExtensionContext:
-    try:
-        base = PadicContext(int(data["p"]), int(data["precision"]))
-        return ExtensionContext(base, padic_from_dict(data["mu"], base))
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad extension context: {exc}") from exc
+    base = PadicContext(int(data["p"]), int(data["precision"]))
+    return ExtensionContext(base, padic_from_dict(data["mu"], base))
 
 
 def magnitude_to_dict(m: Magnitude) -> dict[str, Any]:
@@ -115,17 +127,11 @@ def _entry(data: Any, context: ExtensionContext, mu_dict: Any, *where: int) -> Q
         raise ParseError(f"entry ({','.join(map(str, where))}): {exc}") from exc
 
 
+@_parse("bad vector")
 def vector_from_dict(data: Any, context: ExtensionContext) -> PVector:
-    try:
-        mu_dict = padic_to_dict(context.mu)
-        return PVector(
-            context,
-            {int(i): _entry(z, context, mu_dict, int(i)) for i, z in data["entries"].items()},
-        )
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad vector: {exc}") from exc
+    mu_dict = padic_to_dict(context.mu)
+    entries = {int(i): _entry(z, context, mu_dict, int(i)) for i, z in data["entries"].items()}
+    return PVector(context, entries)
 
 
 # The affine part of a decay certificate; rationals are written as strings.
@@ -153,33 +159,36 @@ def operator_to_dict(a: MatrixOperator) -> dict[str, Any]:
     raise ParseError("unknown operator kind")
 
 
+@_parse("bad operator")
 def operator_from_dict(data: Any) -> MatrixOperator:
-    try:
-        context = context_from_dict(data["context"])
-        kind = data["kind"]
-        if kind not in ("block_finite", "generator"):
-            raise ParseError(f"unknown operator kind {kind!r}")
-        size = "dim" if kind == "block_finite" else "window"
-        mu_dict = data["context"]["mu"]
-        rows = [
-            [_entry(z, context, mu_dict, m, n) for n, z in enumerate(row, 1)]
-            for m, row in enumerate(data["entries"], 1)
-        ]
-        if len(rows) != int(data[size]):
-            raise ParseError(f"{size} does not match the entry grid")
-        block = BlockOperator(context, rows)
-        if kind == "block_finite":
-            return block
-        decay = data["decay"]
-        cert = DecayCertificate(
-            *(Fraction(str(decay.get(k, 0))) for k in _AFFINE_FIELDS),
-            decay.get("support", "all"),
-        )
-        return GeneratorOperator(block, cert)
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"bad operator: {exc}") from exc
+    context = context_from_dict(data["context"])
+    kind = data["kind"]
+    if kind not in ("block_finite", "generator"):
+        raise ParseError(f"unknown operator kind {kind!r}")
+    size = "dim" if kind == "block_finite" else "window"
+    mu_dict = data["context"]["mu"]
+    rows = [
+        [_entry(z, context, mu_dict, m, n) for n, z in enumerate(row, 1)]
+        for m, row in enumerate(data["entries"], 1)
+    ]
+    if len(rows) != int(data[size]):
+        raise ParseError(f"{size} does not match the entry grid")
+    block = BlockOperator(context, rows)
+    if kind == "block_finite":
+        return block
+    decay = data["decay"]
+    cert = DecayCertificate(
+        *(Fraction(str(decay.get(k, 0))) for k in _AFFINE_FIELDS),
+        decay.get("support", "all"),
+    )
+    return GeneratorOperator(block, cert)
+
+
+def _block(data: Any, what: str) -> BlockOperator:
+    op = operator_from_dict(data)
+    if not isinstance(op, BlockOperator):
+        raise ParseError(f"{what} must be block operators")
+    return op
 
 
 def classification_to_dict(c: OperatorClassification) -> dict[str, Any]:
@@ -189,36 +198,23 @@ def classification_to_dict(c: OperatorClassification) -> dict[str, Any]:
             out["witness"] = f.witness
         return out
 
-    return {
-        "bounded": flag(c.bounded),
-        "adjointable": flag(c.adjointable),
-        "self_adjoint": flag(c.self_adjoint),
-        "compact": flag(c.compact),
-        "trace_class": flag(c.trace_class),
-        "traceable_wrt_standard_basis": flag(c.traceable_wrt_standard_basis),
-    }
+    return {k.name: flag(getattr(c, k.name)) for k in dataclasses.fields(c)}
+
+
+def _terms_to_dict(weight: str, terms) -> list[dict[str, Any]]:
+    """Decomposition terms (w, e, f), with w written under ``weight``."""
+    return [
+        {weight: quadext_to_dict(w), "left": vector_to_dict(e), "right": vector_to_dict(f)}
+        for w, e, f in terms
+    ]
 
 
 def canonical_decomposition_to_dict(d: CanonicalDecomposition) -> list[dict[str, Any]]:
-    return [
-        {
-            "weight": quadext_to_dict(lam),
-            "left": vector_to_dict(e),
-            "right": vector_to_dict(f),
-        }
-        for lam, e, f in d.terms
-    ]
+    return _terms_to_dict("weight", d.terms)
 
 
 def symmetric_decomposition_to_dict(d: SymmetricDecomposition) -> list[dict[str, Any]]:
-    return [
-        {
-            "sigma": quadext_to_dict(sig),
-            "left": vector_to_dict(e),
-            "right": vector_to_dict(f),
-        }
-        for sig, e, f in d.terms
-    ]
+    return _terms_to_dict("sigma", d.terms)
 
 
 def distribution_to_dict(d: PadicDistribution) -> dict[str, Any]:
@@ -233,18 +229,14 @@ def sovm_to_dict(s: Sovm) -> dict[str, Any]:
     return {"dim": s.dim, "effects": [operator_to_dict(a) for a in s.effects]}
 
 
+@_parse("bad SOVM")
+def _sovm_effects(data: Any) -> list[BlockOperator]:
+    return [_block(e, "SOVM effects") for e in data["effects"]]
+
+
 def sovm_from_dict(data: Any) -> Sovm:
-    try:
-        effects = [operator_from_dict(e) for e in data["effects"]]
-    except KeyError as exc:
-        raise ParseError(f"bad SOVM: {exc}") from exc
-    if not all(isinstance(e, BlockOperator) for e in effects):
-        raise ParseError("SOVM effects must be block operators")
-    return make_sovm(effects)  # type: ignore[arg-type]
+    return make_sovm(_sovm_effects(data))
 
 
 def statistical_from_dict(data: Any) -> StatisticalOperator:
-    op = operator_from_dict(data)
-    if not isinstance(op, BlockOperator):
-        raise ParseError("statistical operators must be block operators")
-    return make_statistical(op)
+    return make_statistical(_block(data, "statistical operators"))

@@ -206,10 +206,21 @@ class QuadExtElement:
         return self * other.inv()
 
     def ext_abs(self) -> Magnitude:
-        """|z| = sqrt(|z conj(z)|_p), exact with a possibly half exponent."""
-        if self.is_zero:
-            return Magnitude.zero(self.context.p)
-        return Magnitude(self.context.p, -self.norm_form().valuation)
+        """|z| = sqrt(|z conj(z)|_p), exact with a possibly half exponent.
+
+        v(z conj(z)) is the lesser side, 2 v(sc) or 2 v(ac) + v(mu), of
+        sc**2 - mu ac**2.  Equal sides cancel in the leading digit only for
+        p = 2 and mu = 4**t mu0: by 1 for mu0 = 3 or 7, by 2 for mu0 = 5, as
+        odd squares are 1 mod 8.  For odd p, mu0 is a non-residue."""
+        ctx = self.context
+        coords = ((self.sc, 0), (self.ac, ctx.mu.valuation))
+        sides = [2 * x.valuation + shift for x, shift in coords if not x.is_zero]
+        if not sides:
+            return Magnitude.zero(ctx.p)
+        v = min(sides)
+        if ctx.p == 2 and len(sides) == 2 and sides[0] == sides[1]:
+            v += {3: 1, 5: 2, 7: 1}.get(ctx.mu_class, 0)
+        return Magnitude(ctx.p, -v)
 
     def scale_base(self, a: PadicNumber) -> QuadExtElement:
         """Multiply by a base-field scalar."""

@@ -58,6 +58,19 @@ def quad_elements(ctx: ExtensionContext, min_val: int = -3, max_val: int = 3, ze
 # -- seeded random builders ---------------------------------------------------
 
 
+# mus of every extension class of Q_p, p in {2, 3, 5, 7}: all 16 classes
+EXTENSION_CLASSES = {2: (2, 3, 5, 6, 7, 10, 14), 3: (2, 3, 6), 5: (2, 5, 10), 7: (3, 7, 21)}
+
+
+def rand_coordinate(rng: random.Random, ctx: PadicContext, zero_p: float = 0.25) -> PadicNumber:
+    """Zero, or a number with 1 to ``precision`` known digits."""
+    if rng.random() < zero_p:
+        return ctx.zero()
+    k = rng.randint(1, ctx.precision)
+    digits = [rng.randrange(1, ctx.p)] + [rng.randrange(ctx.p) for _ in range(k - 1)]
+    return ctx.from_digits(rng.randint(-2, 2), digits)
+
+
 def rand_padic(rng: random.Random, ctx: PadicContext, min_val=-2, max_val=2, zero_p=0.0) -> PadicNumber:
     if zero_p and rng.random() < zero_p:
         return ctx.zero()

@@ -7,7 +7,10 @@ import pytest
 import helpers
 from padicqm import (
     BlockOperator,
+    ExtensionContext,
     GeneratorOperator,
+    PadicContext,
+    QuadExtElement,
     affine_certificate,
     basis_vector,
     build_norm_inflating_ip_preserver,
@@ -285,3 +288,36 @@ def test_handler_rebound_after_the_parser_was_built_is_the_one_run(capsys, monke
     monkeypatch.setattr(cli, "cmd_sqrt", lambda args: {"rebound": args.value})
     code, out, _ = run(capsys, "sqrt", "--p", "7", "2")
     assert code == 0 and json.loads(out) == {"rebound": "2"}
+
+
+# -- typed exits on outside input --------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_sqrt_of_a_value_that_is_not_a_rational_is_a_parse_error(capsys, value):
+    code, out, err = run(capsys, "sqrt", "--p", "3", value)
+    assert code == 3 and out == ""
+    assert f"value {value!r} is not a rational" in err
+
+
+@pytest.mark.parametrize("sovm", [{"effects": 5}, [1]], ids=["effects-int", "list"])
+def test_pair_on_a_malformed_sovm_file_is_a_parse_error(tmp_path, capsys, sovm):
+    state = make_statistical(diagonal(E35, [E35.one()]))
+    sovm_path, state_path = tmp_path / "sovm.json", tmp_path / "state.json"
+    sovm_path.write_text(json.dumps(sovm))
+    state_path.write_text(json.dumps(operator_to_dict(state.op)))
+    code, out, err = run(capsys, "pair", str(sovm_path), str(state_path))
+    assert code == 3 and out == ""
+    assert "parse error: bad SOVM" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "unitary-check"])
+def test_a_block_whose_norm_form_cancels_to_zero_exits_typed(tmp_path, capsys, command):
+    base = PadicContext(2, 5)
+    ctx = ExtensionContext(base, base.from_int(5))
+    z = QuadExtElement(ctx, base.from_digits(-1, [1, 0]), base.from_digits(-1, [1, 1]))
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(operator_to_dict(BlockOperator(ctx, [[z]]))))
+    code, out, _ = run(capsys, command, str(path))
+    assert code in (0, 2)
+    assert (code == 0) == (out != "")

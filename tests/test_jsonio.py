@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import helpers
 from padicqm import affine_certificate, basis_vector, classify, identity, make_sovm, rank_one
-from padicqm.errors import ParseError
+from padicqm.errors import ParseError, SumNotIdentity
 from padicqm.jsonio import (
     classification_to_dict,
     operator_from_dict,
@@ -215,3 +215,19 @@ def test_changing_one_entry_field_raises_parse_error(case):
     data, m, n = case
     with pytest.raises(ParseError, match=rf"entry \({m},{n}\)"):
         operator_from_dict(data)
+
+
+# -- one parse boundary --------------------------------------------------------
+
+
+@pytest.mark.parametrize("data", [{"effects": 5}, [1], {"effects": [None]}])
+def test_a_malformed_sovm_is_a_parse_error(data):
+    with pytest.raises(ParseError, match="^bad (SOVM|operator): "):
+        sovm_from_dict(data)
+
+
+def test_an_sovm_that_parses_keeps_its_validation_error():
+    data = sovm_to_dict(make_sovm([identity(E35, 2)]))
+    data["effects"].append(data["effects"][0])
+    with pytest.raises(SumNotIdentity):
+        sovm_from_dict(data)

@@ -8,7 +8,7 @@ from hypothesis import given
 
 import helpers
 from padicqm import ExtensionContext, Magnitude, PadicContext, QuadExtElement, sqrt
-from padicqm.errors import DivisionByZero, MuIsSquare, ValidationError
+from padicqm.errors import DivisionByZero, MuIsSquare, PrecisionExhausted, ValidationError
 from padicqm.quadext import quad_sum
 
 E35 = helpers.ext_ctx(3, 5)
@@ -135,3 +135,75 @@ def test_three_isomorphism_classes_for_odd_p():
 
 def test_quad_sum_empty_is_zero():
     assert quad_sum(E35, []).is_zero
+
+
+# -- |z| from the coordinate valuations ----------------------------------------
+
+def _every_class(precision):
+    """All 16 extension classes for p in {2, 3, 5, 7}, each with mu and mu*p**2."""
+    for p, labels in helpers.EXTENSION_CLASSES.items():
+        base = PadicContext(p, precision)
+        for label in labels:
+            for mu in (label, label * p * p):
+                yield ExtensionContext(base, base.from_int(mu))
+
+
+def _norm_form_abs(z):
+    """|z| read from the norm form's valuation; None where that cancels
+    past its known digits."""
+    if z.is_zero:
+        return Magnitude.zero(z.context.p)
+    try:
+        v = z.norm_form().valuation
+    except PrecisionExhausted:
+        return None
+    return None if v is None else Magnitude(z.context.p, -v)
+
+
+def test_ext_abs_matches_the_norm_form_wherever_that_answers():
+    rng = random.Random(81)
+    corner = 0  # answered with equal sides in a 2-adic class of even v(mu)
+    for precision in (5, 8, 12):
+        for ctx in _every_class(precision):
+            for _ in range(80):
+                sc, ac = (helpers.rand_coordinate(rng, ctx.base) for _ in range(2))
+                z = QuadExtElement(ctx, sc, ac)
+                expected = _norm_form_abs(z)
+                if expected is None:
+                    continue
+                assert z.ext_abs() == expected, z
+                if ctx.p == 2 and ctx.mu_class in (3, 5, 7) and not (sc.is_zero or ac.is_zero):
+                    corner += 2 * sc.valuation == 2 * ac.valuation + ctx.mu.valuation
+    assert corner > 50
+
+
+def _vp(x: Fraction, p: int) -> int:
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def test_ext_abs_is_the_valuation_of_the_exact_norm():
+    rng = random.Random(82)
+    for ctx in _every_class(40):
+        p, mu = ctx.p, Fraction(ctx.mu.unit * ctx.p**ctx.mu.valuation)
+        for _ in range(30):
+            sc, ac = (
+                Fraction(rng.randrange(-(p**4), p**4), p ** rng.randrange(0, 3)) for _ in range(2)
+            )
+            z = QuadExtElement(ctx, ctx.base.from_fraction(sc), ctx.base.from_fraction(ac))
+            norm = sc * sc - mu * ac * ac
+            assert z.ext_abs() == (Magnitude.zero(p) if norm == 0 else Magnitude(p, -_vp(norm, p)))
+
+
+def test_ext_abs_of_a_norm_form_that_cancels_to_zero():
+    # sc = 1/2 and ac = 3/2 known to 2 digits in Q_2(sqrt 5): the norm form
+    # cancels to an exact zero, while z conj(z) = -11 is a unit.
+    base = PadicContext(2, 5)
+    ctx = ExtensionContext(base, base.from_int(5))
+    z = QuadExtElement(ctx, base.from_digits(-1, [1, 0]), base.from_digits(-1, [1, 1]))
+    assert z.norm_form().is_zero
+    assert z.ext_abs() == Magnitude.one(2)

@@ -1,14 +1,30 @@
-"""Every failure of the library API is typed.
+"""Every failure of the library API, its JSON parser and its CLI is typed.
 
 A hypothesis property calls the public constructors and operations of
 ``hilbert``, ``operators`` and ``states`` with arguments drawn from the
 kinds each parameter admits, including empty families, families that mix
 kinds (block and generator operators, states, vectors) and values from
 different contexts.  Whatever a call raises must be a ``PadicError``.
-The JSON parser is out of scope: ``tests/test_jsonio.py`` covers it.
+
+Two more properties feed the JSON wire outside input: JSON-shaped junk,
+and valid payloads with one field replaced by junk.  Every public
+``jsonio.*_from_dict`` must raise only ``PadicError``s, and a
+``ParseError`` for any failure before ``make_sovm`` or
+``make_statistical`` runs.  Every CLI subcommand, run on such files (and
+``sqrt`` on values that are not rationals), must exit 0, 2 or 3 without
+raising, and print nothing on stdout when it fails.  Declared
+precisions are drawn from a bounded range: a context's precision is
+built eagerly, which is a cost, not a failure.
 """
 
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,7 +81,8 @@ from padicqm import (
     zero_operator,
     zero_trace_perturb,
 )
-from padicqm.errors import PadicError
+from padicqm import cli, jsonio
+from padicqm.errors import PadicError, ParseError
 
 E = helpers.ext_ctx(3, 5, 8)
 F = helpers.ext_ctx(5, 2, 8)
@@ -230,3 +247,162 @@ def test_every_failure_is_a_padic_error(call):
         fn(*args)
     except PadicError:
         pass
+
+
+# -- the JSON wire ------------------------------------------------------------
+
+_WIRE_KEYS = (
+    "p", "precision", "valuation", "digits", "mu", "sc", "ac", "context", "kind", "dim",
+    "window", "entries", "decay", "base", "row_coeff", "col_coeff", "support", "effects",
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-40, 40)
+    | st.floats(-100, 100)
+    | st.text(max_size=3)
+    | st.sampled_from(["block_finite", "generator", "all", "diagonal", "1/2", "-3", "1/0"])
+)
+JUNK = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_WIRE_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _wire(x):
+    return json.loads(json.dumps(x))
+
+
+VALID = {
+    "padic": [_wire(jsonio.padic_to_dict(x)) for x in KINDS["number"][:4]],
+    "element": [_wire(jsonio.quadext_to_dict(z)) for z in (E.one(), E.sqrt_mu(), E.zero())],
+    "context": [_wire(jsonio.context_to_dict(ctx)) for ctx in (E, G)],
+    "vector": [_wire(jsonio.vector_to_dict(v)) for v in KINDS["vector"][:4]],
+    "operator": [
+        _wire(jsonio.operator_to_dict(a))
+        for a in (identity(E, 2), _non_hermitian(E), _generator(E, 2), _state(E, 2).op)
+    ],
+    "sovm": [_wire(jsonio.sovm_to_dict(s)) for s in KINDS["sovm"][:2]],
+}
+
+# every public parser, with the payloads it reads when they are valid
+PARSERS = {
+    "padic_from_dict": (jsonio.padic_from_dict, "padic"),
+    "padic_from_dict_in_context": (lambda d: jsonio.padic_from_dict(d, C), "padic"),
+    "quadext_from_dict": (lambda d: jsonio.quadext_from_dict(d, E), "element"),
+    "context_from_dict": (jsonio.context_from_dict, "context"),
+    "vector_from_dict": (lambda d: jsonio.vector_from_dict(d, E), "vector"),
+    "operator_from_dict": (jsonio.operator_from_dict, "operator"),
+    "sovm_from_dict": (jsonio.sovm_from_dict, "sovm"),
+    "statistical_from_dict": (jsonio.statistical_from_dict, "operator"),
+}
+
+
+def test_every_public_parser_is_fed_junk():
+    public = {n for n in vars(jsonio) if n.endswith("_from_dict") and not n.startswith("_")}
+    assert public == {n for n in PARSERS if not n.endswith("_in_context")}
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def _payloads(draw, kind):
+    """JSON-shaped junk, or a valid payload with one field replaced by junk."""
+    junk = draw(JUNK)
+    if draw(st.booleans()):
+        return junk
+    payload = copy.deepcopy(draw(st.sampled_from(VALID[kind])))
+    path = draw(st.sampled_from(list(_paths(payload))))
+    if not path:
+        return junk
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = junk
+    return payload
+
+
+@st.composite
+def _parse_calls(draw):
+    name = draw(st.sampled_from(sorted(PARSERS)))
+    parse, kind = PARSERS[name]
+    return name, parse, draw(_payloads(kind))
+
+
+@contextlib.contextmanager
+def _validation_watched():
+    """Patch jsonio's post-parse validators to note that they ran."""
+    ran = []
+
+    def watch(fn):
+        def watched(*args):
+            ran.append(fn.__name__)
+            return fn(*args)
+
+        return watched
+
+    with mock.patch.object(jsonio, "make_sovm", watch(make_sovm)), mock.patch.object(
+        jsonio, "make_statistical", watch(make_statistical)
+    ):
+        yield ran
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parse_calls())
+def test_every_parse_failure_is_typed(call):
+    name, parse, payload = call
+    with _validation_watched() as validated:
+        try:
+            parse(payload)
+        except PadicError as exc:
+            assert validated or isinstance(exc, ParseError), (name, exc)
+
+
+_VALUES = st.sampled_from(["abc", "1/0", "0", "1/3", "-7", "2.5", "1e3", "nan", "", "1/"])
+_SMALL = st.integers(-2, 12).map(str)
+_FILE_COMMANDS = {
+    "classify": ["operator"],
+    "trace": ["operator"],
+    "decompose": ["operator"],
+    "decompose --symmetric": ["operator"],
+    "unitary-check": ["operator"],
+    "pair": ["sovm", "operator"],
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    """An argv and the files it reads, as (name, text) pairs."""
+    command = draw(st.sampled_from([*_FILE_COMMANDS, "sqrt", "field", "counterexample"]))
+    if command == "sqrt":
+        value = draw(_VALUES | st.text(max_size=6))
+        return ["sqrt", "--p", draw(_SMALL), "--precision", draw(_SMALL), "--", value], []
+    if command in ("field", "counterexample"):
+        argv = [command, "--p", draw(_SMALL), "--mu", draw(_SMALL), "--precision", draw(_SMALL)]
+        return argv + (["--K", str(draw(st.integers(-1, 3)))] if command == "counterexample" else []), []
+    files = [(f"in{i}.json", json.dumps(draw(_payloads(kind)))) for i, kind in enumerate(_FILE_COMMANDS[command])]
+    return command.split() + [name for name, _ in files], files
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_calls())
+def test_every_cli_failure_exits_typed(call):
+    argv, files = call
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name, _ in files}
+        for name, text in files:
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        argv = [paths.get(a, a) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 2, 3)
+    assert code == 0 or out.getvalue() == ""
