@@ -9,7 +9,10 @@ batch and reported in microseconds per operation; block products (d = 4,
 8, 16, 32, up to ``--max-dim``) in milliseconds per call, and so are
 ``hs_inner``, the canonical round trip (``reconstruct`` of
 ``canonical_decomposition``), ``factor_trace_class`` and
-``operator_norm`` (d = 16, or ``--max-dim`` when smaller).  Each figure is the fastest of ``--repeat``
+``operator_norm`` (d = 16, or ``--max-dim`` when smaller).  The JSON wire
+is timed on the same block: ``operator_from_dict`` of its dict in
+microseconds per entry, and ``jsonio.dumps`` of that dict in microseconds
+per KB (1000 bytes) of text.  Each figure is the fastest of ``--repeat``
 runs.
 """
 
@@ -34,6 +37,7 @@ from padicqm import (  # noqa: E402
     hs_inner,
     operator_norm,
 )
+from padicqm.jsonio import dumps, operator_from_dict, operator_to_dict  # noqa: E402
 from padicqm.padic import padic_sum  # noqa: E402
 
 P, MU, PRECISION = 3, 5, 20
@@ -109,6 +113,11 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     )
     out[f"factor.d{d}_ms"] = _best(lambda: factor_trace_class(s), repeat) * 1e3
     out[f"operator_norm.d{d}_ms"] = _best(lambda: operator_norm(s), repeat) * 1e3
+    wire = operator_to_dict(s)
+    out["jsonio.parse_us_per_element"] = (
+        _best(lambda: operator_from_dict(wire), repeat) * 1e6 / (d * d)
+    )
+    out["jsonio.emit_us_per_kb"] = _best(lambda: dumps(wire), repeat) * 1e9 / len(dumps(wire))
     return {k: round(v, 3) for k, v in out.items()}
 
 

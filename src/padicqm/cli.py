@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -26,7 +27,7 @@ def _context(args: argparse.Namespace) -> ExtensionContext:
 
 
 def _emit(payload: Any, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = jsonio.dumps(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -70,9 +71,16 @@ def cmd_field(args: argparse.Namespace) -> Any:
     return report
 
 
+# What the help promises, an integer or a fraction a/b.  Fraction() alone
+# would also read exponents, and "1e10000000" would build 10**10**7.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def cmd_sqrt(args: argparse.Namespace) -> Any:
     base = PadicContext(args.p, args.precision)
     try:
+        if not _RATIONAL.fullmatch(args.value):
+            raise ValueError("not an integer or a fraction a/b")
         value = Fraction(args.value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"value {args.value!r} is not a rational") from exc

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import ParseError
@@ -140,23 +141,19 @@ _AFFINE_FIELDS = ("base", "row_coeff", "col_coeff")
 
 def operator_to_dict(a: MatrixOperator) -> dict[str, Any]:
     if isinstance(a, BlockOperator):
-        return {
-            "kind": "block_finite",
-            "context": context_to_dict(a.context),
-            "dim": a.dim,
-            "entries": [[quadext_to_dict(z) for z in row] for row in a.rows],
-        }
-    if isinstance(a, GeneratorOperator):
+        block, shape = a, {"kind": "block_finite", "dim": a.dim}
+    elif isinstance(a, GeneratorOperator):
         cert = a.certificate
         decay = {k: str(getattr(cert, k)) for k in _AFFINE_FIELDS}
-        return {
-            "kind": "generator",
-            "context": context_to_dict(a.context),
-            "window": a.window,
-            "entries": [[quadext_to_dict(z) for z in row] for row in a.block.rows],
-            "decay": {**decay, "support": cert.support},
-        }
-    raise ParseError("unknown operator kind")
+        block = a.block
+        shape = {"kind": "generator", "window": a.window, "decay": {**decay, "support": cert.support}}
+    else:
+        raise ParseError("unknown operator kind")
+    return {
+        **shape,
+        "context": context_to_dict(block.context),
+        "entries": [[quadext_to_dict(z) for z in row] for row in block.rows],
+    }
 
 
 @_parse("bad operator")
@@ -240,3 +237,37 @@ def sovm_from_dict(data: Any) -> Sovm:
 
 def statistical_from_dict(data: Any) -> StatisticalOperator:
     return make_statistical(_block(data, "statistical operators"))
+
+
+def dumps(payload: Any) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, bool, int and None; any other
+    type raises ``TypeError``.  ``json.dumps`` with an indent runs CPython's
+    pure-Python encoder; this writes each list of ints in one join."""
+    return _encode(payload, "\n")
+
+
+def _encode(x: Any, pad: str) -> str:
+    """x on a line that ``pad`` (a newline and the line's indent) starts.  A
+    key that is not a str raises ``TypeError`` in ``sorted`` or the escaper."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        brackets = "{}"
+        items = [encode_basestring_ascii(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+    elif isinstance(x, (list, tuple)):
+        brackets = "[]"
+        ints = all(type(i) is int for i in x)  # bools excluded: True is written true
+        items = map(int.__repr__, x) if ints else [_encode(i, inner) for i in x]
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not x:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]

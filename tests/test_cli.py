@@ -1,6 +1,7 @@
 """CLI behavior: JSON reports, exit codes, determinism."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -177,15 +178,16 @@ def test_unitary_check_rejects_generator(tmp_path, capsys):
     assert "not_block_finite" in err
 
 
-def test_pair_command(tmp_path, capsys):
-    ws = helpers.simplex_weights(B3, 3)
-    state = make_statistical(diagonal(E35, [E35.from_base(w) for w in ws]))
+def _pair_files(tmp_path):
+    state = make_statistical(diagonal(E35, [E35.from_base(w) for w in helpers.simplex_weights(B3, 3)]))
     pvm = make_sovm([rank_one(basis_vector(E35, i), basis_vector(E35, i), 3) for i in (1, 2, 3)])
-    sovm_path = tmp_path / "sovm.json"
-    state_path = tmp_path / "state.json"
-    sovm_path.write_text(json.dumps(sovm_to_dict(pvm)))
-    state_path.write_text(json.dumps(operator_to_dict(state.op)))
-    code, out, _ = run(capsys, "pair", str(sovm_path), str(state_path))
+    (tmp_path / "sovm.json").write_text(json.dumps(sovm_to_dict(pvm)))
+    (tmp_path / "state.json").write_text(json.dumps(operator_to_dict(state.op)))
+    return [str(tmp_path / "sovm.json"), str(tmp_path / "state.json")]
+
+
+def test_pair_command(tmp_path, capsys):
+    code, out, _ = run(capsys, "pair", *_pair_files(tmp_path))
     data = json.loads(out)
     assert code == 0
     assert data["distribution"]["in_simplex"] is True
@@ -221,6 +223,37 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(target.read_text())
     assert data["root"]["digits"] == [3, 1, 2, 6, 1]
+
+
+def _symmetric_file(tmp_path):
+    op = rank_one(basis_vector(E35, 1), basis_vector(E35, 2), 2) + rank_one(
+        basis_vector(E35, 2), basis_vector(E35, 1), 2
+    )
+    (tmp_path / "sa.json").write_text(json.dumps(operator_to_dict(op)))
+    return ["--symmetric", str(tmp_path / "sa.json")]
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("decompose", _symmetric_file),
+        ("counterexample", lambda _: ["--p", "3", "--mu", "5", "--K", "2"]),
+        ("field", lambda _: ["--p", "3", "--mu", "5"]),
+        ("pair", _pair_files),
+        ("sqrt", lambda _: ["--p", "7", "2/9"]),
+    ],
+    ids=["decompose", "counterexample", "field", "pair", "sqrt"],
+)
+def test_stdout_and_out_file_are_the_bytes_of_the_indented_sorted_encoder(
+    tmp_path, capsys, command, files
+):
+    argv = [command, *files(tmp_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    target = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_cli_round_trips_its_own_output(tmp_path, capsys):
@@ -293,9 +326,11 @@ def test_handler_rebound_after_the_parser_was_built_is_the_one_run(capsys, monke
 # -- typed exits on outside input --------------------------------------------------
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "1e10000000", "1.5"])
 def test_sqrt_of_a_value_that_is_not_a_rational_is_a_parse_error(capsys, value):
+    t0 = perf_counter()
     code, out, err = run(capsys, "sqrt", "--p", "3", value)
+    assert perf_counter() - t0 < 1  # refused before 10**10**7 is built
     assert code == 3 and out == ""
     assert f"value {value!r} is not a rational" in err
 

@@ -14,6 +14,7 @@ from padicqm import affine_certificate, basis_vector, classify, identity, make_s
 from padicqm.errors import ParseError, SumNotIdentity
 from padicqm.jsonio import (
     classification_to_dict,
+    dumps,
     operator_from_dict,
     operator_to_dict,
     padic_from_dict,
@@ -231,3 +232,39 @@ def test_an_sovm_that_parses_keeps_its_validation_error():
     data["effects"].append(data["effects"][0])
     with pytest.raises(SumNotIdentity):
         sovm_from_dict(data)
+
+
+# -- the emitter -----------------------------------------------------------------
+
+# Strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates, alone and inside drawn text.
+_ESCAPES = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600"]
+_strings = st.sampled_from(_ESCAPES) | st.text(
+    st.characters(exclude_categories=()) | st.sampled_from(_ESCAPES), max_size=8
+)
+_ints = st.integers() | st.integers(-(2**200), 2**200)  # small, negative and multi-word
+_scalars = st.none() | st.booleans() | _ints | _strings
+_payloads = st.recursive(
+    _scalars | st.lists(_ints | st.booleans(), max_size=6),  # int lists, with bools mixed in
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_strings, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@given(_payloads)
+def test_dumps_writes_the_bytes_of_the_indented_sorted_encoder(payload):
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, {1, 2}, {1: 2}, {"a": [0, 2.0]}, {"a": 1, None: 2}],
+    ids=["float", "set", "int-key", "nested-float", "none-key"],
+)
+def test_dumps_refuses_what_it_does_not_encode(payload):
+    with pytest.raises(TypeError):
+        dumps(payload)
