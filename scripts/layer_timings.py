@@ -9,7 +9,9 @@ batch and reported in microseconds per operation; block products (d = 4,
 8, 16, 32, up to ``--max-dim``) in milliseconds per call, and so are
 ``hs_inner``, the canonical round trip (``reconstruct`` of
 ``canonical_decomposition``), ``factor_trace_class`` and
-``operator_norm`` (d = 16, or ``--max-dim`` when smaller).  The JSON wire
+``operator_norm`` (d = 16, or ``--max-dim`` when smaller), and so is the
+unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
+butterfly of ``rotation_on_pairs`` stages at that size.  The JSON wire
 is timed on the same block: ``operator_from_dict`` of its dict in
 microseconds per entry, and ``jsonio.dumps`` of that dict in microseconds
 per KB (1000 bytes) of text.  Each figure is the fastest of ``--repeat``
@@ -34,8 +36,13 @@ from padicqm import (  # noqa: E402
     QuadExtElement,
     canonical_decomposition,
     factor_trace_class,
+    from_rotation,
     hs_inner,
+    identity,
+    is_ip_preserving,
+    is_unitary,
     operator_norm,
+    rotation_on_pairs,
 )
 from padicqm.jsonio import dumps, operator_from_dict, operator_to_dict  # noqa: E402
 from padicqm.padic import padic_sum  # noqa: E402
@@ -61,6 +68,16 @@ def _element(rng: random.Random, ext: ExtensionContext) -> QuadExtElement:
 
 def _block(rng: random.Random, ext: ExtensionContext, d: int) -> BlockOperator:
     return BlockOperator(ext, [[_element(rng, ext) for _ in range(d)] for _ in range(d)])
+
+
+def _butterfly(ext: ExtensionContext, d: int) -> BlockOperator:
+    """The product of rotation stages on the disjoint pairs (i, i + dist),
+    dist = 1, 2, 4, ...: a unitary with no zero entry when d is a power of 2."""
+    u, dist = identity(ext, d), 1
+    while dist < d:
+        pairs = [(i, i + dist) for i in range(1, d - dist + 1) if (i - 1) & dist == 0]
+        u, dist = u * from_rotation(rotation_on_pairs(ext, pairs), d), 2 * dist
+    return u
 
 
 def _best(fn, repeat: int) -> float:
@@ -113,6 +130,8 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     )
     out[f"factor.d{d}_ms"] = _best(lambda: factor_trace_class(s), repeat) * 1e3
     out[f"operator_norm.d{d}_ms"] = _best(lambda: operator_norm(s), repeat) * 1e3
+    u = _butterfly(ext, d)
+    out[f"unitarity.d{d}_ms"] = _best(lambda: (is_unitary(u), is_ip_preserving(u)), repeat) * 1e3
     wire = operator_to_dict(s)
     out["jsonio.parse_us_per_element"] = (
         _best(lambda: operator_from_dict(wire), repeat) * 1e6 / (d * d)

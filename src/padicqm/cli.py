@@ -132,8 +132,7 @@ def cmd_decompose(args: argparse.Namespace) -> Any:
 
 
 def _unitarity(op: operators.MatrixOperator) -> dict[str, Any]:
-    """Unitarity, IP preservation and norm; is_unitary already implies IP
-    preservation, so a unitary block costs one U* U product, not two."""
+    """Unitarity, IP preservation (implied by unitarity) and norm."""
     unitary = operators.is_unitary(op)
     return {
         "unitary": unitary,
@@ -193,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("sqrt", help="p-adic square root of a rational")
     common(sp, mu=False)
-    sp.add_argument("value", help="integer or fraction a/b")
+    sp.add_argument("value", help="integer or fraction a/b; a negative value follows --")
 
     sp = add_parser("classify", help="classification report for operator JSON")
     sp.add_argument("operator", nargs="+", help="operator JSON files")

@@ -29,6 +29,7 @@ from .errors import (
     NotSelfAdjoint,
     NotTraceClass,
     OutsideWindow,
+    PrecisionExhausted,
     RequiresOddP,
     SearchExhausted,
     TailDominates,
@@ -576,10 +577,34 @@ def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, Q
 # -- unitarity ------------------------------------------------------------------
 
 
+def _gram_is_identity(x: BlockOperator) -> bool:
+    """adjoint(X) X == Id without the product: entry (m, n) is one ``_dot`` of
+    conj(column m) with column n.  For odd p, entry (n, m) is the conjugate of
+    entry (m, n), raises included, so only m <= n is summed; for p = 2, where a
+    mirror can raise alone until cancellation reads only operand values, the
+    square is.  False once an entry differs from Id, else the first raise, else True.
+    """
+    ctx = x.context
+    rows = [[_lhs_coords(z.conj()) for z in col] for col in zip(*x.rows)]
+    cols = [[_rhs_coords(z) for z in col] for col in zip(*x.rows)]
+    one, zero = ctx.one(), ctx.zero()
+    exhausted = None
+    for m, row in enumerate(rows):
+        for n in range(0 if ctx.p == 2 else m, x.dim):
+            try:
+                if _dot(ctx, row, cols[n]) != (one if m == n else zero):
+                    return False
+            except PrecisionExhausted as exc:
+                exhausted = exhausted or exc
+    if exhausted:
+        raise exhausted
+    return True
+
+
 def is_ip_preserving(u: MatrixOperator) -> bool:
     """Exact check of adjoint(U) U = Id on the declared block."""
     _require_block("inner-product preservation", u)
-    return u.adjoint() * u == identity(u.context, u.dim)
+    return _gram_is_identity(u)
 
 
 def is_unitary(u: MatrixOperator) -> bool:
@@ -589,11 +614,7 @@ def is_unitary(u: MatrixOperator) -> bool:
     admits operators of norm p**K > 1.
     """
     _require_block("unitarity", u)
-    return (
-        operator_norm(u).is_one
-        and is_ip_preserving(u)
-        and u * u.adjoint() == identity(u.context, u.dim)
-    )
+    return operator_norm(u).is_one and _gram_is_identity(u) and _gram_is_identity(u.adjoint())
 
 
 def four_squares_unit_solution(p: int, k: int) -> tuple[int, int, int, int]:

@@ -7,10 +7,16 @@ their products on integer coordinates (``quadext._dot``).  Each must give
 the digits of the scalar route written out below, ``quad_sum`` over the
 ``QuadExtElement`` products, in every case: the same (valuation, unit,
 prec) on both coordinates of every entry, or the same error type and
-message.  Nothing is skipped.
+message.  Nothing is skipped.  The unitarity checks (``is_ip_preserving``,
+``is_unitary``) sum the entries of adjoint(U) U one by one and stop at one
+known to differ from Id: they must give the product route's verdict
+wherever it gives one, and refute only on such an entry where it raises.
 """
 
+import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +28,17 @@ from padicqm import (
     PadicNumber,
     PVector,
     QuadExtElement,
+    build_norm_inflating_ip_preserver,
     canonical_decomposition,
     factor_trace_class,
     from_rotation,
     hs_inner,
     identity,
+    is_ip_preserving,
+    is_unitary,
     make_sovm,
     make_statistical,
+    operator_norm,
     pair,
     rank_one,
     rotation_on_pairs,
@@ -37,10 +47,16 @@ from padicqm import (
     verify_cyclic,
 )
 from padicqm import operators, states
-from padicqm.errors import ContextMismatch, PadicError, PrecisionExhausted
+from padicqm.errors import (
+    ContextMismatch,
+    PadicError,
+    PrecisionExhausted,
+    RequiresOddP,
+    SearchExhausted,
+)
 from padicqm.operators import _hermitian, _trace_of_product
 from padicqm.padic import PadicContext
-from padicqm.quadext import ExtensionContext, quad_sum
+from padicqm.quadext import ExtensionContext, _dot, _lhs_coords, _rhs_coords, quad_sum
 
 PRECISION = 5  # a low cap makes cancellations and exhausted sums common
 
@@ -372,6 +388,7 @@ def test_kernel_callers_form_no_scalar_product(monkeypatch):
     state = helpers.rand_statistical(rng, ctx, 3)
     sovm = sovm_from_symmetric_decomposition(state)
     canonical, symmetric = canonical_decomposition(s), symmetric_decomposition(state.op)
+    u = _butterfly(ctx, 4)
     calls = [
         lambda: _rows((s * t).rows),
         lambda: _digits(hs_inner(s, t)),
@@ -381,6 +398,8 @@ def test_kernel_callers_form_no_scalar_product(monkeypatch):
         lambda: _rows(canonical.reconstruct().rows),
         lambda: _rows(symmetric.reconstruct().rows),
         lambda: _rows(rank_one(v, w).rows),
+        lambda: (is_ip_preserving(u), is_ip_preserving(s)),
+        lambda: (is_unitary(u), is_unitary(s)),
     ]
     # these decompose first, with scalar products; their rank-one sums form none
     composed = [
@@ -454,3 +473,193 @@ def test_kernel_callers_reject_mixed_extensions(monkeypatch, call):
     monkeypatch.setattr(PadicNumber, "__mul__", _refuse)
     with pytest.raises(ContextMismatch):
         call(a, b)
+
+
+# -- unitarity from half a Gram matrix -----------------------------------------
+
+
+def _gram_entry(ctx, a, b):
+    """Entry (m, n) of adjoint(X) X for columns a = X[:, m] and b = X[:, n]."""
+    return _dot(ctx, [_lhs_coords(z.conj()) for z in a], [_rhs_coords(z) for z in b])
+
+
+def _scalar_gram(x):
+    """adjoint(X) X by the scalar route, entry by entry: the value, or None
+    where the entry's sum raises PrecisionExhausted."""
+    xa, d = x.adjoint(), range(1, x.dim + 1)
+
+    def entry(m, n):
+        try:
+            return _scalar_dot(x.context, [xa.entry(m, k) for k in d], [x.entry(k, n) for k in d])
+        except PrecisionExhausted:
+            return None
+
+    return [[entry(m, n) for n in d] for m in d]
+
+
+def _compare_unitarity(u):
+    """``is_ip_preserving`` and ``is_unitary`` against the product route,
+    which forms each Gram matrix whole (a raise in any entry raises) and
+    compares it with Id; the pairs (route outcome, check outcome)."""
+    one, zero = u.context.one(), u.context.zero()
+
+    def differs(gram):
+        return any(
+            z is not None and z != (one if m == n else zero)
+            for m, row in enumerate(gram)
+            for n, z in enumerate(row)
+        )
+
+    def route(grams):
+        for gram in grams:
+            if any(z is None for row in gram for z in row):
+                return "raised"
+            if differs(gram):
+                return False
+        return True
+
+    grams = [_scalar_gram(u), _scalar_gram(u.adjoint())]
+    cases = [
+        (is_ip_preserving, route(grams[:1]), grams[:1]),
+        (is_unitary, operator_norm(u).is_one and route(grams), grams),
+    ]
+    out = []
+    for check, expected, checked in cases:
+        got = _outcome(lambda: check(u), bool)
+        if expected != "raised":
+            assert got == expected
+        elif got is False:
+            # a verdict where the route raises needs an entry known to differ
+            assert any(differs(g) for g in checked)
+        else:
+            assert got[:2] == ("raised", "PrecisionExhausted")
+        out.append((expected, got))
+    return out
+
+
+def _pell(label: int) -> tuple[int, int]:
+    """The least a, y >= 1 with a**2 - label * y**2 = 1."""
+    a = 2
+    while (a * a - 1) % label or math.isqrt((a * a - 1) // label) ** 2 != (a * a - 1) // label:
+        a += 1
+    return a, math.isqrt((a * a - 1) // label)
+
+
+def _stage(ctx: ExtensionContext, d: int, dist: int) -> BlockOperator:
+    """A two-index unitary on the pairs (i, i + dist) of each 2*dist window:
+    a rotation where 2 is a norm, else [[a, y sqrt(mu)], [y sqrt(mu), a]]
+    with a**2 - mu * y**2 = 1."""
+    pairs = [
+        (i, i + dist)
+        for start in range(1, d + 1, 2 * dist)
+        for i in range(start, start + dist)
+        if i + dist <= d
+    ]
+    try:
+        return from_rotation(rotation_on_pairs(ctx, pairs), d)
+    except (RequiresOddP, SearchExhausted):
+        pass
+    base, p = ctx.base, ctx.p
+    label, t = p**ctx.mu.valuation * ctx.mu.unit, 1  # mu = t**2 * label
+    while label % (p * p) == 0:
+        label, t = label // (p * p), t * p
+    a, y = _pell(label)
+    diag = ctx.from_base(base.from_int(a))
+    off = QuadExtElement(ctx, base.zero(), base.from_fraction(Fraction(y, t)))
+    rows = [list(row) for row in identity(ctx, d).rows]
+    for i, j in pairs:
+        rows[i - 1][i - 1] = rows[j - 1][j - 1] = diag
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = off
+    return BlockOperator(ctx, rows)
+
+
+def _butterfly(ctx: ExtensionContext, d: int) -> BlockOperator:
+    u, dist = identity(ctx, d), 1
+    while dist < d:
+        u, dist = u * _stage(ctx, d, dist), 2 * dist
+    return u
+
+
+def _cut(rng: random.Random, u: BlockOperator) -> BlockOperator:
+    """u with one nonzero coordinate of one entry cut to fewer known digits."""
+    rows = [list(row) for row in u.rows]
+    cells = [(m, n) for m, row in enumerate(rows) for n, z in enumerate(row) if not z.is_zero]
+    m, n = rng.choice(cells)
+    c = rng.choice([c for c in ("sc", "ac") if not getattr(rows[m][n], c).is_zero])
+    x = getattr(rows[m][n], c)
+    k = rng.randint(1, max(1, x.prec - 1))
+    cut = PadicNumber(x.context, x.valuation, x.unit % x.context.p**k, k)
+    rows[m][n] = replace(rows[m][n], **{c: cut})
+    return BlockOperator(u.context, rows)
+
+
+def _unitarity_inputs(rng: random.Random, ctx: ExtensionContext):
+    for d in range(1, 5):
+        yield helpers.rand_block(rng, ctx, d)
+        yield BlockOperator(ctx, [[_element(rng, ctx) for _ in range(d)] for _ in range(d)])
+        try:
+            u = _butterfly(ctx, d)
+        except PrecisionExhausted:
+            continue
+        yield u
+        yield u.scale(ctx.from_base(PadicNumber(ctx.base, -1, 1, ctx.base.precision)))
+        for _ in range(6):
+            yield _cut(rng, u)
+    if ctx.p != 2:
+        yield build_norm_inflating_ip_preserver(ctx, 1)
+
+
+def test_unitarity_checks_match_the_product_route_on_a_seeded_sweep():
+    rng = random.Random(30)
+    seen = {}
+    for ctx in CONTEXTS:
+        for u in _unitarity_inputs(rng, ctx):
+            for expected, got in _compare_unitarity(u):
+                key = (ctx.p == 2, expected, got if isinstance(got, bool) else got[0])
+                seen[key] = seen.get(key, 0) + 1
+    for p2 in (False, True):
+        # both verdicts, a raise, and a route raise that an entry refutes
+        assert seen[p2, True, True] > 100 and seen[p2, False, False] > 100
+        assert seen[p2, "raised", "raised"] > 100 and seen[p2, "raised", False] > 10
+
+
+def test_a_gram_entry_known_to_differ_refutes_where_the_product_raises():
+    # p**-1 times the d = 3 butterfly over Q_3(sqrt(2)): entry (1, 3) of
+    # adjoint(X) X exhausts its digits, so forming the product raises, while
+    # entry (1, 1) is p**-2, known to differ from 1
+    ctx = helpers.ext_ctx(3, 2, PRECISION)
+    x = _butterfly(ctx, 3).scale(ctx.from_base(PadicNumber(ctx.base, -1, 1, PRECISION)))
+    with pytest.raises(PrecisionExhausted):
+        x.adjoint() * x
+    gram = _scalar_gram(x)
+    assert gram[0][2] is None and gram[0][0] != ctx.one()
+    assert is_ip_preserving(x) is False and is_unitary(x) is False
+
+
+def test_gram_entries_mirror_by_conjugation_for_odd_p():
+    # the triangle rule: entry (n, m) is the conjugate of entry (m, n) in
+    # valuation, unit and prec on both coordinates, or both raise alike
+    rng = random.Random(32)
+    raised = 0
+    for ctx in CONTEXTS:
+        if ctx.p == 2:
+            continue
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            a, b = ([_element(rng, ctx) for _ in range(k)] for _ in range(2))
+            got = _outcome(lambda: _gram_entry(ctx, a, b), _digits)
+            assert got == _outcome(lambda: _gram_entry(ctx, b, a).conj(), _digits)
+            raised += got[0] == "raised"
+    assert raised > 100
+
+
+def test_a_gram_entry_for_p2_can_raise_where_its_mirror_does_not():
+    # 2**(k-1) is its own negative, so the adjoint(X) X check of p = 2 sums
+    # the whole square: over Q_2(sqrt(2)), (a, b) raises, (b, a) is 2 + O(4)
+    ctx = helpers.ext_ctx(2, 2, PRECISION)
+    f = ctx.base.from_digits
+    a = QuadExtElement(ctx, f(0, [1, 0]), f(0, [1]))
+    b = QuadExtElement(ctx, f(1, [1]), f(1, [1, 0]))
+    with pytest.raises(PrecisionExhausted):
+        _gram_entry(ctx, [a], [b])
+    assert _digits(_gram_entry(ctx, [b], [a])) == ((1, 1, 1), (None, 0, PRECISION))

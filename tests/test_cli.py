@@ -1,6 +1,7 @@
 """CLI behavior: JSON reports, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -21,9 +22,9 @@ from padicqm import (
     make_statistical,
     rank_one,
 )
-from padicqm import cli
+from padicqm import cli, operators
 from padicqm.cli import main
-from padicqm.jsonio import operator_to_dict, sovm_to_dict
+from padicqm.jsonio import operator_to_dict, padic_from_dict, sovm_to_dict
 
 E35 = helpers.ext_ctx(3, 5, 8)
 B3 = E35.base
@@ -70,6 +71,13 @@ def test_sqrt_golden(capsys):
     assert code == 0
     assert data["root"]["digits"] == [1, 1, 1, 0, 2]
     assert data["companion"]["digits"] == [2, 1, 1, 2, 0]
+
+
+def test_sqrt_of_a_negative_fraction_follows_the_double_dash(capsys):
+    # argparse reads "-3/4" as an option, so a negative value follows "--"
+    code, out, _ = run(capsys, "sqrt", "--p", "7", "--", "-3/4")
+    root = padic_from_dict(json.loads(out)["root"])
+    assert code == 0 and root * root == PadicContext(7, 5).from_fraction(Fraction(-3, 4))
 
 
 def test_sqrt_non_square_fails(capsys):
@@ -265,21 +273,29 @@ def test_cli_round_trips_its_own_output(tmp_path, capsys):
     assert op.dim == 4
 
 
-def test_unitary_check_of_identity_makes_two_products(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("p, mu, sums", [(3, 5, 2 * 10), (2, 3, 2 * 16)], ids=["p3", "p2"])
+def test_unitary_check_of_identity_sums_half_gram_matrices(tmp_path, capsys, monkeypatch, p, mu, sums):
+    # U* U and U U* of the 4x4 identity, no block product: for odd p the
+    # entries m <= n of each (two 10-entry triangles), for p = 2 the squares
     path = tmp_path / "id.json"
-    path.write_text(json.dumps(operator_to_dict(identity(E35, 4))))
-    products = []
-    block_mul = BlockOperator.__mul__
+    path.write_text(json.dumps(operator_to_dict(identity(helpers.ext_ctx(p, mu, 8), 4))))
+    products, dots = [], []
+    block_mul, dot = BlockOperator.__mul__, operators._dot
 
     def counting_mul(a, b):
         products.append((a.dim, b.dim))
         return block_mul(a, b)
 
+    def counting_dot(*args):
+        dots.append(args)
+        return dot(*args)
+
     monkeypatch.setattr(BlockOperator, "__mul__", counting_mul)
+    monkeypatch.setattr(operators, "_dot", counting_dot)
     code, out, _ = run(capsys, "unitary-check", str(path))
     data = json.loads(out)
     assert code == 0 and data["unitary"] is True and data["ip_preserving"] is True
-    assert len(products) == 2  # U* U once, U U* once
+    assert products == [] and len(dots) == sums
 
 
 # -- one parser per process ------------------------------------------------------
