@@ -43,6 +43,7 @@ from .quadext import (
     _dot,
     _lhs_coords,
     _mul_add,
+    _product,
     _rhs_coords,
     max_abs,
     quad_sum,
@@ -155,16 +156,16 @@ class BlockOperator(MatrixOperator):
         return BlockOperator(self.context, [[alpha * z for z in row] for row in self.rows])
 
     def __mul__(self, other: BlockOperator) -> BlockOperator:
-        """Operator composition.  Each entry is one sum of its products
-        A_ik B_kj on integer coordinates (``quadext._dot``), with the digits
-        of ``quad_sum`` over the scalar products A_ik * B_kj: each product
-        enters as one residue per coordinate, and the entry sum truncates
-        once."""
+        """Operator composition, digit for digit ``quad_sum`` over the scalar
+        products A_ik * B_kj, raises included.  Each entry is an exact integer
+        sum (``quadext._product``), or is summed term by term
+        (``quadext._dot``) where a sum vanishes at its precision or a term
+        cancels at its known digits."""
         self._check(other)
         ctx, d = self.context, max(self.dim, other.dim)
         rows = [[_lhs_coords(z) for z in row] for row in self._padded(d)]
         cols = [[_rhs_coords(z) for z in col] for col in zip(*other._padded(d))]
-        return BlockOperator(ctx, [[_dot(ctx, row, col) for col in cols] for row in rows])
+        return BlockOperator(ctx, _product(ctx, rows, cols))
 
     def apply(self, v: PVector) -> PVector:
         """Matrix-vector product, exact; coordinates beyond the block meet

@@ -37,6 +37,9 @@ _MR_LIMIT = 3317044064679887385961981
 # the square of its length, and a precision comes from the caller.
 _POWER_TABLE = 64
 
+# Largest precision a context accepts: it builds p**precision at once.
+MAX_PRECISION = 10_000
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for n < 3.3e24, refused above."""
@@ -89,8 +92,8 @@ class PadicContext:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise InvalidPrime(f"{self.p} is not prime")
-        if self.precision < 5:
-            raise ValidationError("precision must be at least 5")
+        if not 5 <= self.precision <= MAX_PRECISION:
+            raise ValidationError(f"precision must be between 5 and {MAX_PRECISION}")
         object.__setattr__(self, "modulus", self.p**self.precision)
         top = min(2 * self.precision, _POWER_TABLE)
         object.__setattr__(self, "_powers", tuple(self.p**e for e in range(top + 1)))

@@ -9,7 +9,9 @@ representative of its square class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Iterable
 
 from . import padic
@@ -305,6 +307,110 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
         padic._number(base, padic._sum_triples(base, sc_terms)),
         padic._number(base, padic._sum_triples(base, ac_terms)),
     )
+
+
+def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]]:
+    """The block product of ``_lhs_coords`` rows and ``_rhs_coords`` columns,
+    each entry digit for digit ``_dot(row, col)``.  Each coordinate is a
+    base-field product, sc = [sc | mu*ac] . [sc'; ac'] or ac = [sc | ac] .
+    [ac'; sc'], with one exact integer sum per entry (``_coordinate``).  An
+    entry whose sum vanishes at its precision, or with a term that may meet
+    ``_residue``'s zero branch (``_cancelling``), is left to ``_dot``."""
+    base, d = context.base, len(cols)
+    left_sc = [_scaled(base, [x and x[0] for x in r] + [x and x[1] for x in r]) for r in rows]
+    left_ac = [_scaled(base, [x and x[0] for x in r] + [x and x[2] for x in r]) for r in rows]
+    right = [_scaled(base, [y and y[0] for y in c] + [y and y[1] for y in c]) for c in cols]
+    # [ac'; sc'] is [sc'; ac'] with its halves swapped
+    swapped = [(c, u[d:] + u[:d], v[d:] + v[:d], a[d:] + a[:d], *x) for c, u, v, a, *x in right]
+    sc, ac = _coordinate(base, left_sc, right), _coordinate(base, left_ac, swapped)
+    least = min([x[5] for x in left_sc + left_ac + right], default=_FAR)
+    for m, n in _cancelling(base, rows, cols, least):
+        sc[m][n] = _TERMS
+    return [
+        [
+            _dot(context, rows[m], cols[n])
+            if s is _TERMS or a is _TERMS
+            else QuadExtElement(context, padic._number(base, s), padic._number(base, a))
+            for n, (s, a) in enumerate(zip(srow, arow))
+        ]
+        for m, (srow, arow) in enumerate(zip(sc, ac))
+    ]
+
+
+_TERMS = object()  # an entry left to ``_dot``
+_FAR = 1 << 62  # a zero's valuation in a line: beyond any p**gap that fits in memory
+
+
+def _scaled(base: PadicContext, line):
+    """A line of triples (None for zero) over its least valuation r: r, the
+    units p**(v - r) * u, the v - r and v + prec - r (0, _FAR and _FAR for
+    a zero), the least v + prec - r, and the least and largest prec."""
+    live = [x for x in line if x]
+    r = min([x[0] for x in live], default=0)
+    pw, top, p = base._powers, len(base._powers), base.p
+    us = [x[1] * (pw[x[0] - r] if x[0] - r < top else p ** (x[0] - r)) if x else 0 for x in line]
+    vs = [x[0] - r if x else _FAR for x in line]
+    als = [x[0] + x[2] - r if x else _FAR for x in line]
+    precs = [x[2] for x in live] or [_FAR]
+    return r, us, vs, als, min(als), min(precs), max(precs)
+
+
+def _coordinate(base: PadicContext, left, right):
+    """Entry (m, n) from ``_scaled`` lines: the ``_sum_triples`` triple of
+    the ``_residue`` terms of ``_dot``, or _TERMS.  S, the sum of the scaled
+    units of the live products, is the entry over p**(r + c); the lifts
+    ``_sum_triples`` adds differ from it by multiples of p**A, A the least
+    v + v' + min(prec, prec') of those products.  A is taken only where the
+    lines' least v + prec leave fewer than ``precision`` digits."""
+    p, cap = base.p, base.precision
+    out = []
+    for r, us, vs, als, low, lo, hi in left:
+        row = []
+        for c, ws, wvs, wals, wlow, wlo, whi in right:
+            s = sum(map(mul, us, ws))
+            if not s:  # no live product: the units are positive
+                row.append(None)
+                continue
+            w = 0
+            while not s % p:
+                s, w = s // p, w + 1
+            # at most cap: the prec of a line's least valuation
+            k = (low if low < wlow else wlow) - w
+            if k < cap:
+                least = lo if lo < wlo else wlo
+                if least == (hi if hi < whi else whi):
+                    k = min(map(add, vs, wvs)) + least - w
+                else:
+                    k = min(min(map(add, als, wvs)), min(map(add, vs, wals))) - w
+                k = k if k < cap else cap
+            row.append((r + c + w, s % base._power(k), k) if k > 0 else _TERMS)
+        out.append(row)
+    return out
+
+
+def _cancelling(base: PadicContext, rows, cols, least: int) -> set[tuple[int, int]]:
+    """The entries (m, n) with a term a*b + c*d that may cancel in
+    ``_residue``'s zero branch: v_a - v_c == v_d - v_b and u_a/u_c ==
+    -u_d/u_b mod p**t, t the least prec cut to about 20 bits.  A hash join
+    on each row k of the right factor, O(d**2); the ac term is matched
+    inverted, so one right key serves both.  A false match costs time."""
+    mod = base.p ** max(1, min(least, int(20 / math.log2(base.p))))
+    inv = lambda u: pow(u, -1, mod)
+    found = set()
+    for k, row_k in enumerate(zip(*cols)):
+        keys: dict = {}
+        for n, y in enumerate(row_k):
+            if y and y[0] and y[1]:
+                (bv, bu, _), (dv, du, _) = y
+                keys.setdefault((dv - bv, -du * inv(bu) % mod), []).append(n)
+        for m, row in enumerate(rows):
+            x = row[k]
+            if keys and x and x[0] and x[2]:
+                (av, au, _), (cv, cu, _), (ev, eu, _) = x
+                for key in ((av - cv, au * inv(cu) % mod), (ev - av, eu * inv(au) % mod)):
+                    if key in keys:
+                        found.update((m, n) for n in keys[key])
+    return found
 
 
 def _residue(base: PadicContext, a, b, c, d):

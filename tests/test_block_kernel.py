@@ -1,9 +1,12 @@
 """The integer kernel of block products against the scalar route.
 
-``BlockOperator.__mul__``, ``operators._trace_of_product``,
-``BlockOperator.apply`` and the rank-one sums (``operators._rank_one_sum``:
-decomposition reconstructions, ``factor_trace_class``, ``rank_one``) sum
-their products on integer coordinates (``quadext._dot``).  Each must give
+``BlockOperator.__mul__`` sums each entry exactly over integers
+(``quadext._product``) and leaves to ``quadext._dot`` only the entries
+whose digits could depend on their terms one by one.
+``operators._trace_of_product``, ``BlockOperator.apply`` and the rank-one
+sums (``operators._rank_one_sum``: decomposition reconstructions,
+``factor_trace_class``, ``rank_one``) sum their products on integer
+coordinates with ``quadext._dot``.  Each must give
 the digits of the scalar route written out below, ``quad_sum`` over the
 ``QuadExtElement`` products, in every case: the same (valuation, unit,
 prec) on both coordinates of every entry, or the same error type and
@@ -56,7 +59,8 @@ from padicqm.errors import (
 )
 from padicqm.operators import _hermitian, _trace_of_product
 from padicqm.padic import PadicContext
-from padicqm.quadext import ExtensionContext, _dot, _lhs_coords, _rhs_coords, quad_sum
+from padicqm import quadext
+from padicqm.quadext import ExtensionContext, _dot, _lhs_coords, _residue, _rhs_coords, quad_sum
 
 PRECISION = 5  # a low cap makes cancellations and exhausted sums common
 
@@ -359,6 +363,205 @@ def test_kernel_matches_the_scalar_route_past_the_power_table():
         ctx = helpers.ext_ctx(p, mu, 80)
         for _ in range(4):
             _compare_all(*_operands(rng, ctx))
+
+
+# -- block products on exact integer sums -------------------------------------
+
+
+def _full(rng: random.Random, ctx: PadicContext) -> PadicNumber:
+    """A number known to every digit of the cap."""
+    digits = [rng.randrange(1, ctx.p)] + [rng.randrange(ctx.p) for _ in range(ctx.precision - 1)]
+    return ctx.from_digits(rng.randint(-1, 1), digits)
+
+
+def _counting_dots(monkeypatch) -> list:
+    """Patch ``quadext._dot`` to count its calls; the one-item count."""
+    count, dot = [0], quadext._dot
+
+    def counted(*args):
+        count[0] += 1
+        return dot(*args)
+
+    monkeypatch.setattr(quadext, "_dot", counted)
+    return count
+
+
+def _compare_products(a, b):
+    """``a * b`` against the scalar route; the outcome."""
+    got, expected = _outcome(lambda: (a * b).rows, _rows), _outcome(lambda: _scalar_product(a, b), _rows)
+    assert got == expected
+    return expected
+
+
+def test_products_up_to_size_8_match_the_scalar_route(monkeypatch):
+    # sizes 5..8 engage the row and column bounds and the per-k join; the
+    # operands mix short and full digits, zeros and sparse blocks
+    rng = random.Random(24)
+    dots = _counting_dots(monkeypatch)
+    raised = entries = 0
+    for ctx in CONTEXTS:
+        for _ in range(6):
+            zero, full = rng.choice([0.0, 0.2, 0.7]), rng.random()
+
+            def element():
+                coord = lambda: ctx.base.zero() if rng.random() < zero else (
+                    _full(rng, ctx.base) if rng.random() < full else _coordinate(rng, ctx.base)
+                )
+                return QuadExtElement(ctx, coord(), coord())
+
+            a, b = (
+                BlockOperator(ctx, [[element() for _ in range(d)] for _ in range(d)])
+                for d in (rng.randint(5, 8), rng.randint(1, 8))
+            )
+            outcome = _compare_products(a, b)
+            raised += isinstance(outcome, tuple)
+            entries += max(a.dim, b.dim) ** 2
+    # both outcomes and both routes are reached: the scalar route calls no
+    # _dot, so each counted call is an entry of a * b left to its terms
+    assert 10 < raised < 80 and 0 < dots[0] < entries / 2
+
+
+def _zero_branch_terms(a, b):
+    """The terms of a * b that ``_residue`` drops or raises on, as
+    (m, n, coordinate, outcome)."""
+    base, d = a.context.base, range(max(a.dim, b.dim))
+    found = []
+    for m in d:
+        for n in d:
+            for k in d:
+                x, y = _lhs_coords(a.entry(m + 1, k + 1)), _rhs_coords(b.entry(k + 1, n + 1))
+                if x is None or y is None:
+                    continue
+                (xsc, xmac, xac), (ysc, yac) = x, y
+                for coord, terms in (("sc", (xsc, ysc, xmac, yac)), ("ac", (xsc, yac, xac, ysc))):
+                    try:
+                        dropped = _residue(base, *terms) is None and all(terms)
+                    except PrecisionExhausted:
+                        found.append((m, n, coord, "raised"))
+                        continue
+                    if dropped:
+                        found.append((m, n, coord, "dropped"))
+    return found
+
+
+def _dense_with(ctx: ExtensionContext, seed: int, corner: QuadExtElement) -> BlockOperator:
+    """A dense d = 6 block of full-precision entries with ``corner`` at (1, 1)."""
+    rng = random.Random(seed)
+    rows = [[QuadExtElement(ctx, _full(rng, ctx.base), _full(rng, ctx.base)) for _ in range(6)] for _ in range(6)]
+    rows[0][0] = corner
+    return BlockOperator(ctx, rows)
+
+
+def _cancelling_corners(ctx: ExtensionContext, k: int, coord: str, lifts_cancel: bool):
+    """x, y whose term of ``coord`` is zero mod p**k, from one factor 1
+    known to k digits: for sc, 1 * -mu (k digits) + mu * 1; for ac, with
+    unequal valuations, 1 * p + p * -1.  The lifts cancel exactly, or the
+    full-precision factor is shifted by p**k."""
+    base, p = ctx.base, ctx.p
+    short = lambda z: PadicNumber(base, z.valuation, z.unit % p**k, k)
+    shift = base.one() if lifts_cancel else base.from_int(1 + p**k)
+    if coord == "sc":
+        return QuadExtElement(ctx, short(base.one()), base.one()), QuadExtElement(ctx, short(-ctx.mu), shift)
+    pp = base.from_int(p)
+    return QuadExtElement(ctx, short(base.one()), pp), QuadExtElement(ctx, -shift, pp)
+
+
+# p = 3 with mu = 2, and p = 2 with mu = 3: k digits hold the lifts of -mu.
+# At a cap of 10 digits a random dense d = 6 product seldom meets the zero
+# branch (at 5 digits, p = 2 meets it about 9 times), so the seeds below pin
+# blocks whose only such term is the corner's.
+_P3, _P2 = helpers.ext_ctx(3, 2, 10), helpers.ext_ctx(2, 3, 10)
+_CANCELLING = [
+    pytest.param(_P3, 2, "sc", 4, id="p3-sc"),
+    pytest.param(_P3, 2, "ac", 0, id="p3-ac"),
+    pytest.param(_P2, 3, "sc", 12, id="p2-sc"),
+    pytest.param(_P2, 3, "ac", 3, id="p2-ac"),
+]
+
+
+@pytest.mark.parametrize("ctx, k, coord, seed", _CANCELLING)
+def test_a_term_cancelling_exactly_is_dropped_and_the_entry_keeps_its_digits(monkeypatch, ctx, k, coord, seed):
+    # case (b): the one dropped term would bound entry (1, 1) to k digits
+    x, y = _cancelling_corners(ctx, k, coord, lifts_cancel=True)
+    a, b = _dense_with(ctx, seed, x), _dense_with(ctx, seed + 1, y)
+    assert _zero_branch_terms(a, b) == [(0, 0, coord, "dropped")]
+    dots = _counting_dots(monkeypatch)
+    _compare_products(a, b)
+    corner = getattr((a * b).entry(1, 1), coord)
+    assert dots[0] >= 1
+    # the exact sum alone counts the dropped term's bound
+    monkeypatch.setattr(quadext, "_cancelling", lambda *_: set())
+    assert getattr((a * b).entry(1, 1), coord).prec < corner.prec
+
+
+@pytest.mark.parametrize("ctx, k, coord, seed", _CANCELLING)
+def test_a_term_cancelling_at_its_digits_raises_as_the_scalar_route(monkeypatch, ctx, k, coord, seed):
+    # case (b): the lifts differ by p**k, so the term exhausts its digits
+    x, y = _cancelling_corners(ctx, k, coord, lifts_cancel=False)
+    a, b = _dense_with(ctx, seed, x), _dense_with(ctx, seed + 1, y)
+    assert _zero_branch_terms(a, b) == [(0, 0, coord, "raised")]
+    assert _compare_products(a, b)[:2] == ("raised", "PrecisionExhausted")
+    # the exact sum alone returns digits for the entry
+    monkeypatch.setattr(quadext, "_cancelling", lambda *_: set())
+    assert not getattr((a * b).entry(1, 1), coord).is_zero
+
+
+@pytest.mark.parametrize("ctx", [_P3, _P2], ids=["p3", "p2"])
+@pytest.mark.parametrize("exact", [True, False], ids=["zero", "raise"])
+def test_an_entry_vanishing_at_its_absolute_precision_goes_to_the_terms(monkeypatch, ctx, exact):
+    # case (a): entry (1, 1) is 1 * (1 or 1 + p**3) + 1 * (-1 known to 3
+    # digits), 0 mod p**3 as an integer; its lifted sum is 0 or p**3
+    base, p = ctx.base, ctx.p
+    one, minus_one = ctx.one(), ctx.from_base(base.from_digits(0, [p - 1] * 3))
+    rng = random.Random(45)
+    a, b = (
+        [[QuadExtElement(ctx, _full(rng, base), _full(rng, base)) for _ in range(3)] for _ in range(3)]
+        for _ in range(2)
+    )
+    a[0][:2] = [one, one]
+    b[0][0] = one if exact else ctx.from_base(base.from_int(1 + p**3))
+    b[1][0], b[2][0] = minus_one, ctx.zero()
+    a, b = BlockOperator(ctx, a), BlockOperator(ctx, b)
+    assert _zero_branch_terms(a, b) == []
+    dots = _counting_dots(monkeypatch)
+    outcome = _compare_products(a, b)
+    assert dots[0] >= 1
+    # the vanishing sum alone sends the entry to its terms, with no join
+    monkeypatch.setattr(quadext, "_cancelling", lambda *_: set())
+    assert _compare_products(a, b) == outcome
+    if exact:
+        assert outcome[0][0] == ((None, 0, ctx.base.precision),) * 2
+    else:
+        assert outcome[:2] == ("raised", "PrecisionExhausted")
+
+
+def _gen_block(rng: random.Random, ctx: ExtensionContext, d: int) -> BlockOperator:
+    """A block of ``perfbench`` ``Gen.block``'s shape: entries p**v (u + p**(1 or 2)
+    w sqrt(mu)) with v in 0..2 and full-precision units, norm 1."""
+    base = ctx.base
+
+    def number(v):
+        u = rng.randrange(1, base.modulus)
+        return PadicNumber(base, v, u + (u % base.p == 0), base.precision)
+
+    def entry(v):
+        return QuadExtElement(ctx, number(v), number(v + 1 + rng.randrange(2)))
+
+    rows = [[entry(rng.randrange(3)) for _ in range(d)] for _ in range(d)]
+    rows[0][0], rows[0][1], rows[1][0] = entry(0), entry(0), entry(1)
+    return BlockOperator(ctx, rows)
+
+
+@pytest.mark.parametrize("p, mu, precision", [(3, 5, 20), (2, 3, 20), (7, 3, 8), (5, 5, 40)])
+def test_a_dense_full_precision_product_makes_no_term_by_term_sum(monkeypatch, p, mu, precision):
+    # the benchmark's shape: no entry may fall back to _dot
+    ctx = helpers.ext_ctx(p, mu, precision)
+    rng = random.Random(16)
+    a, b = _gen_block(rng, ctx, 16), _gen_block(rng, ctx, 16)
+    dots = _counting_dots(monkeypatch)
+    product = a * b
+    assert dots[0] == 0
+    assert product.rows[3][5] == _scalar_dot(ctx, [a.entry(4, k) for k in range(1, 17)], [b.entry(k, 6) for k in range(1, 17)])
 
 
 # -- no scalar product is formed, and operands are checked ---------------------

@@ -53,6 +53,12 @@ def test_field_unramified_two_adic(capsys):
     assert code == 0 and data["ramified"] is False
 
 
+def test_field_refuses_a_precision_past_the_limit(capsys):
+    code, out, err = run(capsys, "field", "--p", "3", "--mu", "2", "--precision", "10000000")
+    assert code == 2 and out == ""
+    assert "precision must be between" in err
+
+
 def test_field_rejects_square_mu(capsys):
     code, _, err = run(capsys, "field", "--p", "2", "--mu", "4")
     assert code == 2

@@ -139,6 +139,11 @@ def test_parse_errors():
         vector_from_dict({"entries": {"0": 1}}, E35)
 
 
+def test_a_scalar_declaring_a_precision_past_the_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="precision must be between"):
+        padic_from_dict({"p": 3, "precision": 10**8, "valuation": 0, "digits": [1]})
+
+
 # -- declared fields must match the context -----------------------------------
 
 

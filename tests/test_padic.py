@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from padicqm.errors import (
     ValidationError,
     ZeroInput,
 )
-from padicqm.padic import padic_sum, square_class_product
+from padicqm.padic import MAX_PRECISION, padic_sum, square_class_product
 
 C3 = helpers.base_ctx(3, 5)
 C5 = helpers.base_ctx(5, 5)
@@ -127,6 +128,17 @@ def test_a_large_precision_context_is_cheap_and_exact():
     assert x + y == ctx.from_int(a + b)
     assert padic_sum(ctx, [x, y, -x]) == y
     assert (x - ctx.from_int(2)).valuation == 150
+
+
+def test_a_precision_past_the_limit_is_refused_before_any_power_is_built():
+    # p**precision is built eagerly; 10**7 digits took seconds before the limit
+    assert MAX_PRECISION >= 5000  # the large-precision test above builds 5000
+    assert PadicContext(3, MAX_PRECISION).precision == MAX_PRECISION
+    start = time.perf_counter()
+    for precision in (MAX_PRECISION + 1, 10**7, 10**100):
+        with pytest.raises(ValidationError, match=str(MAX_PRECISION)):
+            PadicContext(3, precision)
+    assert time.perf_counter() - start < 1
 
 
 def test_precision_exhausted_on_deep_cancellation():

@@ -13,8 +13,7 @@ and valid payloads with one field replaced by junk.  Every public
 ``make_statistical`` runs.  Every CLI subcommand, run on such files (and
 ``sqrt`` on values that are not rationals), must exit 0, 2 or 3 without
 raising, and print nothing on stdout when it fails.  Declared
-precisions are drawn from a bounded range: a context's precision is
-built eagerly, which is a cost, not a failure.
+precisions reach past ``padic.MAX_PRECISION``, which a context refuses.
 """
 
 import contextlib
@@ -83,6 +82,7 @@ from padicqm import (
 )
 from padicqm import cli, jsonio
 from padicqm.errors import PadicError, ParseError
+from padicqm.padic import MAX_PRECISION
 
 E = helpers.ext_ctx(3, 5, 8)
 F = helpers.ext_ctx(5, 2, 8)
@@ -367,6 +367,8 @@ def test_every_parse_failure_is_typed(call):
 
 _VALUES = st.sampled_from(["abc", "1/0", "0", "1/3", "-7", "2.5", "1e3", "nan", "", "1/"])
 _SMALL = st.integers(-2, 12).map(str)
+# a precision: small, or past the limit a context refuses
+_PRECISION = (st.integers(-2, 12) | st.integers(MAX_PRECISION + 1, 10**9)).map(str)
 _FILE_COMMANDS = {
     "classify": ["operator"],
     "trace": ["operator"],
@@ -383,9 +385,9 @@ def _cli_calls(draw):
     command = draw(st.sampled_from([*_FILE_COMMANDS, "sqrt", "field", "counterexample"]))
     if command == "sqrt":
         value = draw(_VALUES | st.text(max_size=6))
-        return ["sqrt", "--p", draw(_SMALL), "--precision", draw(_SMALL), "--", value], []
+        return ["sqrt", "--p", draw(_SMALL), "--precision", draw(_PRECISION), "--", value], []
     if command in ("field", "counterexample"):
-        argv = [command, "--p", draw(_SMALL), "--mu", draw(_SMALL), "--precision", draw(_SMALL)]
+        argv = [command, "--p", draw(_SMALL), "--mu", draw(_SMALL), "--precision", draw(_PRECISION)]
         return argv + (["--K", str(draw(st.integers(-1, 3)))] if command == "counterexample" else []), []
     files = [(f"in{i}.json", json.dumps(draw(_payloads(kind)))) for i, kind in enumerate(_FILE_COMMANDS[command])]
     return command.split() + [name for name, _ in files], files
