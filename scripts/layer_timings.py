@@ -8,9 +8,10 @@ precision 20, with valuations 0 to 2.  Scalar operations are timed over a
 batch and reported in microseconds per operation; block products (d = 4,
 8, 16, 32, up to ``--max-dim``) in milliseconds per call, and so are
 a diagonal block times a dense one (the S T shape of
-``factor_trace_class``), ``hs_inner``, the canonical round trip
-(``reconstruct`` of ``canonical_decomposition``), ``factor_trace_class`` and
-``operator_norm`` (d = 16, or ``--max-dim`` when smaller), and so is the
+``factor_trace_class``), ``hs_inner``, ``canonical_decomposition`` alone
+and its round trip (``reconstruct`` of ``canonical_decomposition``),
+``factor_trace_class`` and ``operator_norm`` (d = 16, or ``--max-dim``
+when smaller), and so is the
 unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
 butterfly of ``rotation_on_pairs`` stages at that size.  The JSON wire
 is timed on the same block: ``operator_from_dict`` of its dict in
@@ -54,7 +55,8 @@ SEED = 0
 BATCH = 2000  # scalar operations per timed run
 SUM_TERMS = 16
 BLOCK_DIMS = (4, 8, 16, 32)
-# diagonal times dense, hs_inner, the canonical round trip, the factorization, the norm
+# diagonal times dense, hs_inner, the decomposition and its round trip, the
+# factorization, the norm
 SINGLE_DIM = 16
 
 
@@ -130,6 +132,7 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     diag = diagonal(ext, [_element(rng, ext) for _ in range(d)])
     out[f"block_mul_diag.d{d}_ms"] = _best(lambda: diag * s, repeat) * 1e3
     out[f"hs_inner.d{d}_ms"] = _best(lambda: hs_inner(s, t), repeat) * 1e3
+    out[f"decompose.d{d}_ms"] = _best(lambda: canonical_decomposition(s), repeat) * 1e3
     out[f"reconstruct.d{d}_ms"] = (
         _best(lambda: canonical_decomposition(s).reconstruct(), repeat) * 1e3
     )

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import hilbert, jsonio, operators, padic, states
@@ -71,20 +69,9 @@ def cmd_field(args: argparse.Namespace) -> Any:
     return report
 
 
-# What the help promises, an integer or a fraction a/b.  Fraction() alone
-# would also read exponents, and "1e10000000" would build 10**10**7.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def cmd_sqrt(args: argparse.Namespace) -> Any:
     base = PadicContext(args.p, args.precision)
-    try:
-        if not _RATIONAL.fullmatch(args.value):
-            raise ValueError("not an integer or a fraction a/b")
-        value = Fraction(args.value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"value {args.value!r} is not a rational") from exc
-    x = base.from_fraction(value)
+    x = base.from_fraction(jsonio._rational(args.value, "value"))
     root = padic.sqrt(x)
     return {
         "input": jsonio.padic_to_dict(x),

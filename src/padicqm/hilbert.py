@@ -21,7 +21,16 @@ from .errors import (
     ValidationError,
 )
 from .padic import PadicNumber
-from .quadext import ExtensionContext, Magnitude, QuadExtElement, max_abs, quad_sum
+from .quadext import (
+    ExtensionContext,
+    Magnitude,
+    QuadExtElement,
+    _conj,
+    _dot,
+    _lhs_coords,
+    _rhs_coords,
+    max_abs,
+)
 
 
 class PVector:
@@ -85,15 +94,15 @@ def basis_vector(context: ExtensionContext, i: int) -> PVector:
 
 
 def inner_product(u: PVector, v: PVector) -> QuadExtElement:
-    """Canonical inner product: sum of conj(u_i) * v_i."""
+    """Canonical inner product: sum of conj(u_i) * v_i over the common
+    support, one ``quadext._dot`` with each u_i conjugated on its
+    coordinates, digit for digit ``quad_sum`` over the scalar products."""
     if u.context != v.context:
         raise ContextMismatch("vectors from different extensions")
-    terms = []
-    for i, z in u.items():
-        w = v.entry(i)
-        if not w.is_zero:
-            terms.append(z.conj() * w)
-    return quad_sum(u.context, terms)
+    base, w = u.context.base, v._entries
+    common = [(z, w[i]) for i, z in u._entries.items() if i in w]
+    xs = [_conj(base, _lhs_coords(z)) for z, _ in common]
+    return _dot(u.context, xs, [_rhs_coords(y) for _, y in common])
 
 
 def sup_norm(v: PVector) -> Magnitude:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -138,6 +139,23 @@ def vector_from_dict(data: Any, context: ExtensionContext) -> PVector:
 # The affine part of a decay certificate; rationals are written as strings.
 _AFFINE_FIELDS = ("base", "row_coeff", "col_coeff")
 
+# An integer or a fraction a/b.  Fraction() alone would also read decimals
+# and exponents, and "1e10000000" would build 10**10**7.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _rational(value: Any, field: str) -> Fraction:
+    """A rational from outside: an int (not a bool) or a string matching
+    ``_RATIONAL``.  Anything else is a ``ParseError`` naming ``field``."""
+    try:
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, str) and _RATIONAL.fullmatch(value)
+        ):
+            raise ValueError("not an integer or a fraction a/b")
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{field} {value!r} is not a rational") from exc
+
 
 def operator_to_dict(a: MatrixOperator) -> dict[str, Any]:
     if isinstance(a, BlockOperator):
@@ -175,7 +193,7 @@ def operator_from_dict(data: Any) -> MatrixOperator:
         return block
     decay = data["decay"]
     cert = DecayCertificate(
-        *(Fraction(str(decay.get(k, 0))) for k in _AFFINE_FIELDS),
+        *(_rational(decay.get(k, 0), f"decay.{k}") for k in _AFFINE_FIELDS),
         decay.get("support", "all"),
     )
     return GeneratorOperator(block, cert)

@@ -36,10 +36,12 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import BasisRotation, PVector, _scalar_of_magnitude, basis_vector, inner_product
+from .padic import _number
 from .quadext import (
     ExtensionContext,
     Magnitude,
     QuadExtElement,
+    _conj,
     _dot,
     _lhs_coords,
     _mul_add,
@@ -269,10 +271,10 @@ def _rank_one_sum(
 
     Each entry collects only its nonzero contributions w * (e[m] conj(f[n]))
     and is summed once, so the sum truncates once per entry.  It runs on
-    integer coordinates: e[m] conj(f[n]) is ``quadext._mul_add``, one
-    closed ``_residue`` term, and each entry is one ``quadext._dot`` with
-    the w as left factors, with the digits of ``quad_sum`` over the scalar
-    products.
+    integer coordinates: conj(f[n]) is ``quadext._conj`` of its coordinates,
+    e[m] conj(f[n]) is ``quadext._mul_add``, one closed ``_residue`` term,
+    and each entry is one ``quadext._dot`` with the w as left factors, with
+    the digits of ``quad_sum`` over the scalar products.
     """
     base = context.base
     cells: dict[tuple[int, int], list] = {}
@@ -280,7 +282,7 @@ def _rank_one_sum(
         if max(e.support() + f.support(), default=1) > dim:
             raise DimensionMismatch("dim does not cover the supports")
         x = _lhs_coords(w)
-        f_conj = [(n, _rhs_coords(fn.conj())) for n, fn in f.items()]
+        f_conj = [(n, _conj(base, _rhs_coords(fn))) for n, fn in f.items()]
         for m, em in e.items():
             esc, emac, eac = _lhs_coords(em)
             for n, (fsc, fac) in f_conj:
@@ -562,9 +564,15 @@ def _trace_of_product(a: BlockOperator, b: BlockOperator) -> QuadExtElement:
 
 def hs_inner(s: MatrixOperator, t: MatrixOperator) -> QuadExtElement:
     """Hilbert-Schmidt product tr(adjoint(S) T) on block operators: one sum
-    over the d^2 products conj(S_mn) T_mn, without forming adjoint(S) T."""
+    over the d^2 products conj(S_mn) T_mn, without forming adjoint(S) or
+    adjoint(S) T.  The sum is ``_trace_of_product``'s, with each S_mn
+    conjugated on its coordinates (``quadext._conj``)."""
     _require_block("the Hilbert-Schmidt product", s, t)
-    return _trace_of_product(s.adjoint(), t)
+    s._check(t)
+    d, base = max(s.dim, t.dim), s.context.base
+    xs = [_conj(base, _lhs_coords(x)) for col in zip(*s._padded(d)) for x in col]
+    ys = [_rhs_coords(y) for col in zip(*t._padded(d)) for y in col]
+    return _dot(s.context, xs, ys)
 
 
 def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, QuadExtElement]:
@@ -578,20 +586,20 @@ def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, Q
 # -- unitarity ------------------------------------------------------------------
 
 
-def _gram_is_identity(x: BlockOperator) -> bool:
-    """adjoint(X) X == Id without the product: entry (m, n) is one ``_dot`` of
-    conj(column m) with column n.  For odd p, entry (n, m) is the conjugate of
-    entry (m, n), raises included, so only m <= n is summed; for p = 2, where a
-    mirror can raise alone until cancellation reads only operand values, the
-    square is.  False once an entry differs from Id, else the first raise, else True.
+def _gram_is_identity(ctx: ExtensionContext, rows: list, cols: list) -> bool:
+    """G == Id without forming G, whose entry (m, n) is one ``_dot`` of the
+    ``_lhs_coords`` line ``rows[m]`` with the ``_rhs_coords`` line ``cols[n]``:
+    conj(column m) and column n of U for adjoint(U) U, row m and conj(row n)
+    for U adjoint(U) (``_columns_gram``, ``_rows_gram``).  For odd p, entry
+    (n, m) is the conjugate of entry (m, n), raises included, so only m <= n
+    is summed; for p = 2, where a mirror can raise alone until cancellation
+    reads only operand values, the square is.  False once an entry differs
+    from Id, else the first raise, else True.
     """
-    ctx = x.context
-    rows = [[_lhs_coords(z.conj()) for z in col] for col in zip(*x.rows)]
-    cols = [[_rhs_coords(z) for z in col] for col in zip(*x.rows)]
     one, zero = ctx.one(), ctx.zero()
     exhausted = None
     for m, row in enumerate(rows):
-        for n in range(0 if ctx.p == 2 else m, x.dim):
+        for n in range(0 if ctx.p == 2 else m, len(cols)):
             try:
                 if _dot(ctx, row, cols[n]) != (one if m == n else zero):
                     return False
@@ -602,10 +610,25 @@ def _gram_is_identity(x: BlockOperator) -> bool:
     return True
 
 
+def _columns_gram(u: BlockOperator) -> bool:
+    """adjoint(U) U == Id: entry (m, n) sums conj(U_km) U_kn."""
+    base, cols = u.context.base, list(zip(*u.rows))
+    left = [[_conj(base, _lhs_coords(z)) for z in col] for col in cols]
+    return _gram_is_identity(u.context, left, [[_rhs_coords(z) for z in col] for col in cols])
+
+
+def _rows_gram(u: BlockOperator) -> bool:
+    """U adjoint(U) == Id: entry (m, n) sums U_mk conj(U_nk), the digits of
+    adjoint(X) X for X = adjoint(U), without forming X."""
+    base = u.context.base
+    right = [[_conj(base, _rhs_coords(z)) for z in row] for row in u.rows]
+    return _gram_is_identity(u.context, [[_lhs_coords(z) for z in row] for row in u.rows], right)
+
+
 def is_ip_preserving(u: MatrixOperator) -> bool:
     """Exact check of adjoint(U) U = Id on the declared block."""
     _require_block("inner-product preservation", u)
-    return _gram_is_identity(u)
+    return _columns_gram(u)
 
 
 def is_unitary(u: MatrixOperator) -> bool:
@@ -615,7 +638,7 @@ def is_unitary(u: MatrixOperator) -> bool:
     admits operators of norm p**K > 1.
     """
     _require_block("unitarity", u)
-    return operator_norm(u).is_one and _gram_is_identity(u) and _gram_is_identity(u.adjoint())
+    return operator_norm(u).is_one and _columns_gram(u) and _rows_gram(u)
 
 
 def four_squares_unit_solution(p: int, k: int) -> tuple[int, int, int, int]:
@@ -686,18 +709,28 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     so the reconstruction reproduces the source at full precision
     (Q_2(sqrt(3)) and Q_2(sqrt(7)) lack such pivots for half-magnitude
     rows; there the mixed uniformizer costs trailing digits).
+
+    Each f_j[n] = conj(lambda_j^-1 z) is formed on coordinate triples: the
+    two ``quadext._mul_add`` terms of ``QuadExtElement.__mul__``, then
+    ``quadext._conj``, with the product's digits, prec and raises.
     """
     _require_block("decomposition", c)
+    ctx, base = c.context, c.context.base
     terms = []
     for m, row in enumerate(c.rows, 1):
         nonzero = [(n, z) for n, z in enumerate(row, 1) if not z.is_zero]
         if not nonzero:
             continue
-        lam = _scalar_of_magnitude(c.context, max_abs(c.context, (z for _, z in nonzero)))
-        lam_inv = lam.inv()
-        f = PVector(c.context, {n: (lam_inv * z).conj() for n, z in nonzero})
-        terms.append((lam, basis_vector(c.context, m), f))
-    return CanonicalDecomposition(c.context, c.dim, tuple(terms))
+        lam = _scalar_of_magnitude(ctx, max_abs(ctx, (z for _, z in nonzero)))
+        xsc, xmac, xac = _lhs_coords(lam.inv())
+        f = {}
+        for n, z in nonzero:
+            ysc, yac = _rhs_coords(z)
+            scaled = _mul_add(base, xsc, ysc, xmac, yac), _mul_add(base, xsc, yac, xac, ysc)
+            sc, ac = _conj(base, scaled)
+            f[n] = QuadExtElement(ctx, _number(base, sc), _number(base, ac))
+        terms.append((lam, basis_vector(ctx, m), PVector(ctx, f)))
+    return CanonicalDecomposition(ctx, c.dim, tuple(terms))
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,14 @@ def _lhs_coords(z: QuadExtElement):
     return sc, (mu.valuation + ac[0], mu.unit * ac[1] % mu.context._power(prec), prec), ac
 
 
+def _conj(base: PadicContext, coords):
+    """``_lhs_coords`` or ``_rhs_coords`` of conj(z) from those of z: every
+    coordinate after sc negated as ``PadicNumber.__neg__`` does, p**k - u."""
+    if coords is None:
+        return None
+    return (coords[0], *[c and (c[0], base._power(c[2]) - c[1], c[2]) for c in coords[1:]])
+
+
 def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
     """sum_k x_k * y_k from ``_lhs_coords`` of the x_k and ``_rhs_coords``
     of the y_k, digit for digit ``quad_sum(context, [x * y ...])``.

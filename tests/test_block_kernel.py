@@ -6,7 +6,9 @@ whose digits could depend on their terms one by one.
 ``operators._trace_of_product``, ``BlockOperator.apply`` and the rank-one
 sums (``operators._rank_one_sum``: decomposition reconstructions,
 ``factor_trace_class``, ``rank_one``) sum their products on integer
-coordinates with ``quadext._dot``.  Each must give
+coordinates with ``quadext._dot``; ``canonical_decomposition``, ``hs_inner``
+and ``inner_product`` scale and conjugate on those coordinates too
+(``quadext._mul_add``, ``quadext._conj``).  Each must give
 the digits of the scalar route written out below, ``quad_sum`` over the
 ``QuadExtElement`` products, in every case: the same (valuation, unit,
 prec) on both coordinates of every entry, or the same error type and
@@ -57,10 +59,11 @@ from padicqm.errors import (
     RequiresOddP,
     SearchExhausted,
 )
+from padicqm.hilbert import _scalar_of_magnitude, basis_vector, inner_product
 from padicqm.operators import _hermitian, _trace_of_product
 from padicqm.padic import PadicContext
 from padicqm import quadext
-from padicqm.quadext import ExtensionContext, _dot, _lhs_coords, _residue, _rhs_coords, quad_sum
+from padicqm.quadext import ExtensionContext, _dot, _lhs_coords, _residue, _rhs_coords, max_abs, quad_sum
 
 PRECISION = 5  # a low cap makes cancellations and exhausted sums common
 
@@ -138,8 +141,21 @@ def _scalar_rank_one_sum(ctx, dim, terms):
     return [[quad_sum(ctx, cells.get((m, n), [])) for n in d] for m in d]
 
 
+def _scalar_canonical_terms(c):
+    """``canonical_decomposition``'s terms with f[n] = (lam.inv() * z).conj()."""
+    ctx, terms = c.context, []
+    for m, row in enumerate(c.rows, 1):
+        nonzero = [(n, z) for n, z in enumerate(row, 1) if not z.is_zero]
+        if nonzero:
+            lam = _scalar_of_magnitude(ctx, max_abs(ctx, (z for _, z in nonzero)))
+            lam_inv = lam.inv()
+            f = PVector(ctx, {n: (lam_inv * z).conj() for n, z in nonzero})
+            terms.append((lam, basis_vector(ctx, m), f))
+    return terms
+
+
 def _scalar_factor(r):
-    terms = canonical_decomposition(r).terms
+    terms = _scalar_canonical_terms(r)
     one = r.context.one()
     return [
         _scalar_rank_one_sum(r.context, r.dim, [(lam, e, e) for lam, e, _ in terms]),
@@ -189,8 +205,7 @@ def _compare_rank_one_sums(a, h, v, w):
     ctx = a.context
 
     def canonical():
-        c = canonical_decomposition(a)
-        return _scalar_rank_one_sum(ctx, c.dim, c.terms)
+        return _scalar_rank_one_sum(ctx, a.dim, _scalar_canonical_terms(a))
 
     def symmetric():
         c = symmetric_decomposition(h)
@@ -604,7 +619,8 @@ def test_kernel_callers_form_no_scalar_product(monkeypatch):
         lambda: (is_ip_preserving(u), is_ip_preserving(s)),
         lambda: (is_unitary(u), is_unitary(s)),
     ]
-    # these decompose first, with scalar products; their rank-one sums form none
+    # these decompose first, inverting each pivot with base-field products;
+    # their rank-one sums form none
     composed = [
         lambda: [_rows(x.rows) for x in factor_trace_class(s)],
         lambda: [_rows(e.rows) for e in sovm_from_symmetric_decomposition(state).effects],
@@ -866,3 +882,156 @@ def test_a_gram_entry_for_p2_can_raise_where_its_mirror_does_not():
     with pytest.raises(PrecisionExhausted):
         _gram_entry(ctx, [a], [b])
     assert _digits(_gram_entry(ctx, [b], [a])) == ((1, 1, 1), (None, 0, PRECISION))
+
+
+# -- conjugation and pivot scaling on coordinate triples ------------------------
+#
+# canonical_decomposition scales by the pivot and conjugates on triples
+# (quadext._mul_add, quadext._conj); the rank-one sums, hs_inner,
+# inner_product and both Gram checks of is_unitary conjugate on triples and
+# form no adjoint.  Each is pinned to the scalar route written out here.
+
+
+def _terms_view(terms):
+    return [(_digits(lam), e.support(), _vector(dict(f.items()))) for lam, e, f in terms]
+
+
+def _scalar_hs_inner(s, t):
+    d = range(1, max(s.dim, t.dim) + 1)
+    return _scalar_dot(s.context, [s.entry(m, n).conj() for m in d for n in d], [t.entry(m, n) for m in d for n in d])
+
+
+def _scalar_inner_product(u, v):
+    return _scalar_dot(u.context, [z.conj() for _, z in u.items()], [v.entry(i) for i, _ in u.items()])
+
+
+def _scalar_scan(ctx, left, right):
+    """The Gram checks' rule on the scalar route: entry (m, n) is ``quad_sum``
+    over left[m][k] * right[n][k], scanned over m <= n for odd p and the
+    square for p = 2; False at the first entry known to differ from Id, else
+    the first raise, else True."""
+    exhausted = None
+    for m, row in enumerate(left):
+        for n in range(0 if ctx.p == 2 else m, len(right)):
+            try:
+                if _scalar_dot(ctx, row, right[n]) != (ctx.one() if m == n else ctx.zero()):
+                    return False
+            except PrecisionExhausted as exc:
+                exhausted = exhausted or exc
+    if exhausted:
+        raise exhausted
+    return True
+
+
+def _scalar_unitarity(u):
+    """(is_ip_preserving, is_unitary) on the scalar route: adjoint(U) U from
+    conj(column m) and column n, U adjoint(U) from row m and conj(row n)."""
+    ctx, cols = u.context, list(zip(*u.rows))
+    ip = lambda: _scalar_scan(ctx, [[z.conj() for z in c] for c in cols], cols)
+    rows = lambda: _scalar_scan(ctx, u.rows, [[z.conj() for z in r] for r in u.rows])
+    return ip, lambda: operator_norm(u).is_one and ip() and rows()
+
+
+def _short_block(rng: random.Random, ctx: ExtensionContext, d: int) -> BlockOperator:
+    """Entries with 1 to ``precision`` digits, exact-zero coordinates and
+    entries, and some zero rows.  In half the blocks both coordinates of an
+    entry share one valuation: half magnitudes where mu is ramified, which
+    Q_2(sqrt(3)) and Q_2(sqrt(7)) scale by the mixed uniformizer."""
+    even, zero_row = rng.random() < 0.5, rng.random() < 0.3
+
+    def entry():
+        z = _element(rng, ctx)
+        if even and not (z.sc.is_zero or z.ac.is_zero):
+            z = replace(z, ac=replace(z.ac, valuation=z.sc.valuation))
+        return z
+
+    return BlockOperator(ctx, [[ctx.zero() if zero_row and m == d - 1 else entry() for _ in range(d)] for m in range(d)])
+
+
+def _compare_triple_routes(rng: random.Random, ctx: ExtensionContext, d: int):
+    """Every route of this section on one d-by-d operand against the scalar
+    route; the expected outcomes."""
+    a, b = _short_block(rng, ctx, d), _short_block(rng, ctx, rng.randint(1, 8))
+    u, v = (PVector(ctx, {n: _element(rng, ctx) for n in rng.sample(range(1, 9), rng.randint(0, 8))}) for _ in range(2))
+    ip, unitary = _scalar_unitarity(a)
+    cases = [
+        (lambda: canonical_decomposition(a).terms, lambda: _scalar_canonical_terms(a), _terms_view),
+        (lambda: canonical_decomposition(a).reconstruct().rows, lambda: _scalar_rank_one_sum(ctx, d, _scalar_canonical_terms(a)), _rows),
+        (lambda: [x.rows for x in factor_trace_class(a)], lambda: _scalar_factor(a), _pair_of_rows),
+        (lambda: hs_inner(a, b), lambda: _scalar_hs_inner(a, b), _digits),
+        (lambda: hs_inner(b, a), lambda: _scalar_hs_inner(b, a), _digits),
+        (lambda: inner_product(u, v), lambda: _scalar_inner_product(u, v), _digits),
+        (lambda: is_ip_preserving(a), ip, bool),
+        (lambda: is_unitary(a), unitary, bool),
+    ]
+    outcomes = []
+    for kernel, scalar, view in cases:
+        got, expected = _outcome(kernel, view), _outcome(scalar, view)
+        assert got == expected
+        outcomes.append(expected)
+    return outcomes
+
+
+def test_triple_routes_match_the_scalar_route_on_a_seeded_sweep():
+    rng = random.Random(33)
+    raised = valued = 0
+    for ctx in CONTEXTS:
+        # the mixed-uniformizer pivot is where a decomposition can raise
+        mixed = ctx.p == 2 and ctx.mu_class in (3, 7)
+        for d in [*range(1, 9)] * (4 if mixed else 1):
+            for o in _compare_triple_routes(rng, ctx, d):
+                is_raise = isinstance(o, tuple) and o[0] == "raised"
+                raised += is_raise
+                valued += not is_raise
+    assert raised > 100 and valued > 1000
+
+
+def test_unitarity_checks_match_the_scalar_scan_up_to_size_8():
+    # butterflies and their cuts reach both verdicts and the raises deep in
+    # the scan, which random blocks refute at the first entry
+    rng = random.Random(34)
+    seen = set()
+    for ctx in CONTEXTS:
+        for d in range(1, 9):
+            try:
+                u = _butterfly(ctx, d)
+            except PrecisionExhausted:
+                continue
+            for x in (u, u.scale(ctx.from_base(PadicNumber(ctx.base, -1, 1, ctx.base.precision))), _cut(rng, u), _cut(rng, u)):
+                for check, scalar in zip((is_ip_preserving, is_unitary), _scalar_unitarity(x)):
+                    got, expected = _outcome(lambda: check(x), bool), _outcome(scalar, bool)
+                    assert got == expected
+                    seen.add((ctx.p == 2, expected if isinstance(expected, bool) else expected[1]))
+    assert seen == {(p2, o) for p2 in (False, True) for o in (True, False, "PrecisionExhausted")}
+
+
+@pytest.mark.parametrize("p, mu", [(3, 5), (2, 3)], ids=["p3-mu5", "p2-mu3"])
+def test_triple_routes_form_no_scalar_product_conjugate_or_adjoint(monkeypatch, p, mu):
+    ctx = helpers.ext_ctx(p, mu, 20)
+    rng = random.Random(35)
+
+    def even(v):
+        # sc and ac of one valuation: half magnitudes in Q_2(sqrt(3)), whose
+        # pivot is the mixed uniformizer
+        return QuadExtElement(ctx, replace(_full(rng, ctx.base), valuation=v), replace(_full(rng, ctx.base), valuation=v))
+
+    # a block of the benchmark's shape, and one of half magnitudes
+    s = _gen_block(rng, ctx, 8)
+    t = BlockOperator(ctx, [[even(rng.randint(-1, 1)) for _ in range(8)] for _ in range(8)])
+    assert all(lam.ac.is_zero == (p == 3) for lam, _, _ in canonical_decomposition(t).terms)
+    u, v = (PVector(ctx, dict(enumerate(row, 1))) for row in t.rows[:2])
+    w = _butterfly(ctx, 8)
+    calls = [
+        lambda: [_terms_view(canonical_decomposition(x).terms) for x in (s, t)],
+        lambda: [_rows(canonical_decomposition(x).reconstruct().rows) for x in (s, t)],
+        lambda: [_pair_of_rows([y.rows for y in factor_trace_class(x)]) for x in (s, t)],
+        lambda: [_digits(hs_inner(s, t)), _digits(hs_inner(t, s))],
+        lambda: [is_ip_preserving(x) for x in (w, s)],
+        lambda: [is_unitary(x) for x in (w, s)],
+        lambda: _digits(inner_product(u, v)),
+    ]
+    expected = [_outcome(call, lambda x: x) for call in calls]
+    assert expected[4] == expected[5] == [True, False]
+    for owner, name in ((QuadExtElement, "__mul__"), (QuadExtElement, "conj"), (BlockOperator, "adjoint")):
+        monkeypatch.setattr(owner, name, _refuse)
+    assert [_outcome(call, lambda x: x) for call in calls] == expected

@@ -357,6 +357,18 @@ def test_sqrt_of_a_value_that_is_not_a_rational_is_a_parse_error(capsys, value):
     assert f"value {value!r} is not a rational" in err
 
 
+def test_classify_of_a_decay_base_that_is_not_a_rational_is_a_parse_error(tmp_path, capsys):
+    data = operator_to_dict(GeneratorOperator(identity(E35, 2), affine_certificate(0, 0, 0)))
+    data["decay"]["base"] = "-1e1000000"
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(data))
+    t0 = perf_counter()
+    code, out, err = run(capsys, "classify", str(path))
+    assert perf_counter() - t0 < 1  # refused before 10**10**6 is built
+    assert code == 3 and out == ""
+    assert "decay.base '-1e1000000' is not a rational" in err
+
+
 @pytest.mark.parametrize("sovm", [{"effects": 5}, [1]], ids=["effects-int", "list"])
 def test_pair_on_a_malformed_sovm_file_is_a_parse_error(tmp_path, capsys, sovm):
     state = make_statistical(diagonal(E35, [E35.one()]))

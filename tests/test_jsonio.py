@@ -113,6 +113,25 @@ def test_generator_window_must_match_the_entry_grid():
         operator_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("base", "-7"), ("row_coeff", 7), ("col_coeff", "+3/4"), ("row_coeff", "0/5")]
+)
+def test_decay_fields_read_ints_and_fractions(field, value):
+    data = operator_to_dict(GeneratorOperator(identity(E35, 2), affine_certificate(-100, 0, 0)))
+    data["decay"][field] = value
+    assert getattr(operator_from_dict(data).certificate, field) == Fraction(value)
+
+
+@pytest.mark.parametrize(
+    "value", [True, 0.5, "1.5", "1e3", "-1e1000000", " 1", "1/0", "1/-2", "", None, [1], "\uff11"]
+)
+def test_a_decay_field_that_is_not_a_rational_is_a_parse_error_naming_it(value):
+    data = operator_to_dict(GeneratorOperator(identity(E35, 2), affine_certificate(0, 0, 0)))
+    data["decay"]["col_coeff"] = value
+    with pytest.raises(ParseError, match=r"decay\.col_coeff .* is not a rational"):
+        operator_from_dict(data)
+
+
 def test_classification_report_shape():
     report = classification_to_dict(classify(rank_one(basis_vector(E35, 1), basis_vector(E35, 2), 2)))
     assert report["self_adjoint"] == {
