@@ -11,9 +11,10 @@ a diagonal block times a dense one (the S T shape of
 ``factor_trace_class``), ``hs_inner``, ``canonical_decomposition`` alone
 and its round trip (``reconstruct`` of ``canonical_decomposition``),
 ``factor_trace_class`` and ``operator_norm`` (d = 16, or ``--max-dim``
-when smaller), and so is the
+when smaller), and so are the
 unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
-butterfly of ``rotation_on_pairs`` stages at that size.  The JSON wire
+butterfly of ``rotation_on_pairs`` stages at that size and
+``is_orthonormal_system`` on the butterfly's columns.  The JSON wire
 is timed on the same block: ``operator_from_dict`` of its dict in
 microseconds per entry, and ``jsonio.dumps`` of that dict in microseconds
 per KB (1000 bytes) of text.  Each figure is the fastest of ``--repeat``
@@ -35,6 +36,7 @@ from padicqm import (  # noqa: E402
     ExtensionContext,
     PadicContext,
     PadicNumber,
+    PVector,
     QuadExtElement,
     canonical_decomposition,
     diagonal,
@@ -43,6 +45,7 @@ from padicqm import (  # noqa: E402
     hs_inner,
     identity,
     is_ip_preserving,
+    is_orthonormal_system,
     is_unitary,
     operator_norm,
     rotation_on_pairs,
@@ -140,6 +143,8 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     out[f"operator_norm.d{d}_ms"] = _best(lambda: operator_norm(s), repeat) * 1e3
     u = _butterfly(ext, d)
     out[f"unitarity.d{d}_ms"] = _best(lambda: (is_unitary(u), is_ip_preserving(u)), repeat) * 1e3
+    cols = [PVector(ext, dict(enumerate(col, 1))) for col in zip(*u.rows)]
+    out[f"orthonormal.d{d}_ms"] = _best(lambda: is_orthonormal_system(cols), repeat) * 1e3
     wire = operator_to_dict(s)
     out["jsonio.parse_us_per_element"] = (
         _best(lambda: operator_from_dict(wire), repeat) * 1e6 / (d * d)

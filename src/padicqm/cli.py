@@ -60,8 +60,8 @@ def cmd_field(args: argparse.Namespace) -> Any:
         "square_class": context.mu_class,
         "square_class_name": _square_class_name(context),
         "ramified": context.is_ramified(),
-        "isotropy_index": hilbert.isotropy_index(context),
-        "isotropic_witness": jsonio.vector_to_dict(witness) if witness else None,
+        "isotropy_index": len(witness.support()),
+        "isotropic_witness": jsonio.vector_to_dict(witness),
         "extension_count": 7 if context.base.p == 2 else 3,
     }
     if context.base.p != 2:

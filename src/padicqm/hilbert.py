@@ -27,6 +27,7 @@ from .quadext import (
     QuadExtElement,
     _conj,
     _dot,
+    _gram_is_identity,
     _lhs_coords,
     _rhs_coords,
     max_abs,
@@ -231,12 +232,7 @@ def is_norm_orthogonal(vectors: list[PVector]) -> bool:
     Each vector is scaled to norm 1 and the residue rows are tested for
     linear independence over the residue field.  Zero vectors fail.
     """
-    if not vectors:
-        raise EmptyFamily("need at least one vector")
-    ctx = vectors[0].context
-    for v in vectors:
-        if v.context != ctx:
-            raise ContextMismatch("vectors from different extensions")
+    ctx = _family_context(vectors)
     if any(v.is_zero for v in vectors):
         return False
     fld = residue_field(ctx)
@@ -270,20 +266,27 @@ def _rank(fld: _ResidueField, rows: list[list[tuple[int, int]]]) -> int:
     return rank
 
 
-def is_orthonormal_system(vectors: list[PVector]) -> bool:
-    """Norm-orthogonal, all norms 1, and pairwise inner products delta_ij."""
+def _family_context(vectors: list[PVector]) -> ExtensionContext:
+    """The one context of a nonempty family of vectors."""
     if not vectors:
         raise EmptyFamily("need at least one vector")
     ctx = vectors[0].context
-    one = ctx.one()
-    for a, va in enumerate(vectors):
-        if not sup_norm(va).is_one:
-            return False
-        for b, vb in enumerate(vectors):
-            expected = one if a == b else ctx.zero()
-            if inner_product(va, vb) != expected:
-                return False
-    return is_norm_orthogonal(vectors)
+    if any(v.context != ctx for v in vectors):
+        raise ContextMismatch("vectors from different extensions")
+    return ctx
+
+
+def is_orthonormal_system(vectors: list[PVector]) -> bool:
+    """All norms 1, inner products delta_ab, and norm-orthogonal.  The inner
+    products are one Gram scan (``quadext._gram_is_identity``) of the vectors
+    over their joint support: False once one differs, else the first raise."""
+    ctx = _family_context(vectors)
+    if not all(sup_norm(v).is_one for v in vectors):
+        return False
+    base, support = ctx.base, sorted({i for v in vectors for i in v.support()})
+    left = [[_conj(base, _lhs_coords(v.entry(i))) for i in support] for v in vectors]
+    right = [[_rhs_coords(v.entry(i)) for i in support] for v in vectors]
+    return _gram_is_identity(ctx, left, right) and is_norm_orthogonal(vectors)
 
 
 # -- basis rotations ----------------------------------------------------------

@@ -29,24 +29,24 @@ from .errors import (
     NotSelfAdjoint,
     NotTraceClass,
     OutsideWindow,
-    PrecisionExhausted,
     RequiresOddP,
     SearchExhausted,
     TailDominates,
     ValidationError,
 )
 from .hilbert import BasisRotation, PVector, _scalar_of_magnitude, basis_vector, inner_product
-from .padic import _number
 from .quadext import (
     ExtensionContext,
     Magnitude,
     QuadExtElement,
     _conj,
     _dot,
+    _element,
+    _gram_is_identity,
     _lhs_coords,
-    _mul_add,
     _product,
     _rhs_coords,
+    _times,
     max_abs,
     quad_sum,
 )
@@ -272,9 +272,9 @@ def _rank_one_sum(
     Each entry collects only its nonzero contributions w * (e[m] conj(f[n]))
     and is summed once, so the sum truncates once per entry.  It runs on
     integer coordinates: conj(f[n]) is ``quadext._conj`` of its coordinates,
-    e[m] conj(f[n]) is ``quadext._mul_add``, one closed ``_residue`` term,
-    and each entry is one ``quadext._dot`` with the w as left factors, with
-    the digits of ``quad_sum`` over the scalar products.
+    e[m] conj(f[n]) is ``quadext._times``, and each entry is one
+    ``quadext._dot`` with the w as left factors, with the digits of
+    ``quad_sum`` over the scalar products.
     """
     base = context.base
     cells: dict[tuple[int, int], list] = {}
@@ -284,10 +284,9 @@ def _rank_one_sum(
         x = _lhs_coords(w)
         f_conj = [(n, _conj(base, _rhs_coords(fn))) for n, fn in f.items()]
         for m, em in e.items():
-            esc, emac, eac = _lhs_coords(em)
-            for n, (fsc, fac) in f_conj:
-                y = (_mul_add(base, esc, fsc, emac, fac), _mul_add(base, esc, fac, eac, fsc))
-                cells.setdefault((m, n), []).append((x, y))
+            ex = _lhs_coords(em)
+            for n, fy in f_conj:
+                cells.setdefault((m, n), []).append((x, _times(base, ex, fy)))
     zero = context.zero()
     return BlockOperator(
         context,
@@ -586,30 +585,6 @@ def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, Q
 # -- unitarity ------------------------------------------------------------------
 
 
-def _gram_is_identity(ctx: ExtensionContext, rows: list, cols: list) -> bool:
-    """G == Id without forming G, whose entry (m, n) is one ``_dot`` of the
-    ``_lhs_coords`` line ``rows[m]`` with the ``_rhs_coords`` line ``cols[n]``:
-    conj(column m) and column n of U for adjoint(U) U, row m and conj(row n)
-    for U adjoint(U) (``_columns_gram``, ``_rows_gram``).  For odd p, entry
-    (n, m) is the conjugate of entry (m, n), raises included, so only m <= n
-    is summed; for p = 2, where a mirror can raise alone until cancellation
-    reads only operand values, the square is.  False once an entry differs
-    from Id, else the first raise, else True.
-    """
-    one, zero = ctx.one(), ctx.zero()
-    exhausted = None
-    for m, row in enumerate(rows):
-        for n in range(0 if ctx.p == 2 else m, len(cols)):
-            try:
-                if _dot(ctx, row, cols[n]) != (one if m == n else zero):
-                    return False
-            except PrecisionExhausted as exc:
-                exhausted = exhausted or exc
-    if exhausted:
-        raise exhausted
-    return True
-
-
 def _columns_gram(u: BlockOperator) -> bool:
     """adjoint(U) U == Id: entry (m, n) sums conj(U_km) U_kn."""
     base, cols = u.context.base, list(zip(*u.rows))
@@ -710,9 +685,9 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     (Q_2(sqrt(3)) and Q_2(sqrt(7)) lack such pivots for half-magnitude
     rows; there the mixed uniformizer costs trailing digits).
 
-    Each f_j[n] = conj(lambda_j^-1 z) is formed on coordinate triples: the
-    two ``quadext._mul_add`` terms of ``QuadExtElement.__mul__``, then
-    ``quadext._conj``, with the product's digits, prec and raises.
+    Each f_j[n] = conj(lambda_j^-1 z) is formed on coordinate triples,
+    ``quadext._times`` then ``quadext._conj``, with the digits, prec and
+    raises of the scalar product.
     """
     _require_block("decomposition", c)
     ctx, base = c.context, c.context.base
@@ -722,13 +697,8 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
         if not nonzero:
             continue
         lam = _scalar_of_magnitude(ctx, max_abs(ctx, (z for _, z in nonzero)))
-        xsc, xmac, xac = _lhs_coords(lam.inv())
-        f = {}
-        for n, z in nonzero:
-            ysc, yac = _rhs_coords(z)
-            scaled = _mul_add(base, xsc, ysc, xmac, yac), _mul_add(base, xsc, yac, xac, ysc)
-            sc, ac = _conj(base, scaled)
-            f[n] = QuadExtElement(ctx, _number(base, sc), _number(base, ac))
+        x = _lhs_coords(lam.inv())
+        f = {n: _element(ctx, _conj(base, _times(base, x, _rhs_coords(z)))) for n, z in nonzero}
         terms.append((lam, basis_vector(ctx, m), PVector(ctx, f)))
     return CanonicalDecomposition(ctx, c.dim, tuple(terms))
 

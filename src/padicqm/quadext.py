@@ -15,7 +15,7 @@ from operator import add, mul
 from typing import Iterable
 
 from . import padic
-from .errors import ContextMismatch, DivisionByZero, MuIsSquare, ValidationError
+from .errors import ContextMismatch, DivisionByZero, MuIsSquare, PrecisionExhausted, ValidationError
 from .padic import PadicContext, PadicNumber
 
 
@@ -310,11 +310,49 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
         t = _residue(base, xsc, yac, xac, ysc)
         if t is not None:
             ac_terms.append(t)
-    return QuadExtElement(
-        context,
-        padic._number(base, padic._sum_triples(base, sc_terms)),
-        padic._number(base, padic._sum_triples(base, ac_terms)),
+    sc, ac = padic._sum_triples(base, sc_terms), padic._sum_triples(base, ac_terms)
+    return _element(context, (sc, ac))
+
+
+def _element(context: ExtensionContext, coords) -> QuadExtElement:
+    """The element whose ``_rhs_coords`` pair is coords."""
+    base, (sc, ac) = context.base, coords
+    return QuadExtElement(context, padic._number(base, sc), padic._number(base, ac))
+
+
+def _times(base: PadicContext, x, y):
+    """The ``_rhs_coords`` pair of x*y from nonzero ``_lhs_coords`` x and
+    ``_rhs_coords`` y, as ``QuadExtElement.__mul__`` gives it: each
+    coordinate one ``_residue`` term, closed as a sum of one term."""
+    (xsc, xmac, xac), (ysc, yac) = x, y
+    sc, ac = _residue(base, xsc, ysc, xmac, yac), _residue(base, xsc, yac, xac, ysc)
+    return (
+        sc and padic._truncate(base, sc[0], sc[0] + sc[2], sc[1]),
+        ac and padic._truncate(base, ac[0], ac[0] + ac[2], ac[1]),
     )
+
+
+def _gram_is_identity(ctx: ExtensionContext, rows: list, cols: list) -> bool:
+    """G == Id without forming G, whose entry (m, n) is one ``_dot`` of the
+    ``_lhs_coords`` line ``rows[m]`` with the ``_rhs_coords`` line ``cols[n]``:
+    the Gram matrices of unitarity and of an orthonormal system.  For odd p,
+    entry (n, m) is the conjugate of entry (m, n), raises included, so only
+    m <= n is summed; for p = 2, where a mirror can raise alone until
+    cancellation reads only operand values, the square is.  False once an
+    entry differs from Id, else the first raise, else True.
+    """
+    one, zero = ctx.one(), ctx.zero()
+    exhausted = None
+    for m, row in enumerate(rows):
+        for n in range(0 if ctx.p == 2 else m, len(cols)):
+            try:
+                if _dot(ctx, row, cols[n]) != (one if m == n else zero):
+                    return False
+            except PrecisionExhausted as exc:
+                exhausted = exhausted or exc
+    if exhausted:
+        raise exhausted
+    return True
 
 
 def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]]:
@@ -338,7 +376,7 @@ def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]
         [
             _dot(context, rows[m], cols[n])
             if s is _TERMS or a is _TERMS
-            else QuadExtElement(context, padic._number(base, s), padic._number(base, a))
+            else _element(context, (s, a))
             for n, (s, a) in enumerate(zip(srow, arow))
         ]
         for m, (srow, arow) in enumerate(zip(sc, ac))
@@ -436,7 +474,7 @@ def _residue(base: PadicContext, a, b, c, d):
     and a symmetric residue scales with a power of p.  r is 0 only when
     v1 == v2; then the scalar route's reduced, lifted two-product sum goes
     to ``padic._truncate``, which drops it or raises.  The one two-product
-    rule: ``_mul_add`` closes a single term."""
+    rule: ``_times`` closes a single term."""
     if a is None or b is None:
         if c is None or d is None:
             return None
@@ -465,10 +503,3 @@ def _residue(base: PadicContext, a, b, c, d):
     s = (u1 - m1 if u1 > m1 >> 1 else u1) + (u2 - m2 if u2 > m2 >> 1 else u2)
     return padic._truncate(base, v, v + k, s)
 
-
-def _mul_add(base: PadicContext, a, b, c, d):
-    """a*b + c*d on coordinate triples, as ``PadicNumber`` computes it: the
-    ``_residue`` term, closed as a sum of one term (``_rank_one_sum``
-    builds e[m] conj(f[n]) with it)."""
-    t = _residue(base, a, b, c, d)
-    return None if t is None else padic._truncate(base, t[0], t[0] + t[2], t[1])

@@ -199,10 +199,7 @@ def simple_statistical(
 
 def zero_trace_perturb(s: StatisticalOperator, t: BlockOperator) -> StatisticalOperator:
     """s + t for a self-adjoint zero-trace t; the result stays statistical."""
-    _require_self_adjoint(t)
-    if not trace(t).is_zero:
-        raise TraceNotZero("perturbation must have trace 0")
-    return make_statistical(s.op + t)
+    return make_statistical(s.op + make_zero_trace(t).op)
 
 
 def split_zero_trace(s: StatisticalOperator) -> tuple[ZeroTraceOperator, StatisticalOperator]:

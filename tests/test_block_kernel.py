@@ -8,7 +8,7 @@ sums (``operators._rank_one_sum``: decomposition reconstructions,
 ``factor_trace_class``, ``rank_one``) sum their products on integer
 coordinates with ``quadext._dot``; ``canonical_decomposition``, ``hs_inner``
 and ``inner_product`` scale and conjugate on those coordinates too
-(``quadext._mul_add``, ``quadext._conj``).  Each must give
+(``quadext._times``, ``quadext._conj``).  Each must give
 the digits of the scalar route written out below, ``quad_sum`` over the
 ``QuadExtElement`` products, in every case: the same (valuation, unit,
 prec) on both coordinates of every entry, or the same error type and
@@ -16,6 +16,9 @@ message.  Nothing is skipped.  The unitarity checks (``is_ip_preserving``,
 ``is_unitary``) sum the entries of adjoint(U) U one by one and stop at one
 known to differ from Id: they must give the product route's verdict
 wherever it gives one, and refute only on such an entry where it raises.
+``is_orthonormal_system`` runs the same scan on the Gram matrix of its
+vectors and is held to the double loop of ``inner_product`` calls it
+replaced in the same way.
 """
 
 import math
@@ -40,6 +43,7 @@ from padicqm import (
     hs_inner,
     identity,
     is_ip_preserving,
+    is_orthonormal_system,
     is_unitary,
     make_sovm,
     make_statistical,
@@ -59,7 +63,13 @@ from padicqm.errors import (
     RequiresOddP,
     SearchExhausted,
 )
-from padicqm.hilbert import _scalar_of_magnitude, basis_vector, inner_product
+from padicqm.hilbert import (
+    _scalar_of_magnitude,
+    basis_vector,
+    inner_product,
+    is_norm_orthogonal,
+    sup_norm,
+)
 from padicqm.operators import _hermitian, _trace_of_product
 from padicqm.padic import PadicContext
 from padicqm import quadext
@@ -855,6 +865,76 @@ def test_a_gram_entry_known_to_differ_refutes_where_the_product_raises():
     assert is_ip_preserving(x) is False and is_unitary(x) is False
 
 
+def _double_loop_orthonormal(vectors):
+    """``is_orthonormal_system`` as it was: vector by vector, False at a norm
+    other than 1 or an inner product that differs from delta_ab, a raise at
+    the first one that raises, then ``is_norm_orthogonal``."""
+    one, zero = vectors[0].context.one(), vectors[0].context.zero()
+    for a, va in enumerate(vectors):
+        if not sup_norm(va).is_one:
+            return False
+        for b, vb in enumerate(vectors):
+            if inner_product(va, vb) != (one if a == b else zero):
+                return False
+    return is_norm_orthogonal(vectors)
+
+
+def _family_refutes(vectors) -> bool:
+    """A norm other than 1, or an inner product known to differ from delta_ab."""
+    one, zero = vectors[0].context.one(), vectors[0].context.zero()
+
+    def differs(a, b):
+        try:
+            return inner_product(vectors[a], vectors[b]) != (one if a == b else zero)
+        except PrecisionExhausted:
+            return False
+
+    r = range(len(vectors))
+    return any(not sup_norm(v).is_one for v in vectors) or any(differs(a, b) for a in r for b in r)
+
+
+def test_orthonormal_systems_match_the_double_loop_on_a_seeded_sweep():
+    # the columns and the rows of the unitarity sweep's blocks, and the
+    # columns with a last vector of norm 1/p, which refutes only after the
+    # others' inner products
+    rng = random.Random(31)
+    seen = {}
+    for ctx in CONTEXTS:
+        shrink = ctx.from_base(ctx.base.from_int(ctx.p))
+        for u in _unitarity_inputs(rng, ctx):
+            cols = [PVector(ctx, dict(enumerate(col, 1))) for col in zip(*u.rows)]
+            rows = [PVector(ctx, dict(enumerate(row, 1))) for row in u.rows]
+            for family in (cols, rows, cols + [cols[0].scale(shrink)]):
+                expected = _outcome(lambda: _double_loop_orthonormal(family), bool)
+                got = _outcome(lambda: is_orthonormal_system(family), bool)
+                if isinstance(expected, bool):
+                    assert got == expected
+                elif got is False:
+                    assert _family_refutes(family)
+                else:
+                    assert got[:2] == expected[:2]
+                verdicts = [x if isinstance(x, bool) else x[0] for x in (expected, got)]
+                key = (ctx.p == 2, *verdicts)
+                seen[key] = seen.get(key, 0) + 1
+    for p2 in (False, True):
+        # both verdicts, a raise, and a double-loop raise that the scan refutes
+        assert seen[p2, True, True] > 100 and seen[p2, False, False] > 100
+        assert seen[p2, "raised", "raised"] > 100 and seen[p2, "raised", False] > 50
+
+
+def test_an_orthonormal_check_refutes_where_the_double_loop_raised():
+    # <v1, v1> = 1 + 1 - 2 * 36 vanishes at its one known digit, so the double
+    # loop raises at its first entry; <v1, v2> = 1 is known to differ from 0
+    ctx = helpers.ext_ctx(5, 2, PRECISION)
+    f = ctx.base.from_digits
+    x = QuadExtElement(ctx, f(0, [1, 0]), f(0, [1, 1]))
+    v1 = PVector(ctx, {1: ctx.from_base(f(0, [1])), 2: x})
+    family = [v1, basis_vector(ctx, 1)]
+    with pytest.raises(PrecisionExhausted):
+        _double_loop_orthonormal(family)
+    assert is_orthonormal_system(family) is False
+
+
 def test_gram_entries_mirror_by_conjugation_for_odd_p():
     # the triangle rule: entry (n, m) is the conjugate of entry (m, n) in
     # valuation, unit and prec on both coordinates, or both raise alike
@@ -887,7 +967,7 @@ def test_a_gram_entry_for_p2_can_raise_where_its_mirror_does_not():
 # -- conjugation and pivot scaling on coordinate triples ------------------------
 #
 # canonical_decomposition scales by the pivot and conjugates on triples
-# (quadext._mul_add, quadext._conj); the rank-one sums, hs_inner,
+# (quadext._times, quadext._conj); the rank-one sums, hs_inner,
 # inner_product and both Gram checks of is_unitary conjugate on triples and
 # form no adjoint.  Each is pinned to the scalar route written out here.
 

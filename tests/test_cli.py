@@ -22,7 +22,7 @@ from padicqm import (
     make_statistical,
     rank_one,
 )
-from padicqm import cli, operators
+from padicqm import cli, hilbert, quadext
 from padicqm.cli import main
 from padicqm.jsonio import operator_to_dict, padic_from_dict, sovm_to_dict
 
@@ -45,6 +45,18 @@ def test_field_report(capsys):
     assert data["isotropy_index"] == 2
     assert data["extension_count"] == 3
     assert data["isotropic_witness"] is not None
+
+
+def test_field_searches_for_its_isotropic_witness_once(capsys, monkeypatch):
+    # the isotropy index is the support of the witness, which is minimal
+    calls, find = [], hilbert.find_isotropic
+    monkeypatch.setattr(hilbert, "find_isotropic", lambda *a: calls.append(a) or find(*a))
+    for p, mu, index in ((3, 5, 2), (3, 3, 3), (2, 7, 3)):
+        code, out, _ = run(capsys, "field", "--p", str(p), "--mu", str(mu))
+        data = json.loads(out)
+        assert code == 0 and data["isotropy_index"] == index
+        assert len(data["isotropic_witness"]["entries"]) == index
+    assert len(calls) == 3
 
 
 def test_field_unramified_two_adic(capsys):
@@ -286,7 +298,7 @@ def test_unitary_check_of_identity_sums_half_gram_matrices(tmp_path, capsys, mon
     path = tmp_path / "id.json"
     path.write_text(json.dumps(operator_to_dict(identity(helpers.ext_ctx(p, mu, 8), 4))))
     products, dots = [], []
-    block_mul, dot = BlockOperator.__mul__, operators._dot
+    block_mul, dot = BlockOperator.__mul__, quadext._dot
 
     def counting_mul(a, b):
         products.append((a.dim, b.dim))
@@ -297,7 +309,7 @@ def test_unitary_check_of_identity_sums_half_gram_matrices(tmp_path, capsys, mon
         return dot(*args)
 
     monkeypatch.setattr(BlockOperator, "__mul__", counting_mul)
-    monkeypatch.setattr(operators, "_dot", counting_dot)
+    monkeypatch.setattr(quadext, "_dot", counting_dot)
     code, out, _ = run(capsys, "unitary-check", str(path))
     data = json.loads(out)
     assert code == 0 and data["unitary"] is True and data["ip_preserving"] is True

@@ -49,6 +49,7 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "factor.d4_ms",
         "operator_norm.d4_ms",
         "unitarity.d4_ms",
+        "orthonormal.d4_ms",
         "jsonio.parse_us_per_element",
         "jsonio.emit_us_per_kb",
     }

@@ -320,6 +320,18 @@ def test_zero_trace_perturbation():
         assert bumped.norm() == operator_norm(big)
 
 
+def test_zero_trace_perturbation_checks_as_make_zero_trace():
+    # self-adjointness first, then the trace, with make_zero_trace's errors
+    s = helpers.rand_statistical(random.Random(58), E35, 3)
+    not_self_adjoint = rank_one(basis_vector(E35, 1), basis_vector(E35, 2), 3) + identity(E35, 3)
+    for t, error in ((not_self_adjoint, NotSelfAdjoint), (identity(E35, 3), TraceNotZero)):
+        with pytest.raises(error) as raised:
+            zero_trace_perturb(s, t)
+        with pytest.raises(error) as expected:
+            make_zero_trace(t)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_split_zero_trace():
     rng = random.Random(57)
     for _ in range(15):
