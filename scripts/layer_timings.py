@@ -5,7 +5,10 @@
 
 Inputs are random values from the fixed seed SEED over p = 3, mu = 5,
 precision 20, with valuations 0 to 2.  Scalar operations are timed over a
-batch and reported in microseconds per operation; block products (d = 4,
+batch and reported in microseconds per operation, and so is construction:
+``padic.new_us`` is the public ``PadicNumber`` constructor on a
+(valuation, unit, prec) triple, ``quadext.element_us`` the kernel's
+``quadext._element`` on a pair of them; block products (d = 4,
 8, 16, 32, up to ``--max-dim``) in milliseconds per call, and so are
 a diagonal block times a dense one (the S T shape of
 ``factor_trace_class``), ``hs_inner``, ``canonical_decomposition`` alone
@@ -51,6 +54,7 @@ from padicqm import (  # noqa: E402
     rotation_on_pairs,
 )
 from padicqm.jsonio import dumps, operator_from_dict, operator_to_dict  # noqa: E402
+from padicqm import quadext  # noqa: E402
 from padicqm.padic import padic_sum  # noqa: E402
 
 P, MU, PRECISION = 3, 5, 20
@@ -120,12 +124,25 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
         for terms in sums:
             padic_sum(ctx, terms)
 
+    triples = [(x.valuation, x.unit, x.prec) for x in xs]
+    pairs = list(zip(triples, [(y.valuation, y.unit, y.prec) for y in ys]))
+
+    def run_new():
+        for t in triples:
+            PadicNumber(ctx, *t)
+
+    def run_elements():
+        for pair in pairs:
+            quadext._element(ext, pair)
+
     us_per = 1e6 / BATCH
     out = {
+        "padic.new_us": _best(run_new, repeat) * us_per,
         "padic.add_us": _best(_pairwise(PadicNumber.__add__, xs, ys), repeat) * us_per,
         "padic.mul_us": _best(_pairwise(PadicNumber.__mul__, xs, ys), repeat) * us_per,
         f"padic.sum{SUM_TERMS}_us": _best(run_sums, repeat) * 1e6 / len(sums),
         "quadext.mul_us": _best(_pairwise(QuadExtElement.__mul__, zs, ws), repeat) * us_per,
+        "quadext.element_us": _best(run_elements, repeat) * us_per,
     }
     for d in (d for d in BLOCK_DIMS if d <= max_dim):
         a, b = _block(rng, ext, d), _block(rng, ext, d)

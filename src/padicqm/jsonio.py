@@ -63,19 +63,41 @@ def padic_to_dict(x: PadicNumber) -> dict[str, Any]:
     return out
 
 
+def _integer(value: Any, field: str) -> int:
+    """A JSON integer (not a bool); anything else is a ``ParseError`` naming ``field``."""
+    if type(value) is not int:
+        raise ParseError(f"{field} {value!r} is not an integer")
+    return value
+
+
+def _context(data: Any) -> PadicContext:
+    return PadicContext(_integer(data["p"], "p"), _integer(data["precision"], "precision"))
+
+
 @_parse("bad p-adic number")
 def padic_from_dict(data: Any, context: PadicContext | None = None) -> PadicNumber:
-    """A scalar; a declared ``p`` or ``precision`` must be the context's."""
-    ctx = context or PadicContext(int(data["p"]), int(data["precision"]))
-    declared = int(data.get("p", ctx.p)), int(data.get("precision", ctx.precision))
-    if context and declared != (ctx.p, ctx.precision):
-        raise ParseError(
-            f"scalar declares (p, precision) = {declared} in a context of "
-            f"({ctx.p}, {ctx.precision})"
+    """A scalar; a declared ``p`` or ``precision`` must be the context's.
+    ``from_digits`` refuses a digit that is not an int in [0, p)."""
+    if context is None:
+        ctx = _context(data)
+    else:
+        ctx = context
+        declared = (
+            _integer(data.get("p", ctx.p), "p"),
+            _integer(data.get("precision", ctx.precision), "precision"),
         )
-    if data["valuation"] is None:
+        if declared != (ctx.p, ctx.precision):
+            raise ParseError(
+                f"scalar declares (p, precision) = {declared} in a context of "
+                f"({ctx.p}, {ctx.precision})"
+            )
+    valuation = data["valuation"]
+    if valuation is None:
         return ctx.zero()
-    return ctx.from_digits(int(data["valuation"]), [int(d) for d in data["digits"]])
+    digits = data["digits"]
+    if type(digits) is not list:
+        raise ParseError(f"digits {digits!r} is not a list")
+    return ctx.from_digits(_integer(valuation, "valuation"), digits)
 
 
 def quadext_to_dict(z: QuadExtElement) -> dict[str, Any]:
@@ -103,7 +125,7 @@ def context_to_dict(context: ExtensionContext) -> dict[str, Any]:
 
 @_parse("bad extension context")
 def context_from_dict(data: Any) -> ExtensionContext:
-    base = PadicContext(int(data["p"]), int(data["precision"]))
+    base = _context(data)
     return ExtensionContext(base, padic_from_dict(data["mu"], base))
 
 
@@ -186,7 +208,7 @@ def operator_from_dict(data: Any) -> MatrixOperator:
         [_entry(z, context, mu_dict, m, n) for n, z in enumerate(row, 1)]
         for m, row in enumerate(data["entries"], 1)
     ]
-    if len(rows) != int(data[size]):
+    if len(rows) != _integer(data[size], size):
         raise ParseError(f"{size} does not match the entry grid")
     block = BlockOperator(context, rows)
     if kind == "block_finite":

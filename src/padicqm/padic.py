@@ -88,6 +88,9 @@ class PadicContext:
     # p**0 .. p**min(2 * precision, _POWER_TABLE): the digit moduli and the
     # usual valuation gaps of a moderate precision
     _powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the one zero and one one of the context, shared by every caller
+    _zero: PadicNumber = field(init=False, repr=False, compare=False)
+    _one: PadicNumber = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -97,18 +100,33 @@ class PadicContext:
         object.__setattr__(self, "modulus", self.p**self.precision)
         top = min(2 * self.precision, _POWER_TABLE)
         object.__setattr__(self, "_powers", tuple(self.p**e for e in range(top + 1)))
+        object.__setattr__(self, "_zero", PadicNumber(self, None, 0, self.precision))
+        object.__setattr__(self, "_one", PadicNumber(self, 0, 1, self.precision))
+
+    def __eq__(self, other: object) -> bool:
+        """The dataclass verdict on (p, precision), answered by ``is`` first:
+        values check their operands' contexts on every operation."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.precision == other.precision
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other and not self == other
 
     def _power(self, e: int) -> int:
         """p**e for e >= 0: from the table, or computed past it (the loops
-        of ``_sum_triples`` and ``quadext._residue`` inline this)."""
+        of ``_sum_triples`` and ``quadext._residue`` and the validator of
+        ``PadicNumber`` inline this)."""
         powers = self._powers
         return powers[e] if e < len(powers) else self.p**e
 
     def zero(self) -> PadicNumber:
-        return PadicNumber(self, None, 0, self.precision)
+        return self._zero
 
     def one(self) -> PadicNumber:
-        return PadicNumber(self, 0, 1, self.precision)
+        return self._one
 
     def from_int(self, n: int) -> PadicNumber:
         if n == 0:
@@ -133,8 +151,8 @@ class PadicContext:
             raise ValidationError("need between 1 and `precision` digits")
         unit = 0
         for d in reversed(digits):
-            if not 0 <= d < self.p:
-                raise ValidationError("digit out of range")
+            if type(d) is not int or not 0 <= d < self.p:
+                raise ValidationError(f"digit {d!r} is not an integer in [0, {self.p})")
             unit = unit * self.p + d
         if unit % self.p == 0:
             raise ValidationError("unit must have a nonzero first digit")
@@ -154,16 +172,29 @@ class PadicNumber:
     unit: int
     prec: int
 
-    def __post_init__(self) -> None:
-        if self.valuation is None:
-            if self.unit != 0:
+    def __init__(self, context: PadicContext, valuation: int | None, unit: int, prec: int) -> None:
+        """The one validator of every scalar, ``dataclasses.replace`` and the
+        kernel's ``_number`` included; the slots are then written through
+        their descriptors, not through the frozen class's ``object.__setattr__``."""
+        if type(unit) is not int or type(prec) is not int:
+            raise ValidationError("unit and precision must be integers")
+        if valuation is None:
+            if unit != 0:
                 raise ValidationError("zero must carry unit 0")
         else:
-            if not 1 <= self.prec <= self.context.precision:
+            if type(valuation) is not int:
+                raise ValidationError("valuation must be an integer")
+            if not 1 <= prec <= context.precision:
                 raise ValidationError("precision out of range")
-            modulus = self.context._power(self.prec)
-            if not (0 < self.unit < modulus) or self.unit % self.context.p == 0:
+            # context._power, inlined
+            powers = context._powers
+            modulus = powers[prec] if prec < len(powers) else context.p**prec
+            if not 0 < unit < modulus or unit % context.p == 0:
                 raise ValidationError("unit must be reduced and coprime to p")
+        _set_context(self, context)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_prec(self, prec)
 
     # -- predicates ---------------------------------------------------------
 
@@ -175,19 +206,19 @@ class PadicNumber:
         """Equality at the common tracked precision."""
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             return False
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
         if self.valuation != other.valuation:
             return False
-        m = self.context.p ** min(self.prec, other.prec)
+        m = self.context._power(min(self.prec, other.prec))
         return self.unit % m == other.unit % m
 
     __hash__ = None  # tracked-precision equality is not hash-compatible
 
     def _check_context(self, other: PadicNumber) -> None:
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ContextMismatch("operands live in different contexts")
 
     # -- views ----------------------------------------------------------------
@@ -251,6 +282,11 @@ class PadicNumber:
         return (
             f"PadicNumber(p={self.context.p}, v={self.valuation}, digits={self.digits()})"
         )
+
+
+_set_context, _set_valuation, _set_unit, _set_prec = (
+    PadicNumber.__dict__[name].__set__ for name in ("context", "valuation", "unit", "prec")
+)
 
 
 def padic_sum(context: PadicContext, terms: list[PadicNumber]) -> PadicNumber:

@@ -98,6 +98,9 @@ class ExtensionContext:
     mu_class: int = field(init=False, repr=False, compare=False)
     reduced_mu: PadicNumber = field(init=False, repr=False, compare=False)
     sqrt_scale: PadicNumber = field(init=False, repr=False, compare=False)
+    # the one zero and one one of the extension, shared by every caller
+    _zero: QuadExtElement = field(init=False, repr=False, compare=False)
+    _one: QuadExtElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mu.context != self.base:
@@ -118,6 +121,21 @@ class ExtensionContext:
         object.__setattr__(self, "mu_class", label)
         object.__setattr__(self, "reduced_mu", reduced)
         object.__setattr__(self, "sqrt_scale", scale)
+        zero = self.base.zero()
+        object.__setattr__(self, "_zero", QuadExtElement(self, zero, zero))
+        object.__setattr__(self, "_one", QuadExtElement(self, self.base.one(), zero))
+
+    def __eq__(self, other: object) -> bool:
+        """The dataclass verdict on (base, mu), answered by ``is`` first:
+        elements check their operands' extensions on every operation."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.mu == other.mu
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other and not self == other
 
     @property
     def p(self) -> int:
@@ -145,10 +163,10 @@ class ExtensionContext:
         return QuadExtElement(self, self.base.from_int(sc), self.base.from_int(ac))
 
     def zero(self) -> QuadExtElement:
-        return self.from_ints(0, 0)
+        return self._zero
 
     def one(self) -> QuadExtElement:
-        return self.from_ints(1, 0)
+        return self._one
 
     def sqrt_mu(self) -> QuadExtElement:
         return self.from_ints(0, 1)
@@ -162,16 +180,25 @@ class QuadExtElement:
     sc: PadicNumber
     ac: PadicNumber
 
-    def __post_init__(self) -> None:
-        if self.sc.context != self.context.base or self.ac.context != self.context.base:
+    def __init__(self, context: ExtensionContext, sc: PadicNumber, ac: PadicNumber) -> None:
+        """The one validator of every element, ``dataclasses.replace`` and the
+        kernel's ``_element`` included; the slots are then written through
+        their descriptors, not through the frozen class's ``object.__setattr__``."""
+        base = context.base
+        if (sc.context is not base or ac.context is not base) and (
+            sc.context != base or ac.context != base
+        ):
             raise ContextMismatch("coordinates must live in the base context")
+        _set_context(self, context)
+        _set_sc(self, sc)
+        _set_ac(self, ac)
 
     @property
     def is_zero(self) -> bool:
-        return self.sc.is_zero and self.ac.is_zero
+        return self.sc.valuation is None and self.ac.valuation is None
 
     def _check_context(self, other: QuadExtElement) -> None:
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ContextMismatch("operands live in different extensions")
 
     def conj(self) -> QuadExtElement:
@@ -232,6 +259,11 @@ class QuadExtElement:
         return f"QuadExt({self.sc!r} + {self.ac!r}*sqrt(mu))"
 
 
+_set_context, _set_sc, _set_ac = (
+    QuadExtElement.__dict__[name].__set__ for name in ("context", "sc", "ac")
+)
+
+
 def max_abs(context: ExtensionContext, values: Iterable[QuadExtElement]) -> Magnitude:
     """The largest |z| over the values; zero when there are none."""
     return max((z.ext_abs() for z in values), default=Magnitude.zero(context.p))
@@ -254,14 +286,12 @@ def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtE
 
 
 def _rhs_coords(z: QuadExtElement):
-    """(sc, ac) of a right factor."""
-    if z.is_zero:
-        return None
-    sc, ac = z.sc, z.ac
-    return (
-        None if sc.is_zero else (sc.valuation, sc.unit, sc.prec),
-        None if ac.is_zero else (ac.valuation, ac.unit, ac.prec),
-    )
+    """(sc, ac) of a right factor.  Zeros are read as None valuations, not
+    through the is_zero properties: every kernel operand passes here."""
+    x, y = z.sc, z.ac
+    sc = None if x.valuation is None else (x.valuation, x.unit, x.prec)
+    ac = None if y.valuation is None else (y.valuation, y.unit, y.prec)
+    return None if sc is None and ac is None else (sc, ac)
 
 
 def _lhs_coords(z: QuadExtElement):
@@ -315,9 +345,15 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
 
 
 def _element(context: ExtensionContext, coords) -> QuadExtElement:
-    """The element whose ``_rhs_coords`` pair is coords."""
+    """The element whose ``_rhs_coords`` pair is coords: ``padic._number``
+    of each coordinate, inlined."""
     base, (sc, ac) = context.base, coords
-    return QuadExtElement(context, padic._number(base, sc), padic._number(base, ac))
+    zero = base.zero()
+    return QuadExtElement(
+        context,
+        zero if sc is None else PadicNumber(base, *sc),
+        zero if ac is None else PadicNumber(base, *ac),
+    )
 
 
 def _times(base: PadicContext, x, y):

@@ -198,15 +198,58 @@ def test_omitted_fields_and_a_null_mu_are_read_in_the_context():
     assert operator_from_dict(data) == a
 
 
-def test_string_fields_that_match_the_context_are_read_as_without_one():
-    a = helpers.rand_block(random.Random(68), E35, 2)
-    data = operator_to_dict(a)
-    data["entries"][0][1]["sc"].update(p="3", precision="8")
-    data["entries"][1][0]["mu"]["p"] = "3"
-    assert operator_from_dict(data) == a
-    assert padic_from_dict({"p": "3", "precision": "8", "valuation": None}, B3) == B3.zero()
-    data["entries"][1][1]["ac"]["p"] = "5"
-    with pytest.raises(ParseError, match=r"entry \(2,2\): scalar declares \(p, precision\) = \(5, 8\)"):
+# -- integer fields are JSON integers -------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["3", 3.0, True, None, [3]])
+@pytest.mark.parametrize("field", ["p", "precision"])
+def test_a_scalar_field_that_is_not_a_json_integer_is_a_parse_error_naming_it(field, value):
+    data = _q35_block_dict()
+    data["entries"][0][1]["sc"][field] = value
+    with pytest.raises(ParseError, match=rf"entry \(1,2\): .*{field} .* is not an integer"):
+        operator_from_dict(data)
+    standalone = padic_to_dict(B3.from_int(7))
+    standalone[field] = value
+    with pytest.raises(ParseError, match=rf"{field} .* is not an integer"):
+        padic_from_dict(standalone)
+
+
+@pytest.mark.parametrize("value", ["0", 0.0, False, 1.5])
+def test_a_valuation_that_is_not_a_json_integer_is_a_parse_error_naming_it(value):
+    data = padic_to_dict(B3.from_int(7))
+    data["valuation"] = value
+    with pytest.raises(ParseError, match="valuation .* is not an integer"):
+        padic_from_dict(data, B3)
+
+
+@pytest.mark.parametrize("digit", [1.7, 1.0, "1", True, None])
+def test_a_digit_that_is_not_a_json_integer_is_a_parse_error_naming_it(digit):
+    data = padic_to_dict(B3.from_int(7))
+    data["digits"][1] = digit
+    with pytest.raises(ParseError, match=r"digit .* is not an integer in \[0, 3\)"):
+        padic_from_dict(data, B3)
+    data["digits"] = "121"
+    with pytest.raises(ParseError, match="digits '121' is not a list"):
+        padic_from_dict(data, B3)
+
+
+@pytest.mark.parametrize("field", ["p", "precision"])
+def test_a_context_field_that_is_not_a_json_integer_is_a_parse_error_naming_it(field):
+    data = _q35_block_dict()
+    data["context"][field] = str(data["context"][field])
+    with pytest.raises(ParseError, match=rf"^{field} '[0-9]+' is not an integer"):
+        operator_from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True])
+def test_a_dim_or_window_that_is_not_a_json_integer_is_a_parse_error_naming_it(value):
+    data = _q35_block_dict()
+    data["dim"] = value
+    with pytest.raises(ParseError, match="dim .* is not an integer"):
+        operator_from_dict(data)
+    data = operator_to_dict(GeneratorOperator(identity(E35, 2), affine_certificate(0, 0, 0)))
+    data["window"] = value
+    with pytest.raises(ParseError, match="window .* is not an integer"):
         operator_from_dict(data)
 
 

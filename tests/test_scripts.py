@@ -37,10 +37,12 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
     report = json.loads(done.stdout)
     assert report["context"] == {"p": 3, "mu": 5, "precision": 20}
     assert set(report["timings"]) == {
+        "padic.new_us",
         "padic.add_us",
         "padic.mul_us",
         "padic.sum16_us",
         "quadext.mul_us",
+        "quadext.element_us",
         "block_mul.d4_ms",
         "block_mul_diag.d4_ms",
         "hs_inner.d4_ms",
