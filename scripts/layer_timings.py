@@ -14,7 +14,8 @@ a diagonal block times a dense one (the S T shape of
 ``factor_trace_class``), ``hs_inner``, ``canonical_decomposition`` alone
 and its round trip (``reconstruct`` of ``canonical_decomposition``),
 ``factor_trace_class`` and ``operator_norm`` (d = 16, or ``--max-dim``
-when smaller), and so are the
+when smaller), ``apply`` of that block to a dense vector and
+``inner_product`` of two dense vectors of that length, and so are the
 unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
 butterfly of ``rotation_on_pairs`` stages at that size and
 ``is_orthonormal_system`` on the butterfly's columns.  The JSON wire
@@ -47,6 +48,7 @@ from padicqm import (  # noqa: E402
     from_rotation,
     hs_inner,
     identity,
+    inner_product,
     is_ip_preserving,
     is_orthonormal_system,
     is_unitary,
@@ -158,6 +160,9 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     )
     out[f"factor.d{d}_ms"] = _best(lambda: factor_trace_class(s), repeat) * 1e3
     out[f"operator_norm.d{d}_ms"] = _best(lambda: operator_norm(s), repeat) * 1e3
+    v, w = (PVector(ext, dict(enumerate(x.rows[0], 1))) for x in (s, t))
+    out[f"apply.d{d}_ms"] = _best(lambda: s.apply(w), repeat) * 1e3
+    out[f"inner_product.d{d}_ms"] = _best(lambda: inner_product(v, w), repeat) * 1e3
     u = _butterfly(ext, d)
     out[f"unitarity.d{d}_ms"] = _best(lambda: (is_unitary(u), is_ip_preserving(u)), repeat) * 1e3
     cols = [PVector(ext, dict(enumerate(col, 1))) for col in zip(*u.rows)]

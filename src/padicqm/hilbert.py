@@ -21,17 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .padic import PadicNumber
-from .quadext import (
-    ExtensionContext,
-    Magnitude,
-    QuadExtElement,
-    _conj,
-    _dot,
-    _gram_is_identity,
-    _lhs_coords,
-    _rhs_coords,
-    max_abs,
-)
+from .quadext import ExtensionContext, Magnitude, QuadExtElement, _conj_dot, _gram_is_identity, max_abs
 
 
 class PVector:
@@ -96,14 +86,13 @@ def basis_vector(context: ExtensionContext, i: int) -> PVector:
 
 def inner_product(u: PVector, v: PVector) -> QuadExtElement:
     """Canonical inner product: sum of conj(u_i) * v_i over the common
-    support, one ``quadext._dot`` with each u_i conjugated on its
-    coordinates, digit for digit ``quad_sum`` over the scalar products."""
+    support, one ``quadext._conj_dot``, digit for digit ``quad_sum`` over
+    the scalar products."""
     if u.context != v.context:
         raise ContextMismatch("vectors from different extensions")
-    base, w = u.context.base, v._entries
-    common = [(z, w[i]) for i, z in u._entries.items() if i in w]
-    xs = [_conj(base, _lhs_coords(z)) for z, _ in common]
-    return _dot(u.context, xs, [_rhs_coords(y) for _, y in common])
+    w = v._entries
+    common = [i for i in u._entries if i in w]
+    return _conj_dot(u.context, [u._entries[i] for i in common], [w[i] for i in common])
 
 
 def sup_norm(v: PVector) -> Magnitude:
@@ -283,10 +272,9 @@ def is_orthonormal_system(vectors: list[PVector]) -> bool:
     ctx = _family_context(vectors)
     if not all(sup_norm(v).is_one for v in vectors):
         return False
-    base, support = ctx.base, sorted({i for v in vectors for i in v.support()})
-    left = [[_conj(base, _lhs_coords(v.entry(i))) for i in support] for v in vectors]
-    right = [[_rhs_coords(v.entry(i)) for i in support] for v in vectors]
-    return _gram_is_identity(ctx, left, right) and is_norm_orthogonal(vectors)
+    support = sorted({i for v in vectors for i in v.support()})
+    lines = [[v.entry(i) for i in support] for v in vectors]
+    return _gram_is_identity(ctx, lines) and is_norm_orthogonal(vectors)
 
 
 # -- basis rotations ----------------------------------------------------------

@@ -151,10 +151,21 @@ def _entry(data: Any, context: ExtensionContext, mu_dict: Any, *where: int) -> Q
         raise ParseError(f"entry ({','.join(map(str, where))}): {exc}") from exc
 
 
+# A vector index key as ``vector_to_dict`` writes it: ASCII digits, no sign,
+# no leading zero.  int() alone would also read " 1", "1_0", "+2" and "01".
+_INDEX = re.compile(r"[1-9][0-9]*")
+
+
+def _index(key: Any) -> int:
+    if type(key) is not str or not _INDEX.fullmatch(key):
+        raise ParseError(f"index {key!r} is not a canonical positive integer")
+    return int(key)
+
+
 @_parse("bad vector")
 def vector_from_dict(data: Any, context: ExtensionContext) -> PVector:
     mu_dict = padic_to_dict(context.mu)
-    entries = {int(i): _entry(z, context, mu_dict, int(i)) for i, z in data["entries"].items()}
+    entries = {(i := _index(k)): _entry(z, context, mu_dict, i) for k, z in data["entries"].items()}
     return PVector(context, entries)
 
 

@@ -39,14 +39,12 @@ from .quadext import (
     ExtensionContext,
     Magnitude,
     QuadExtElement,
-    _conj,
-    _dot,
-    _element,
+    _conj_dot,
+    _conj_scaled,
+    _dots,
     _gram_is_identity,
-    _lhs_coords,
     _product,
-    _rhs_coords,
-    _times,
+    _rank_one_entries,
     max_abs,
     quad_sum,
 )
@@ -165,25 +163,18 @@ class BlockOperator(MatrixOperator):
         cancels at its known digits."""
         self._check(other)
         ctx, d = self.context, max(self.dim, other.dim)
-        rows = [[_lhs_coords(z) for z in row] for row in self._padded(d)]
-        cols = [[_rhs_coords(z) for z in col] for col in zip(*other._padded(d))]
-        return BlockOperator(ctx, _product(ctx, rows, cols))
+        return BlockOperator(ctx, _product(ctx, self._padded(d), list(zip(*other._padded(d)))))
 
     def apply(self, v: PVector) -> PVector:
         """Matrix-vector product, exact; coordinates beyond the block meet
-        zero columns.  Each coordinate is one integer-coordinate sum, as in
-        ``__mul__``."""
+        zero columns.  Each coordinate is one integer-coordinate sum
+        (``quadext._dots``)."""
         if self.context != v.context:
             raise ContextMismatch("operator and vector over different extensions")
-        ctx = self.context
-        inside = [(n - 1, _rhs_coords(vn)) for n, vn in v.items() if n <= self.dim]
-        ys = [y for _, y in inside]
-        out: dict[int, QuadExtElement] = {}
-        for m, row in enumerate(self.rows, 1):
-            acc = _dot(ctx, [_lhs_coords(row[k]) for k, _ in inside], ys)
-            if not acc.is_zero:
-                out[m] = acc
-        return PVector(ctx, out)
+        inside = [(n - 1, vn) for n, vn in v.items() if n <= self.dim]
+        rows = [[row[k] for k, _ in inside] for row in self.rows]
+        sums = _dots(self.context, rows, [vn for _, vn in inside])
+        return PVector(self.context, dict(enumerate(sums, 1)))
 
     def trace(self) -> QuadExtElement:
         """Sum of the diagonal entries."""
@@ -270,34 +261,15 @@ def _rank_one_sum(
     """sum_j w_j |e_j><f_j| on a dim-by-dim block.
 
     Each entry collects only its nonzero contributions w * (e[m] conj(f[n]))
-    and is summed once, so the sum truncates once per entry.  It runs on
-    integer coordinates: conj(f[n]) is ``quadext._conj`` of its coordinates,
-    e[m] conj(f[n]) is ``quadext._times``, and each entry is one
-    ``quadext._dot`` with the w as left factors, with the digits of
-    ``quad_sum`` over the scalar products.
+    and is summed once (``quadext._rank_one_entries``), so the sum
+    truncates once per entry.
     """
-    base = context.base
-    cells: dict[tuple[int, int], list] = {}
-    for w, e, f in terms:
-        if max(e.support() + f.support(), default=1) > dim:
-            raise DimensionMismatch("dim does not cover the supports")
-        x = _lhs_coords(w)
-        f_conj = [(n, _conj(base, _rhs_coords(fn))) for n, fn in f.items()]
-        for m, em in e.items():
-            ex = _lhs_coords(em)
-            for n, fy in f_conj:
-                cells.setdefault((m, n), []).append((x, _times(base, ex, fy)))
-    zero = context.zero()
-    return BlockOperator(
-        context,
-        [
-            [
-                _dot(context, *zip(*cells[m, n])) if (m, n) in cells else zero
-                for n in range(1, dim + 1)
-            ]
-            for m in range(1, dim + 1)
-        ],
-    )
+    terms = list(terms)
+    if any(max(e.support() + f.support(), default=1) > dim for _, e, f in terms):
+        raise DimensionMismatch("dim does not cover the supports")
+    cells = _rank_one_entries(context, [(w, e.items(), f.items()) for w, e, f in terms])
+    zero, span = context.zero(), range(1, dim + 1)
+    return BlockOperator(context, [[cells.get((m, n), zero) for n in span] for m in span])
 
 
 def _hermitian(
@@ -551,27 +523,25 @@ def _trace_of_product(a: BlockOperator, b: BlockOperator) -> QuadExtElement:
 
     O(d^2) products and one truncation, where ``trace(a * b)`` makes d^3
     and truncates each diagonal entry before the sum.  The sum runs on
-    integer coordinates (``quadext._dot``) with the digits of ``quad_sum``
+    integer coordinates (``quadext._dots``) with the digits of ``quad_sum``
     over the scalar products A_mk * B_km.
     """
     a._check(b)
     d = max(a.dim, b.dim)
-    xs = [_lhs_coords(x) for row in a._padded(d) for x in row]
-    ys = [_rhs_coords(y) for col in zip(*b._padded(d)) for y in col]
-    return _dot(a.context, xs, ys)
+    xs = [x for row in a._padded(d) for x in row]
+    return _dots(a.context, [xs], [y for col in zip(*b._padded(d)) for y in col])[0]
 
 
 def hs_inner(s: MatrixOperator, t: MatrixOperator) -> QuadExtElement:
     """Hilbert-Schmidt product tr(adjoint(S) T) on block operators: one sum
     over the d^2 products conj(S_mn) T_mn, without forming adjoint(S) or
     adjoint(S) T.  The sum is ``_trace_of_product``'s, with each S_mn
-    conjugated on its coordinates (``quadext._conj``)."""
+    conjugated on its coordinates (``quadext._conj_dot``)."""
     _require_block("the Hilbert-Schmidt product", s, t)
     s._check(t)
-    d, base = max(s.dim, t.dim), s.context.base
-    xs = [_conj(base, _lhs_coords(x)) for col in zip(*s._padded(d)) for x in col]
-    ys = [_rhs_coords(y) for col in zip(*t._padded(d)) for y in col]
-    return _dot(s.context, xs, ys)
+    d = max(s.dim, t.dim)
+    xs = [x for col in zip(*s._padded(d)) for x in col]
+    return _conj_dot(s.context, xs, [y for col in zip(*t._padded(d)) for y in col])
 
 
 def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, QuadExtElement]:
@@ -585,35 +555,22 @@ def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, Q
 # -- unitarity ------------------------------------------------------------------
 
 
-def _columns_gram(u: BlockOperator) -> bool:
-    """adjoint(U) U == Id: entry (m, n) sums conj(U_km) U_kn."""
-    base, cols = u.context.base, list(zip(*u.rows))
-    left = [[_conj(base, _lhs_coords(z)) for z in col] for col in cols]
-    return _gram_is_identity(u.context, left, [[_rhs_coords(z) for z in col] for col in cols])
-
-
-def _rows_gram(u: BlockOperator) -> bool:
-    """U adjoint(U) == Id: entry (m, n) sums U_mk conj(U_nk), the digits of
-    adjoint(X) X for X = adjoint(U), without forming X."""
-    base = u.context.base
-    right = [[_conj(base, _rhs_coords(z)) for z in row] for row in u.rows]
-    return _gram_is_identity(u.context, [[_lhs_coords(z) for z in row] for row in u.rows], right)
-
-
 def is_ip_preserving(u: MatrixOperator) -> bool:
-    """Exact check of adjoint(U) U = Id on the declared block."""
+    """Exact check of adjoint(U) U = Id on the declared block: the Gram scan
+    of the columns of U."""
     _require_block("inner-product preservation", u)
-    return _columns_gram(u)
+    return _gram_is_identity(u.context, list(zip(*u.rows)))
 
 
 def is_unitary(u: MatrixOperator) -> bool:
     """U U* = Id = U* U and max entry magnitude exactly 1.
 
     The norm condition cannot be dropped: inner-product preservation alone
-    admits operators of norm p**K > 1.
+    admits operators of norm p**K > 1.  U U* = Id is the Gram scan of the
+    rows of U, whose entry (m, n) is conj((U U*)_mn).
     """
     _require_block("unitarity", u)
-    return operator_norm(u).is_one and _columns_gram(u) and _rows_gram(u)
+    return operator_norm(u).is_one and is_ip_preserving(u) and _gram_is_identity(u.context, u.rows)
 
 
 def four_squares_unit_solution(p: int, k: int) -> tuple[int, int, int, int]:
@@ -685,20 +642,20 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     (Q_2(sqrt(3)) and Q_2(sqrt(7)) lack such pivots for half-magnitude
     rows; there the mixed uniformizer costs trailing digits).
 
-    Each f_j[n] = conj(lambda_j^-1 z) is formed on coordinate triples,
-    ``quadext._times`` then ``quadext._conj``, with the digits, prec and
-    raises of the scalar product.
+    Each f_j[n] = conj(lambda_j^-1 z) is formed on coordinate triples
+    (``quadext._conj_scaled``), with the digits, prec and raises of the
+    scalar product.
     """
     _require_block("decomposition", c)
-    ctx, base = c.context, c.context.base
+    ctx = c.context
     terms = []
     for m, row in enumerate(c.rows, 1):
         nonzero = [(n, z) for n, z in enumerate(row, 1) if not z.is_zero]
         if not nonzero:
             continue
-        lam = _scalar_of_magnitude(ctx, max_abs(ctx, (z for _, z in nonzero)))
-        x = _lhs_coords(lam.inv())
-        f = {n: _element(ctx, _conj(base, _times(base, x, _rhs_coords(z)))) for n, z in nonzero}
+        ns, zs = zip(*nonzero)
+        lam = _scalar_of_magnitude(ctx, max_abs(ctx, zs))
+        f = dict(zip(ns, _conj_scaled(ctx, lam.inv(), zs)))
         terms.append((lam, basis_vector(ctx, m), PVector(ctx, f)))
     return CanonicalDecomposition(ctx, c.dim, tuple(terms))
 

@@ -253,7 +253,7 @@ class PadicNumber:
     def __neg__(self) -> PadicNumber:
         if self.is_zero:
             return self
-        m = self.context.p**self.prec
+        m = self.context._power(self.prec)
         return PadicNumber(self.context, self.valuation, m - self.unit, self.prec)
 
     def __sub__(self, other: PadicNumber) -> PadicNumber:
@@ -270,7 +270,7 @@ class PadicNumber:
     def inv(self) -> PadicNumber:
         if self.is_zero:
             raise DivisionByZero("cannot invert zero")
-        m = self.context.p**self.prec
+        m = self.context._power(self.prec)
         return PadicNumber(self.context, -self.valuation, pow(self.unit, -1, m), self.prec)
 
     def __truediv__(self, other: PadicNumber) -> PadicNumber:

@@ -281,8 +281,23 @@ def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtE
 
 # -- the integer kernel of sums of products ------------------------------------
 #
-# Coordinates are padic's (valuation, unit, prec) triples, None for exact
-# zero; an element is None when both of its coordinates are.
+# Its entry points take lines of elements, and only they decide which factor
+# is conjugated and which coordinate form each takes.  Inside, coordinates
+# are padic's (valuation, unit, prec) triples, None for exact zero; an
+# element is None when both of its coordinates are.
+
+
+def _dots(context: ExtensionContext, rows, ys) -> list[QuadExtElement]:
+    """sum_k x_k * y_k for each line of x_k in rows against the one line
+    ys, each line converted once: one ``_dot`` per row."""
+    right = [_rhs_coords(y) for y in ys]
+    return [_dot(context, [_lhs_coords(x) for x in row], right) for row in rows]
+
+
+def _conj_dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
+    """sum_k conj(x_k) * y_k, one ``_dot`` of the conjugated left line."""
+    base = context.base
+    return _dot(context, [_conj(base, _lhs_coords(x)) for x in xs], [_rhs_coords(y) for y in ys])
 
 
 def _rhs_coords(z: QuadExtElement):
@@ -368,21 +383,48 @@ def _times(base: PadicContext, x, y):
     )
 
 
-def _gram_is_identity(ctx: ExtensionContext, rows: list, cols: list) -> bool:
-    """G == Id without forming G, whose entry (m, n) is one ``_dot`` of the
-    ``_lhs_coords`` line ``rows[m]`` with the ``_rhs_coords`` line ``cols[n]``:
-    the Gram matrices of unitarity and of an orthonormal system.  For odd p,
-    entry (n, m) is the conjugate of entry (m, n), raises included, so only
+def _conj_scaled(context: ExtensionContext, a: QuadExtElement, zs) -> list[QuadExtElement]:
+    """conj(a * z) for each z, a and the z nonzero: one ``_times`` then
+    ``_conj``, with the digits, prec and raises of ``(a * z).conj()``."""
+    base, x = context.base, _lhs_coords(a)
+    return [_element(context, _conj(base, _times(base, x, _rhs_coords(z)))) for z in zs]
+
+
+def _rank_one_entries(context: ExtensionContext, terms) -> dict:
+    """{(m, n): sum_j w_j * (e_j[m] conj(f_j[n]))} over the cells some term
+    reaches, from (w, e items, f items) triples.  Each e[m] conj(f[n]) is a
+    ``_times`` of e[m] with the conjugated f[n], and each cell one ``_dot``
+    with the w as left factors: the digits of ``quad_sum`` over the scalar
+    products, truncated once per cell."""
+    base, cells = context.base, {}
+    for w, e, f in terms:
+        x = _lhs_coords(w)
+        f_conj = [(n, _conj(base, _rhs_coords(fn))) for n, fn in f]
+        for m, em in e:
+            ex = _lhs_coords(em)
+            for n, fy in f_conj:
+                cells.setdefault((m, n), []).append((x, _times(base, ex, fy)))
+    return {cell: _dot(context, *zip(*pairs)) for cell, pairs in cells.items()}
+
+
+def _gram_is_identity(ctx: ExtensionContext, lines: list) -> bool:
+    """G == Id without forming G, whose entry (m, n) is sum_k
+    conj(lines[m][k]) * lines[n][k], one ``_dot``: adjoint(U) U from the
+    columns of U, the conjugate of U adjoint(U) from its rows, the Gram
+    matrix of an orthonormal system from its vectors.  For odd p, entry
+    (n, m) is the conjugate of entry (m, n), raises included, so only
     m <= n is summed; for p = 2, where a mirror can raise alone until
     cancellation reads only operand values, the square is.  False once an
     entry differs from Id, else the first raise, else True.
     """
-    one, zero = ctx.one(), ctx.zero()
+    base, one, zero = ctx.base, ctx.one(), ctx.zero()
+    left = [[_conj(base, _lhs_coords(z)) for z in line] for line in lines]
+    right = [[_rhs_coords(z) for z in line] for line in lines]
     exhausted = None
-    for m, row in enumerate(rows):
-        for n in range(0 if ctx.p == 2 else m, len(cols)):
+    for m, row in enumerate(left):
+        for n in range(0 if ctx.p == 2 else m, len(right)):
             try:
-                if _dot(ctx, row, cols[n]) != (one if m == n else zero):
+                if _dot(ctx, row, right[n]) != (one if m == n else zero):
                     return False
             except PrecisionExhausted as exc:
                 exhausted = exhausted or exc
@@ -392,13 +434,16 @@ def _gram_is_identity(ctx: ExtensionContext, rows: list, cols: list) -> bool:
 
 
 def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]]:
-    """The block product of ``_lhs_coords`` rows and ``_rhs_coords`` columns,
-    each entry digit for digit ``_dot(row, col)``.  Each coordinate is a
-    base-field product, sc = [sc | mu*ac] . [sc'; ac'] or ac = [sc | ac] .
-    [ac'; sc'], with one exact integer sum per entry (``_coordinate``).  An
-    entry whose sum vanishes at its precision, or with a term that may meet
-    ``_residue``'s zero branch (``_cancelling``), is left to ``_dot``."""
+    """The block product of element rows and columns, each entry digit for
+    digit ``_dot`` of their ``_lhs_coords`` and ``_rhs_coords``.  Each
+    coordinate is a base-field product, sc = [sc | mu*ac] . [sc'; ac'] or
+    ac = [sc | ac] . [ac'; sc'], with one exact integer sum per entry
+    (``_coordinate``).  An entry whose sum vanishes at its precision, or
+    with a term that may meet ``_residue``'s zero branch (``_cancelling``),
+    is left to ``_dot``."""
     base, d = context.base, len(cols)
+    rows = [[_lhs_coords(z) for z in row] for row in rows]
+    cols = [[_rhs_coords(z) for z in col] for col in cols]
     left_sc = [_scaled(base, [x and x[0] for x in r] + [x and x[1] for x in r]) for r in rows]
     left_ac = [_scaled(base, [x and x[0] for x in r] + [x and x[2] for x in r]) for r in rows]
     right = [_scaled(base, [y and y[0] for y in c] + [y and y[1] for y in c]) for c in cols]
@@ -508,9 +553,9 @@ def _residue(base: PadicContext, a, b, c, d):
     scalar route (``QuadExtElement.__mul__``) hands the sum: its
     truncation keeps v + k - v' <= cap digits at its valuation v' >= v,
     and a symmetric residue scales with a power of p.  r is 0 only when
-    v1 == v2; then the scalar route's reduced, lifted two-product sum goes
-    to ``padic._truncate``, which drops it or raises.  The one two-product
-    rule: ``_times`` closes a single term."""
+    v1 == v2; then the two reduced products are summed as ``padic_sum``
+    sums them (``padic._sum_triples``), which drops the term or raises.
+    The one two-product rule: ``_times`` closes a single term."""
     if a is None or b is None:
         if c is None or d is None:
             return None
@@ -535,7 +580,5 @@ def _residue(base: PadicContext, a, b, c, d):
         return v, r, k
     # e == 0, and the sum cancels at least to the known digits
     m1, m2 = powers[n] if n < top else p**n, powers[n2] if n2 < top else p**n2
-    u1, u2 = ab % m1, cd % m2
-    s = (u1 - m1 if u1 > m1 >> 1 else u1) + (u2 - m2 if u2 > m2 >> 1 else u2)
-    return padic._truncate(base, v, v + k, s)
+    return padic._sum_triples(base, [(v, ab % m1, n), (v, cd % m2, n2)])
 

@@ -6,9 +6,11 @@ whose digits could depend on their terms one by one.
 ``operators._trace_of_product``, ``BlockOperator.apply`` and the rank-one
 sums (``operators._rank_one_sum``: decomposition reconstructions,
 ``factor_trace_class``, ``rank_one``) sum their products on integer
-coordinates with ``quadext._dot``; ``canonical_decomposition``, ``hs_inner``
-and ``inner_product`` scale and conjugate on those coordinates too
-(``quadext._times``, ``quadext._conj``).  Each must give
+coordinates through the kernel's element-line entry points
+(``quadext._dots``, ``quadext._rank_one_entries``), each sum one
+``quadext._dot``; ``canonical_decomposition``, ``hs_inner`` and
+``inner_product`` scale and conjugate on those coordinates too
+(``quadext._conj_scaled``, ``quadext._conj_dot``).  Each must give
 the digits of the scalar route written out below, ``quad_sum`` over the
 ``QuadExtElement`` products, in every case: the same (valuation, unit,
 prec) on both coordinates of every entry, or the same error type and
@@ -865,6 +867,59 @@ def test_a_gram_entry_known_to_differ_refutes_where_the_product_raises():
     assert is_ip_preserving(x) is False and is_unitary(x) is False
 
 
+def _rows_gram_conjugated_right(u):
+    """U adjoint(U) == Id as ``operators._rows_gram`` decided it: entry (m, n)
+    is one ``_dot`` of row m with the conjugated row n, scanned over m <= n
+    for odd p and the square for p = 2; False at an entry known to differ
+    from Id, else the first raise, else True."""
+    ctx, base = u.context, u.context.base
+    left = [[_lhs_coords(z) for z in row] for row in u.rows]
+    right = [[quadext._conj(base, _rhs_coords(z)) for z in row] for row in u.rows]
+    exhausted = None
+    for m, row in enumerate(left):
+        for n in range(0 if ctx.p == 2 else m, len(right)):
+            try:
+                if _dot(ctx, row, right[n]) != (ctx.one() if m == n else ctx.zero()):
+                    return False
+            except PrecisionExhausted as exc:
+                exhausted = exhausted or exc
+    if exhausted:
+        raise exhausted
+    return True
+
+
+def test_the_rows_gram_conjugated_left_gives_the_verdicts_of_the_right_form():
+    # is_unitary scans conj((U U*)_mn) = sum_k conj(U_mk) U_nk: entry (m, n)
+    # is the right form's entry (n, m), its conjugate for odd p, so the
+    # verdicts and raises are the same on the unitarity sweep's inputs
+    rng = random.Random(36)
+    seen = set()
+    for ctx in CONTEXTS:
+        inputs = list(_unitarity_inputs(rng, ctx))
+        for d in range(5, 9):
+            try:
+                u = _butterfly(ctx, d)
+            except PrecisionExhausted:
+                continue
+            inputs += [u, _cut(rng, u), _cut(rng, u), _cut(rng, u)]
+        for u in inputs:
+            reference = lambda: operator_norm(u).is_one and is_ip_preserving(u) and _rows_gram_conjugated_right(u)
+            expected = _outcome(reference, bool)
+            assert _outcome(lambda: is_unitary(u), bool) == expected
+            seen.add((ctx.p == 2, expected if isinstance(expected, bool) else expected[1]))
+    assert seen == {(p2, o) for p2 in (False, True) for o in (True, False, "PrecisionExhausted")}
+
+
+def test_operators_and_hilbert_hold_no_coordinate_helper():
+    # the kernel's entry points take element lines; the operand forms stay in quadext
+    from padicqm import hilbert
+
+    for module in (operators, hilbert):
+        for name in ("_lhs_coords", "_rhs_coords", "_conj", "_times", "_element", "_dot"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(operators, "_columns_gram") and not hasattr(operators, "_rows_gram")
+
+
 def _double_loop_orthonormal(vectors):
     """``is_orthonormal_system`` as it was: vector by vector, False at a norm
     other than 1 or an inner product that differs from delta_ab, a raise at
@@ -967,7 +1022,7 @@ def test_a_gram_entry_for_p2_can_raise_where_its_mirror_does_not():
 # -- conjugation and pivot scaling on coordinate triples ------------------------
 #
 # canonical_decomposition scales by the pivot and conjugates on triples
-# (quadext._times, quadext._conj); the rank-one sums, hs_inner,
+# (quadext._conj_scaled); the rank-one sums, hs_inner,
 # inner_product and both Gram checks of is_unitary conjugate on triples and
 # form no adjoint.  Each is pinned to the scalar route written out here.
 

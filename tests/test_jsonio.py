@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from padicqm import affine_certificate, basis_vector, classify, identity, make_sovm, rank_one
+from padicqm import PVector, affine_certificate, basis_vector, classify, identity, make_sovm, rank_one
 from padicqm.errors import ParseError, SumNotIdentity
 from padicqm.jsonio import (
     classification_to_dict,
@@ -258,6 +259,28 @@ def test_a_vector_entry_of_another_prime_is_refused_with_its_index():
     data["entries"]["3"]["ac"]["p"] = 7
     with pytest.raises(ParseError, match=r"entry \(3\)"):
         vector_from_dict(data, E35)
+
+
+@pytest.mark.parametrize("key", [" 1", "1 ", "1_0", "+2", "-1", "\u0661", "01", "0", "", "1.0"])
+def test_a_vector_index_key_not_as_written_is_a_parse_error_naming_it(key):
+    # only ASCII digits with no sign and no leading zero, the form
+    # vector_to_dict writes; int() would read " 1", "+2" and "\u0661" as 1 or 2
+    z = quadext_to_dict(E35.one())
+    with pytest.raises(ParseError, match=re.escape(f"index {key!r} is not")):
+        vector_from_dict({"entries": {key: z}}, E35)
+
+
+def test_two_keys_of_one_index_are_refused_not_merged():
+    one, two = quadext_to_dict(E35.one()), quadext_to_dict(E35.from_ints(2, 0))
+    with pytest.raises(ParseError, match="index '01'"):
+        vector_from_dict({"entries": {"1": one, "01": two}}, E35)
+
+
+def test_written_index_keys_read_back_as_their_indices():
+    v = PVector(E35, {1: E35.one(), 10: E35.sqrt_mu(), 123: E35.from_ints(2, 1)})
+    data = vector_to_dict(v)
+    assert list(data["entries"]) == ["1", "10", "123"]
+    assert vector_from_dict(json.loads(json.dumps(data)), E35) == v
 
 
 @st.composite

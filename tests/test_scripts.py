@@ -50,6 +50,8 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "reconstruct.d4_ms",
         "factor.d4_ms",
         "operator_norm.d4_ms",
+        "apply.d4_ms",
+        "inner_product.d4_ms",
         "unitarity.d4_ms",
         "orthonormal.d4_ms",
         "jsonio.parse_us_per_element",
