@@ -20,9 +20,10 @@ unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
 butterfly of ``rotation_on_pairs`` stages at that size and
 ``is_orthonormal_system`` on the butterfly's columns.  The JSON wire
 is timed on the same block: ``operator_from_dict`` of its dict in
-microseconds per entry, and ``jsonio.dumps`` of that dict in microseconds
-per KB (1000 bytes) of text.  Each figure is the fastest of ``--repeat``
-runs.
+microseconds per entry, ``jsonio.dumps`` of that dict in microseconds
+per KB (1000 bytes) of text, and ``context_from_dict`` of the extension's
+dict, whose context is live, in microseconds per call (``jsonio.context_us``).
+Each figure is the fastest of ``--repeat`` runs.
 """
 
 import argparse
@@ -55,7 +56,13 @@ from padicqm import (  # noqa: E402
     operator_norm,
     rotation_on_pairs,
 )
-from padicqm.jsonio import dumps, operator_from_dict, operator_to_dict  # noqa: E402
+from padicqm.jsonio import (  # noqa: E402
+    context_from_dict,
+    context_to_dict,
+    dumps,
+    operator_from_dict,
+    operator_to_dict,
+)
 from padicqm import quadext  # noqa: E402
 from padicqm.padic import padic_sum  # noqa: E402
 
@@ -172,6 +179,13 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
         _best(lambda: operator_from_dict(wire), repeat) * 1e6 / (d * d)
     )
     out["jsonio.emit_us_per_kb"] = _best(lambda: dumps(wire), repeat) * 1e9 / len(dumps(wire))
+    context_wire = [context_to_dict(ext)] * BATCH
+
+    def run_contexts():
+        for data in context_wire:
+            context_from_dict(data)
+
+    out["jsonio.context_us"] = _best(run_contexts, repeat) * us_per
     return {k: round(v, 3) for k, v in out.items()}
 
 

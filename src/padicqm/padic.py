@@ -13,6 +13,8 @@ certifies.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,21 +80,48 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True, slots=True)
+# The live contexts, one per key, held weakly: a context nothing else refers
+# to is freed and leaves its table.
+_CONTEXTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERNING = threading.RLock()
+
+
+# The live context of cls under key, else a new one with these fields, set up
+# and entered.  One lock covers the lookup, the set-up and the entry, so two
+# threads that build one new context get one object.
+def _intern(cls, table: weakref.WeakValueDictionary, key: tuple, **fields):
+    with _INTERNING:
+        self = table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in fields.items():
+                object.__setattr__(self, name, value)
+            self._set_up()
+            table[key] = self
+        return self
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False, weakref_slot=True)
 class PadicContext:
-    """A prime p and the cap on significant base-p digits carried."""
+    """A prime p and the cap on significant base-p digits carried: one
+    object per (p, precision), which copies and pickles come back as."""
 
     p: int
     precision: int
-    modulus: int = field(init=False, repr=False, compare=False)
+    modulus: int = field(init=False, repr=False)
     # p**0 .. p**min(2 * precision, _POWER_TABLE): the digit moduli and the
     # usual valuation gaps of a moderate precision
-    _powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _powers: tuple[int, ...] = field(init=False, repr=False)
     # the one zero and one one of the context, shared by every caller
-    _zero: PadicNumber = field(init=False, repr=False, compare=False)
-    _one: PadicNumber = field(init=False, repr=False, compare=False)
+    _zero: PadicNumber = field(init=False, repr=False)
+    _one: PadicNumber = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, p: int, precision: int) -> PadicContext:
+        if type(p) is not int or type(precision) is not int:
+            raise ValidationError("p and precision must be integers")
+        return _intern(cls, _CONTEXTS, (p, precision), p=p, precision=precision)
+
+    def _set_up(self) -> None:
         if not is_prime(self.p):
             raise InvalidPrime(f"{self.p} is not prime")
         if not 5 <= self.precision <= MAX_PRECISION:
@@ -103,17 +132,8 @@ class PadicContext:
         object.__setattr__(self, "_zero", PadicNumber(self, None, 0, self.precision))
         object.__setattr__(self, "_one", PadicNumber(self, 0, 1, self.precision))
 
-    def __eq__(self, other: object) -> bool:
-        """The dataclass verdict on (p, precision), answered by ``is`` first:
-        values check their operands' contexts on every operation."""
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.precision == other.precision
-
-    def __ne__(self, other: object) -> bool:
-        return self is not other and not self == other
+    def __reduce__(self):
+        return PadicContext, (self.p, self.precision)
 
     def _power(self, e: int) -> int:
         """p**e for e >= 0: from the table, or computed past it (the loops
@@ -206,7 +226,7 @@ class PadicNumber:
         """Equality at the common tracked precision."""
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        if self.context is not other.context and self.context != other.context:
+        if self.context is not other.context:
             return False
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
@@ -218,7 +238,7 @@ class PadicNumber:
     __hash__ = None  # tracked-precision equality is not hash-compatible
 
     def _check_context(self, other: PadicNumber) -> None:
-        if self.context is not other.context and self.context != other.context:
+        if self.context is not other.context:
             raise ContextMismatch("operands live in different contexts")
 
     # -- views ----------------------------------------------------------------
@@ -297,9 +317,8 @@ def padic_sum(context: PadicContext, terms: list[PadicNumber]) -> PadicNumber:
     itself cancels below every known digit.  Every term, exact zeros
     included, must live in ``context``.
     """
-    for t in terms:
-        if t.context != context:
-            raise ContextMismatch("operands live in different contexts")
+    if any(t.context is not context for t in terms):
+        raise ContextMismatch("operands live in different contexts")
     live = [(t.valuation, t.unit, t.prec) for t in terms if not t.is_zero]
     return _number(context, _sum_triples(context, live))
 

@@ -9,7 +9,7 @@ representative of its square class.
 
 from __future__ import annotations
 
-import math
+import weakref
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Iterable
@@ -58,12 +58,6 @@ class Magnitude:
         self._same_base(other)
         return self._key() <= other._key()
 
-    def __gt__(self, other: Magnitude) -> bool:
-        return not self <= other
-
-    def __ge__(self, other: Magnitude) -> bool:
-        return not self < other
-
     def __mul__(self, other: Magnitude) -> Magnitude:
         self._same_base(other)
         if self.is_zero or other.is_zero:
@@ -84,7 +78,16 @@ class Magnitude:
         return f"{self.p}^({self.exp2}/2)"
 
 
-@dataclass(frozen=True, slots=True)
+# The live extensions, one per base and (valuation, unit, prec) of mu, held
+# weakly as padic._CONTEXTS; copies and pickles come back as the live one.  A
+# mu known to fewer digits makes another extension, whose values do not mix
+# with this one's.  The key names the base by id(), not by a reference that
+# would keep it alive: a live entry's extension holds its base, so no other
+# object has that id.
+_EXTENSIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False, weakref_slot=True)
 class ExtensionContext:
     """The extension Q_p(sqrt(mu)) for a validated non-square mu.
 
@@ -95,16 +98,20 @@ class ExtensionContext:
 
     base: PadicContext
     mu: PadicNumber
-    mu_class: int = field(init=False, repr=False, compare=False)
-    reduced_mu: PadicNumber = field(init=False, repr=False, compare=False)
-    sqrt_scale: PadicNumber = field(init=False, repr=False, compare=False)
+    mu_class: int = field(init=False, repr=False)
+    reduced_mu: PadicNumber = field(init=False, repr=False)
+    sqrt_scale: PadicNumber = field(init=False, repr=False)
     # the one zero and one one of the extension, shared by every caller
-    _zero: QuadExtElement = field(init=False, repr=False, compare=False)
-    _one: QuadExtElement = field(init=False, repr=False, compare=False)
+    _zero: QuadExtElement = field(init=False, repr=False)
+    _one: QuadExtElement = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.mu.context != self.base:
-            raise ContextMismatch("mu must live in the base context")
+    def __new__(cls, base: PadicContext, mu: PadicNumber) -> ExtensionContext:
+        if type(mu) is not PadicNumber or mu.context is not base:
+            raise ContextMismatch("mu must be a PadicNumber of the base context")
+        key = id(base), mu.valuation, mu.unit, mu.prec
+        return padic._intern(cls, _EXTENSIONS, key, base=base, mu=mu)
+
+    def _set_up(self) -> None:
         if self.mu.is_zero:
             raise ValidationError("mu must be nonzero")
         if padic.is_square(self.mu):
@@ -125,17 +132,8 @@ class ExtensionContext:
         object.__setattr__(self, "_zero", QuadExtElement(self, zero, zero))
         object.__setattr__(self, "_one", QuadExtElement(self, self.base.one(), zero))
 
-    def __eq__(self, other: object) -> bool:
-        """The dataclass verdict on (base, mu), answered by ``is`` first:
-        elements check their operands' extensions on every operation."""
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base == other.base and self.mu == other.mu
-
-    def __ne__(self, other: object) -> bool:
-        return self is not other and not self == other
+    def __reduce__(self):
+        return ExtensionContext, (self.base, self.mu)
 
     @property
     def p(self) -> int:
@@ -185,9 +183,7 @@ class QuadExtElement:
         kernel's ``_element`` included; the slots are then written through
         their descriptors, not through the frozen class's ``object.__setattr__``."""
         base = context.base
-        if (sc.context is not base or ac.context is not base) and (
-            sc.context != base or ac.context != base
-        ):
+        if sc.context is not base or ac.context is not base:
             raise ContextMismatch("coordinates must live in the base context")
         _set_context(self, context)
         _set_sc(self, sc)
@@ -198,7 +194,7 @@ class QuadExtElement:
         return self.sc.valuation is None and self.ac.valuation is None
 
     def _check_context(self, other: QuadExtElement) -> None:
-        if self.context is not other.context and self.context != other.context:
+        if self.context is not other.context:
             raise ContextMismatch("operands live in different extensions")
 
     def conj(self) -> QuadExtElement:
@@ -271,9 +267,8 @@ def max_abs(context: ExtensionContext, values: Iterable[QuadExtElement]) -> Magn
 
 def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtElement:
     """Componentwise sum with a single final truncation per coordinate."""
-    for t in terms:
-        if t.context != context:
-            raise ContextMismatch("operands live in different extensions")
+    if any(t.context is not context for t in terms):
+        raise ContextMismatch("operands live in different extensions")
     sc = padic.padic_sum(context.base, [t.sc for t in terms])
     ac = padic.padic_sum(context.base, [t.ac for t in terms])
     return QuadExtElement(context, sc, ac)
@@ -518,10 +513,10 @@ def _coordinate(base: PadicContext, left, right):
 def _cancelling(base: PadicContext, rows, cols, least: int) -> set[tuple[int, int]]:
     """The entries (m, n) with a term a*b + c*d that may cancel in
     ``_residue``'s zero branch: v_a - v_c == v_d - v_b and u_a/u_c ==
-    -u_d/u_b mod p**t, t the least prec cut to about 20 bits.  A hash join
-    on each row k of the right factor, O(d**2); the ac term is matched
-    inverted, so one right key serves both.  A false match costs time."""
-    mod = base.p ** max(1, min(least, int(20 / math.log2(base.p))))
+    -u_d/u_b mod p**t, t the largest with p**t <= 2**20 (at least 1, at most
+    the least prec).  A hash join on each row k of the right factor, O(d**2);
+    the ac term is matched inverted, so one right key serves both."""
+    mod = base.p ** max(1, min(least, max(t for t in range(21) if base.p**t <= 1 << 20)))
     inv = lambda u: pow(u, -1, mod)
     found = set()
     for k, row_k in enumerate(zip(*cols)):

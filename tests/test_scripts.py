@@ -56,5 +56,6 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "orthonormal.d4_ms",
         "jsonio.parse_us_per_element",
         "jsonio.emit_us_per_kb",
+        "jsonio.context_us",
     }
     assert all(t > 0 for t in report["timings"].values())

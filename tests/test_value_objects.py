@@ -1,12 +1,28 @@
 """The value objects: immutable, validated once at construction by every
-route in, each context's zero and one shared, context equality unchanged."""
+route in, each context's zero and one shared, one object per context."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+import time
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 import helpers
-from padicqm import ExtensionContext, PadicContext, PadicNumber, QuadExtElement, padic, quadext
+from padicqm import (
+    ExtensionContext,
+    PadicContext,
+    PadicNumber,
+    PVector,
+    QuadExtElement,
+    identity,
+    padic,
+    quadext,
+)
 from padicqm.errors import ContextMismatch, ValidationError
 from padicqm.jsonio import context_from_dict, context_to_dict
 
@@ -120,9 +136,9 @@ def test_an_element_refuses_coordinates_from_another_context():
 
 
 def test_equal_but_distinct_contexts_compare_equal():
-    # each JSON parse builds a new context
+    # each JSON parse returns the live context
     e1, e2 = context_from_dict(context_to_dict(E)), context_from_dict(context_to_dict(E))
-    assert e1 is not e2 and e1.base is not e2.base
+    assert e1 is e2 is E and e1.base is e2.base is C
     assert e1 == e2 and not e1 != e2 and e1 == E and not e1 != E
     assert e1.base == e2.base and not e1.base != e2.base and hash(e1.base) == hash(e2.base)
     # values of the two contexts meet in arithmetic, comparison and sums
@@ -154,3 +170,145 @@ def test_different_contexts_compare_unequal(other):
 def test_a_context_is_unequal_to_what_is_not_a_context(context):
     for other in (3, None, "context", E if context is C else C):
         assert context != other and not context == other
+
+
+# -- one object per context ----------------------------------------------------------
+
+
+def test_building_a_context_returns_the_live_one():
+    assert PadicContext(3, 8) is PadicContext(3, 8) is C
+    assert ExtensionContext(C, C.from_int(5)) is ExtensionContext(PadicContext(3, 8), C.from_int(5)) is E
+    assert context_from_dict(context_to_dict(E)) is E
+    assert replace(C, precision=8) is C and replace(C, precision=9) is PadicContext(3, 9)
+
+
+@pytest.mark.parametrize("cls", [PadicContext, ExtensionContext])
+def test_context_equality_and_hashing_are_identity(cls):
+    assert "__eq__" not in cls.__dict__ and "__ne__" not in cls.__dict__
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+def test_contexts_are_hashable():
+    assert {C, E, PadicContext(3, 8), context_from_dict(context_to_dict(E))} == {C, E}
+    assert hash(C) == hash(PadicContext(3, 8)) and hash(E) == hash(ExtensionContext(C, C.from_int(5)))
+    assert {C: 1, E: 2}[context_from_dict(context_to_dict(E))] == 2
+
+
+def test_repeated_parses_leave_both_tables_the_same_size():
+    wire = context_to_dict(E)
+    gc.collect()
+    sizes = len(padic._CONTEXTS), len(quadext._EXTENSIONS)
+    parsed = [context_from_dict(wire) for _ in range(50)]
+    assert all(e is E for e in parsed)
+    assert (len(padic._CONTEXTS), len(quadext._EXTENSIONS)) == sizes
+
+
+def test_a_context_with_no_outside_reference_leaves_its_table():
+    def build():
+        base = PadicContext(10007, 11)
+        ext = ExtensionContext(base, padic.find_eta(base))
+        assert (10007, 11) in padic._CONTEXTS and ext in quadext._EXTENSIONS.values()
+        return weakref.ref(base), weakref.ref(ext)
+
+    refs = build()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert (10007, 11) not in padic._CONTEXTS
+    assert all(ext.p != 10007 for ext in quadext._EXTENSIONS.values())
+
+
+def test_two_threads_building_one_new_context_get_one_object(monkeypatch):
+    # slow set-ups, so that every thread reaches the table before any entry
+    for name in ("is_prime", "square_class"):
+        real = getattr(padic, name)
+        monkeypatch.setattr(padic, name, lambda x, real=real: time.sleep(0.05) or real(x))
+    start, built = threading.Barrier(4, timeout=10), []
+
+    def build():
+        start.wait()
+        base = PadicContext(10009, 9)
+        built.append((base, ExtensionContext(base, padic.find_eta(base))))
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(built) == 4
+    assert all(b is built[0][0] and e is built[0][1] for b, e in built)
+
+
+def test_a_mu_known_to_fewer_digits_makes_another_extension():
+    short = C.from_digits(0, [2, 1])  # 5 to two digits
+    e2 = ExtensionContext(C, short)
+    assert e2 is not E and e2 is ExtensionContext(C, C.from_digits(0, [2, 1]))
+    assert e2.mu == E.mu and e2.base is C
+    for x, y in ((E.one(), e2.one()), (e2.sqrt_mu(), E.sqrt_mu())):
+        with pytest.raises(ContextMismatch):
+            x * y
+        with pytest.raises(ContextMismatch):
+            x + y
+    with pytest.raises(ContextMismatch):
+        quadext.quad_sum(E, [e2.one()])
+
+
+# -- typed context fields ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, precision", [(3.0, 5), (3, 5.0), (3.0, 8), (3, 8.0), (True, 5), (3, True), ("3", 8), (None, 8)]
+)
+def test_a_context_refuses_fields_that_are_not_ints(p, precision):
+    # (3, 8) is live: the check runs before the table lookup
+    with pytest.raises(ValidationError, match="must be integers"):
+        PadicContext(p, precision)
+
+
+@pytest.mark.parametrize(
+    "base, mu",
+    [
+        (C, 5),
+        (C, 5.0),
+        (C, None),
+        (C, E.from_ints(5, 0)),
+        (PadicContext(3, 9), C.from_int(5)),
+        (PadicContext(5, 8), C.from_int(5)),
+        (3, C.from_int(5)),
+        (None, C.from_int(5)),
+    ],
+)
+def test_an_extension_refuses_a_mu_that_is_not_a_padic_number_of_its_base(base, mu):
+    with pytest.raises(ValidationError, match="mu must be a PadicNumber of the base context"):
+        ExtensionContext(base, mu)
+
+
+# -- copies keep the one object ----------------------------------------------------------
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_a_copied_context_is_the_live_one(how):
+    assert COPIES[how](C) is C and COPIES[how](E) is E
+    assert COPIES[how](E).zero() is E.zero() and COPIES[how]((C, E)) == (C, E)
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_a_copied_value_keeps_the_live_context(how):
+    x, z = C.from_int(7), E.from_ints(2, 1)
+    block = identity(E, 2).scale(z)
+    vector = PVector(E, {1: z, 3: E.one()})
+    for value in (x, z, block, vector, E.zero()):
+        copied = COPIES[how](value)
+        assert copied.context is value.context and copied == value
+    assert COPIES[how](z).sc.context is C
+    assert COPIES[how](block).rows[0][0].context is E
