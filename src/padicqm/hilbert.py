@@ -155,8 +155,15 @@ def residue_field(context: ExtensionContext) -> _ResidueField:
 
 
 def _digit(x: PadicNumber) -> int:
-    """First base-p digit of an integral number (0 when |x| < 1)."""
-    if x.is_zero or x.valuation > 0:
+    """First base-p digit of an integral number (0 when |x| < 1), known for
+    an O(p**N) only when N >= 1."""
+    if x.is_zero:
+        if x.absolute is not None and x.absolute < 1:
+            raise PrecisionExhausted(
+                f"residue digit of O({x.context.p}^{x.absolute}) is unknown; raise the precision"
+            )
+        return 0
+    if x.valuation > 0:
         return 0
     if x.valuation < 0:
         raise ValidationError("residue of a non-integral element")
@@ -174,10 +181,7 @@ def _coordinate_residue(context: ExtensionContext, z: QuadExtElement) -> tuple[i
         return (_digit(x), 0)
     # gamma = 5, integral basis {1, (1+sqrt(5))/2}: z = (x - y) + 2y * theta;
     # gamma = 3, 7, uniformizer 1 + sqrt(gamma):    z = (x - y) + y * pi
-    try:
-        a = x - y
-    except PrecisionExhausted:
-        a = context.base.zero()
+    a = x - y
     if gamma == 5:
         return (_digit(a), _digit(context.base.from_int(2) * y))
     return (_digit(a), 0)

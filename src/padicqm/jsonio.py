@@ -1,8 +1,9 @@
 """JSON encoding and decoding of every wire format the CLI speaks.
 
-Numbers serialize with little-endian digit lists; exact zero carries a
-null valuation.  Operators are either exact blocks or generator windows
-with their affine decay certificate.
+Numbers serialize with little-endian digit lists; a zero carries a null
+valuation, and the inexact zero O(p**N) its ``absolute`` N beside it.
+Operators are either exact blocks or generator windows with their
+affine decay certificate.
 
 One failure rule: malformed input is a ``ParseError`` (CLI exit 3),
 decided by ``_parse`` alone; the validation after parsing (``make_sovm``,
@@ -60,6 +61,8 @@ def padic_to_dict(x: PadicNumber) -> dict[str, Any]:
     }
     if not x.is_zero:
         out["digits"] = x.digits()
+    elif x.absolute is not None:
+        out["absolute"] = x.absolute
     return out
 
 
@@ -93,7 +96,10 @@ def padic_from_dict(data: Any, context: PadicContext | None = None) -> PadicNumb
             )
     valuation = data["valuation"]
     if valuation is None:
-        return ctx.zero()
+        absolute = data.get("absolute")
+        if absolute is None:
+            return ctx.zero()
+        return PadicNumber(ctx, None, 0, 0, _integer(absolute, "absolute"))
     digits = data["digits"]
     if type(digits) is not list:
         raise ParseError(f"digits {digits!r} is not a list")

@@ -157,10 +157,8 @@ class BlockOperator(MatrixOperator):
 
     def __mul__(self, other: BlockOperator) -> BlockOperator:
         """Operator composition, digit for digit ``quad_sum`` over the scalar
-        products A_ik * B_kj, raises included.  Each entry is an exact integer
-        sum (``quadext._product``), or is summed term by term
-        (``quadext._dot``) where a sum vanishes at its precision or a term
-        cancels at its known digits."""
+        products A_ik * B_kj.  Each entry is an exact integer sum
+        (``quadext._product``), O(p**N) where it vanishes at its precision."""
         self._check(other)
         ctx, d = self.context, max(self.dim, other.dim)
         return BlockOperator(ctx, _product(ctx, self._padded(d), list(zip(*other._padded(d)))))
@@ -643,8 +641,8 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     rows; there the mixed uniformizer costs trailing digits).
 
     Each f_j[n] = conj(lambda_j^-1 z) is formed on coordinate triples
-    (``quadext._conj_scaled``), with the digits, prec and raises of the
-    scalar product.
+    (``quadext._conj_scaled``), with the digits and prec of the scalar
+    product.
     """
     _require_block("decomposition", c)
     ctx = c.context

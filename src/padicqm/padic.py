@@ -3,10 +3,11 @@
 A nonzero number is stored as p**valuation * unit, where the unit carries
 ``prec`` known base-p digits (at most the context precision, which is the
 cap every freshly constructed value starts from).  Operations propagate
-the honest precision: products keep the smaller operand precision, sums
-lose digits only under additive cancellation, and cancellation that
-destroys every known digit raises PrecisionExhausted instead of
-pretending the result is zero.  Equality compares numbers at their common
+the honest precision: products keep the smaller operand precision, and
+sums lose digits only under additive cancellation.  A sum that vanishes
+at its absolute precision N is the inexact zero O(p**N), decided by the
+operand values alone; only a consumer that needs its valuation or a digit
+raises PrecisionExhausted.  Equality compares numbers at their common
 tracked precision, which is exactly the decidable notion the model
 certifies.
 """
@@ -183,16 +184,26 @@ class PadicContext:
 class PadicNumber:
     """Element of Q_p known to ``prec`` significant digits.
 
-    ``valuation is None`` encodes exact zero.  The valuation of a nonzero
-    number is always exact: the leading digit is known and nonzero.
+    ``valuation is None`` encodes a zero: exact, or, with ``absolute`` N,
+    the inexact zero O(p**N) that a sum vanishing at its absolute precision
+    gives (``prec`` 0).  The valuation of a nonzero number is always exact:
+    the leading digit is known and nonzero.
     """
 
     context: PadicContext
     valuation: int | None
     unit: int
     prec: int
+    absolute: int | None = None
 
-    def __init__(self, context: PadicContext, valuation: int | None, unit: int, prec: int) -> None:
+    def __init__(
+        self,
+        context: PadicContext,
+        valuation: int | None,
+        unit: int,
+        prec: int,
+        absolute: int | None = None,
+    ) -> None:
         """The one validator of every scalar, ``dataclasses.replace`` and the
         kernel's ``_number`` included; the slots are then written through
         their descriptors, not through the frozen class's ``object.__setattr__``."""
@@ -201,9 +212,13 @@ class PadicNumber:
         if valuation is None:
             if unit != 0:
                 raise ValidationError("zero must carry unit 0")
+            if absolute is not None and type(absolute) is not int:
+                raise ValidationError("absolute precision must be an integer")
         else:
             if type(valuation) is not int:
                 raise ValidationError("valuation must be an integer")
+            if absolute is not None:
+                raise ValidationError("only a zero carries an absolute precision")
             if not 1 <= prec <= context.precision:
                 raise ValidationError("precision out of range")
             # context._power, inlined
@@ -215,6 +230,7 @@ class PadicNumber:
         _set_valuation(self, valuation)
         _set_unit(self, unit)
         _set_prec(self, prec)
+        _set_absolute(self, absolute)
 
     # -- predicates ---------------------------------------------------------
 
@@ -223,13 +239,15 @@ class PadicNumber:
         return self.valuation is None
 
     def __eq__(self, other: object) -> bool:
-        """Equality at the common tracked precision."""
+        """Equality at the common tracked precision: O(p**N) equals any zero
+        and any number of valuation at least N."""
         if not isinstance(other, PadicNumber):
             return NotImplemented
         if self.context is not other.context:
             return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
+        if self.valuation is None or other.valuation is None:
+            zero, x = (self, other) if self.valuation is None else (other, self)
+            return x.valuation is None or zero.absolute is not None and x.valuation >= zero.absolute
         if self.valuation != other.valuation:
             return False
         m = self.context._power(min(self.prec, other.prec))
@@ -241,18 +259,28 @@ class PadicNumber:
         if self.context is not other.context:
             raise ContextMismatch("operands live in different contexts")
 
+    def _require_nonzero(self, error: type, message: str) -> None:
+        """error(message) for an exact zero; PrecisionExhausted for O(p**N),
+        whose valuation and digits are unknown."""
+        if self.valuation is None:
+            if self.absolute is None:
+                raise error(message)
+            raise PrecisionExhausted(
+                f"O({self.context.p}^{self.absolute}) has no known valuation or digit;"
+                " raise the precision"
+            )
+
     # -- views ----------------------------------------------------------------
 
     def abs_p(self) -> Fraction:
-        """|x|_p = p**(-valuation) as an exact rational; 0 for zero."""
+        """|x|_p = p**(-valuation) as an exact rational; 0 for a zero."""
         if self.is_zero:
             return Fraction(0)
         return Fraction(self.context.p) ** (-self.valuation)
 
     def digits(self) -> list[int]:
         """The known little-endian base-p digits of the unit part."""
-        if self.is_zero:
-            raise ZeroInput("exact zero has no digit expansion")
+        self._require_nonzero(ZeroInput, "exact zero has no digit expansion")
         out, u = [], self.unit
         for _ in range(self.prec):
             u, d = divmod(u, self.context.p)
@@ -263,12 +291,12 @@ class PadicNumber:
 
     def __add__(self, other: PadicNumber) -> PadicNumber:
         self._check_context(other)
-        if self.is_zero:
+        a, b = _triple(self), _triple(other)
+        if a is None:
             return other
-        if other.is_zero:
+        if b is None:
             return self
-        terms = [(self.valuation, self.unit, self.prec), (other.valuation, other.unit, other.prec)]
-        return _number(self.context, _sum_triples(self.context, terms))
+        return _number(self.context, _sum_triples(self.context, [a, b]))
 
     def __neg__(self) -> PadicNumber:
         if self.is_zero:
@@ -280,16 +308,19 @@ class PadicNumber:
         return self + (-other)
 
     def __mul__(self, other: PadicNumber) -> PadicNumber:
+        """An exact zero absorbs; O(p**N) * x is O(p**(N + v(x)))."""
         self._check_context(other)
-        if self.is_zero or other.is_zero:
-            return self.context.zero()
+        if self.valuation is None or other.valuation is None:
+            a, b = _triple(self), _triple(other)
+            if a is None or b is None:
+                return self.context.zero()
+            return _number(self.context, (a[0] + b[0], 0, 0))
         prec = min(self.prec, other.prec)
         unit = self.unit * other.unit % self.context._power(prec)
         return PadicNumber(self.context, self.valuation + other.valuation, unit, prec)
 
     def inv(self) -> PadicNumber:
-        if self.is_zero:
-            raise DivisionByZero("cannot invert zero")
+        self._require_nonzero(DivisionByZero, "cannot invert zero")
         m = self.context._power(self.prec)
         return PadicNumber(self.context, -self.valuation, pow(self.unit, -1, m), self.prec)
 
@@ -298,14 +329,16 @@ class PadicNumber:
 
     def __repr__(self) -> str:
         if self.is_zero:
-            return f"PadicNumber(p={self.context.p}, 0)"
+            zero = "0" if self.absolute is None else f"O({self.context.p}^{self.absolute})"
+            return f"PadicNumber(p={self.context.p}, {zero})"
         return (
             f"PadicNumber(p={self.context.p}, v={self.valuation}, digits={self.digits()})"
         )
 
 
-_set_context, _set_valuation, _set_unit, _set_prec = (
-    PadicNumber.__dict__[name].__set__ for name in ("context", "valuation", "unit", "prec")
+_set_context, _set_valuation, _set_unit, _set_prec, _set_absolute = (
+    PadicNumber.__dict__[name].__set__
+    for name in ("context", "valuation", "unit", "prec", "absolute")
 )
 
 
@@ -313,40 +346,53 @@ def padic_sum(context: PadicContext, terms: list[PadicNumber]) -> PadicNumber:
     """Sum with a single final truncation.
 
     Accumulating exactly and truncating once never loses digits to the
-    order of summation and only reports PrecisionExhausted when the total
-    itself cancels below every known digit.  Every term, exact zeros
-    included, must live in ``context``.
+    order of summation; a total that vanishes at its absolute precision N
+    is O(p**N).  Every term, zeros included, must live in ``context``.
     """
     if any(t.context is not context for t in terms):
         raise ContextMismatch("operands live in different contexts")
-    live = [(t.valuation, t.unit, t.prec) for t in terms if not t.is_zero]
-    return _number(context, _sum_triples(context, live))
+    return _number(context, _sum_triples(context, [t for t in map(_triple, terms) if t]))
 
 
-# -- the integer layer: (valuation, unit, prec) triples, None for exact zero ----
+# -- the integer layer: (valuation, unit, prec) triples -----------------------
+#
+# None is an exact zero, and (N, 0, 0) the inexact zero O(p**N): no digit,
+# known below p**N.
+
+
+def _triple(x: PadicNumber) -> tuple[int, int, int] | None:
+    if x.valuation is not None:
+        return x.valuation, x.unit, x.prec
+    return None if x.absolute is None else (x.absolute, 0, 0)
 
 
 def _number(context: PadicContext, t: tuple[int, int, int] | None) -> PadicNumber:
-    return context.zero() if t is None else PadicNumber(context, *t)
+    if t is None:
+        return context.zero()
+    return PadicNumber(context, *t) if t[2] else PadicNumber(context, None, 0, 0, t[0])
 
 
 def _sum_triples(
     context: PadicContext, terms: list[tuple[int, int, int]]
 ) -> tuple[int, int, int] | None:
-    """The rule of ``padic_sum`` on the triples of its nonzero terms.
+    """The rule of ``padic_sum`` on the triples of its terms, exact zeros left out.
 
-    s is the sum of the symmetric lifts scaled to the least valuation v0,
-    rescaled in place whenever a term lowers v0; ``PadicContext._power``
-    is inlined.
+    The sum is known below p**absolute, the least v + prec of its terms, so a
+    term at or beyond it changes no digit and is left out; s is the sum of the
+    other units scaled to their least valuation v0, rescaled in place whenever
+    a term lowers v0.  ``PadicContext._power`` is inlined.
     """
     if not terms:
         return None
     powers, top, p = context._powers, len(context._powers), context.p
-    v0, absolute, s = terms[0][0], terms[0][0] + terms[0][2], 0
-    for v, u, prec in terms:
-        m = powers[prec] if prec < top else p**prec
-        if u > m >> 1:
-            u -= m
+    absolute = terms[0][0] + terms[0][2]
+    for v, _, prec in terms:
+        if v + prec < absolute:
+            absolute = v + prec
+    v0, s = absolute, 0
+    for v, u, _ in terms:
+        if v >= absolute:
+            continue
         if v >= v0:
             e = v - v0
             s += u * (powers[e] if e < top else p**e)
@@ -354,31 +400,26 @@ def _sum_triples(
             e = v0 - v
             s = s * (powers[e] if e < top else p**e) + u
             v0 = v
-        if v + prec < absolute:
-            absolute = v + prec
     return _truncate(context, v0, absolute, s)
 
 
 def _truncate(
     context: PadicContext, v0: int, absolute: int, s: int
-) -> tuple[int, int, int] | None:
-    """The lifted sum p**v0 * s, known below p**absolute, as a triple.
+) -> tuple[int, int, int]:
+    """p**v0 * s, known below p**absolute (v0 <= absolute), as a triple.
 
-    The one cancellation rule of every sum: s == 0 is exact zero (None), a
-    valuation at or past ``absolute`` raises PrecisionExhausted, and
-    otherwise the result keeps min(absolute - v, cap) digits.
+    The one cancellation rule of every sum: s that vanishes modulo
+    p**(absolute - v0), s == 0 included, is O(p**absolute), and otherwise
+    the result keeps min(absolute - v, cap) digits.  The outcome depends on
+    s only modulo p**(absolute - v0), that is, on the terms' values alone.
     """
-    if s == 0:
-        return None
+    if not s % context._power(absolute - v0):
+        return absolute, 0, 0
     p = context.p
     v = v0
     while not s % p:
         s //= p
         v += 1
-    if v >= absolute:
-        raise PrecisionExhausted(
-            "cancellation consumed every known digit; raise the precision"
-        )
     prec = absolute - v if absolute - v < context.precision else context.precision
     return v, s % context._power(prec), prec
 
@@ -392,8 +433,7 @@ def is_square(a: PadicNumber) -> bool:
     For odd p the first digit must be a quadratic residue mod p; for p = 2
     the unit must be congruent to 1 mod 8 (needs three known digits).
     """
-    if a.is_zero:
-        raise ZeroInput("squareness of zero is undefined here")
+    a._require_nonzero(ZeroInput, "squareness of zero is undefined here")
     return a.valuation % 2 == 0 and square_class(a) == 1
 
 
@@ -404,8 +444,7 @@ def sqrt(a: PadicNumber, companion: bool = False) -> PadicNumber:
     p = 2.  The default branch has first digit in [1, (p-1)/2] for odd p
     and is congruent to 1 mod 4 for p = 2; ``companion`` negates it.
     """
-    if a.is_zero:
-        raise ZeroInput("zero has no canonical root branch")
+    a._require_nonzero(ZeroInput, "zero has no canonical root branch")
     if not is_square(a):
         raise NotASquare("argument is not a square at this precision")
     p = a.context.p
@@ -451,8 +490,7 @@ def square_class(a: PadicNumber) -> int:
     Odd p: one of {1, eta, p, eta*p} with eta the least non-residue.
     p = 2: one of {1, 2, 3, 5, 6, 7, 10, 14}.
     """
-    if a.is_zero:
-        raise ZeroInput("zero has no square class")
+    a._require_nonzero(ZeroInput, "zero has no square class")
     p = a.context.p
     odd_val = a.valuation % 2 == 1
     if p == 2:

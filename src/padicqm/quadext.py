@@ -15,7 +15,7 @@ from operator import add, mul
 from typing import Iterable
 
 from . import padic
-from .errors import ContextMismatch, DivisionByZero, MuIsSquare, PrecisionExhausted, ValidationError
+from .errors import ContextMismatch, MuIsSquare, PrecisionExhausted, ValidationError
 from .padic import PadicContext, PadicNumber
 
 
@@ -222,8 +222,7 @@ class QuadExtElement:
         return self.sc * self.sc - self.context.mu * self.ac * self.ac
 
     def inv(self) -> QuadExtElement:
-        if self.is_zero:
-            raise DivisionByZero("cannot invert zero")
+        """Through the norm, whose ``inv`` refuses an exact zero and an O(p**N)."""
         d = self.norm_form().inv()
         return QuadExtElement(self.context, self.sc * d, -(self.ac * d))
 
@@ -236,13 +235,18 @@ class QuadExtElement:
         v(z conj(z)) is the lesser side, 2 v(sc) or 2 v(ac) + v(mu), of
         sc**2 - mu ac**2.  Equal sides cancel in the leading digit only for
         p = 2 and mu = 4**t mu0: by 1 for mu0 = 3 or 7, by 2 for mu0 = 5, as
-        odd squares are 1 mod 8.  For odd p, mu0 is a non-residue."""
+        odd squares are 1 mod 8.  For odd p, mu0 is a non-residue.  An
+        O(p**N) coordinate only bounds its side below, so it raises
+        PrecisionExhausted unless the other side is smaller; a z whose
+        coordinates are both zeros is 0, as ``is_zero`` reads it."""
         ctx = self.context
         coords = ((self.sc, 0), (self.ac, ctx.mu.valuation))
         sides = [2 * x.valuation + shift for x, shift in coords if not x.is_zero]
         if not sides:
             return Magnitude.zero(ctx.p)
         v = min(sides)
+        if any(x.absolute is not None and 2 * x.absolute + shift <= v for x, shift in coords):
+            raise PrecisionExhausted("an O(p^N) coordinate could decide |z|; raise the precision")
         if ctx.p == 2 and len(sides) == 2 and sides[0] == sides[1]:
             v += {3: 1, 5: 2, 7: 1}.get(ctx.mu_class, 0)
         return Magnitude(ctx.p, -v)
@@ -278,8 +282,9 @@ def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtE
 #
 # Its entry points take lines of elements, and only they decide which factor
 # is conjugated and which coordinate form each takes.  Inside, coordinates
-# are padic's (valuation, unit, prec) triples, None for exact zero; an
-# element is None when both of its coordinates are.
+# are padic's (valuation, unit, prec) triples: None for an exact zero and
+# (N, 0, 0) for O(p**N); an element is None when both of its coordinates
+# are None.
 
 
 def _dots(context: ExtensionContext, rows, ys) -> list[QuadExtElement]:
@@ -296,11 +301,8 @@ def _conj_dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
 
 
 def _rhs_coords(z: QuadExtElement):
-    """(sc, ac) of a right factor.  Zeros are read as None valuations, not
-    through the is_zero properties: every kernel operand passes here."""
-    x, y = z.sc, z.ac
-    sc = None if x.valuation is None else (x.valuation, x.unit, x.prec)
-    ac = None if y.valuation is None else (y.valuation, y.unit, y.prec)
+    """(sc, ac) of a right factor; every kernel operand passes here."""
+    sc, ac = padic._triple(z.sc), padic._triple(z.ac)
     return None if sc is None and ac is None else (sc, ac)
 
 
@@ -319,10 +321,10 @@ def _lhs_coords(z: QuadExtElement):
 
 def _conj(base: PadicContext, coords):
     """``_lhs_coords`` or ``_rhs_coords`` of conj(z) from those of z: every
-    coordinate after sc negated as ``PadicNumber.__neg__`` does, p**k - u."""
+    coordinate after sc negated modulo p**prec, as ``PadicNumber.__neg__``."""
     if coords is None:
         return None
-    return (coords[0], *[c and (c[0], base._power(c[2]) - c[1], c[2]) for c in coords[1:]])
+    return (coords[0], *[c and (c[0], -c[1] % base._power(c[2]), c[2]) for c in coords[1:]])
 
 
 def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
@@ -333,9 +335,8 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
     enters that coordinate's sum as one integer (``_residue``), and each
     sum is truncated once, by the rule of ``padic_sum``.  A residue is the
     term's value at the digits ``QuadExtElement.__mul__`` keeps, so every
-    entry is the same integer as the scalar route's, with the same
-    ``prec``, exact zeros and raises.  No scalar object is built before the
-    result.
+    entry is the value of the scalar route, with the same ``prec`` and
+    zeros.  No scalar object is built before the result.
     """
     base = context.base
     sc_terms, ac_terms = [], []
@@ -355,15 +356,9 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
 
 
 def _element(context: ExtensionContext, coords) -> QuadExtElement:
-    """The element whose ``_rhs_coords`` pair is coords: ``padic._number``
-    of each coordinate, inlined."""
+    """The element whose ``_rhs_coords`` pair is coords."""
     base, (sc, ac) = context.base, coords
-    zero = base.zero()
-    return QuadExtElement(
-        context,
-        zero if sc is None else PadicNumber(base, *sc),
-        zero if ac is None else PadicNumber(base, *ac),
-    )
+    return QuadExtElement(context, padic._number(base, sc), padic._number(base, ac))
 
 
 def _times(base: PadicContext, x, y):
@@ -380,7 +375,7 @@ def _times(base: PadicContext, x, y):
 
 def _conj_scaled(context: ExtensionContext, a: QuadExtElement, zs) -> list[QuadExtElement]:
     """conj(a * z) for each z, a and the z nonzero: one ``_times`` then
-    ``_conj``, with the digits, prec and raises of ``(a * z).conj()``."""
+    ``_conj``, with the digits and prec of ``(a * z).conj()``."""
     base, x = context.base, _lhs_coords(a)
     return [_element(context, _conj(base, _times(base, x, _rhs_coords(z)))) for z in zs]
 
@@ -406,26 +401,18 @@ def _gram_is_identity(ctx: ExtensionContext, lines: list) -> bool:
     """G == Id without forming G, whose entry (m, n) is sum_k
     conj(lines[m][k]) * lines[n][k], one ``_dot``: adjoint(U) U from the
     columns of U, the conjugate of U adjoint(U) from its rows, the Gram
-    matrix of an orthonormal system from its vectors.  For odd p, entry
-    (n, m) is the conjugate of entry (m, n), raises included, so only
-    m <= n is summed; for p = 2, where a mirror can raise alone until
-    cancellation reads only operand values, the square is.  False once an
-    entry differs from Id, else the first raise, else True.
+    matrix of an orthonormal system from its vectors.  Entry (n, m) is the
+    conjugate of entry (m, n), zeros included, so only m <= n is summed,
+    up to the first entry that differs from Id.
     """
     base, one, zero = ctx.base, ctx.one(), ctx.zero()
     left = [[_conj(base, _lhs_coords(z)) for z in line] for line in lines]
     right = [[_rhs_coords(z) for z in line] for line in lines]
-    exhausted = None
-    for m, row in enumerate(left):
-        for n in range(0 if ctx.p == 2 else m, len(right)):
-            try:
-                if _dot(ctx, row, right[n]) != (one if m == n else zero):
-                    return False
-            except PrecisionExhausted as exc:
-                exhausted = exhausted or exc
-    if exhausted:
-        raise exhausted
-    return True
+    return all(
+        _dot(ctx, row, right[n]) == (one if m == n else zero)
+        for m, row in enumerate(left)
+        for n in range(m, len(right))
+    )
 
 
 def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]]:
@@ -433,9 +420,7 @@ def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]
     digit ``_dot`` of their ``_lhs_coords`` and ``_rhs_coords``.  Each
     coordinate is a base-field product, sc = [sc | mu*ac] . [sc'; ac'] or
     ac = [sc | ac] . [ac'; sc'], with one exact integer sum per entry
-    (``_coordinate``).  An entry whose sum vanishes at its precision, or
-    with a term that may meet ``_residue``'s zero branch (``_cancelling``),
-    is left to ``_dot``."""
+    (``_coordinate``)."""
     base, d = context.base, len(cols)
     rows = [[_lhs_coords(z) for z in row] for row in rows]
     cols = [[_rhs_coords(z) for z in col] for col in cols]
@@ -445,21 +430,9 @@ def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]
     # [ac'; sc'] is [sc'; ac'] with its halves swapped
     swapped = [(c, u[d:] + u[:d], v[d:] + v[:d], a[d:] + a[:d], *x) for c, u, v, a, *x in right]
     sc, ac = _coordinate(base, left_sc, right), _coordinate(base, left_ac, swapped)
-    least = min([x[5] for x in left_sc + left_ac + right], default=_FAR)
-    for m, n in _cancelling(base, rows, cols, least):
-        sc[m][n] = _TERMS
-    return [
-        [
-            _dot(context, rows[m], cols[n])
-            if s is _TERMS or a is _TERMS
-            else _element(context, (s, a))
-            for n, (s, a) in enumerate(zip(srow, arow))
-        ]
-        for m, (srow, arow) in enumerate(zip(sc, ac))
-    ]
+    return [[_element(context, coords) for coords in zip(srow, arow)] for srow, arow in zip(sc, ac)]
 
 
-_TERMS = object()  # an entry left to ``_dot``
 _FAR = 1 << 62  # a zero's valuation in a line: beyond any p**gap that fits in memory
 
 
@@ -479,78 +452,50 @@ def _scaled(base: PadicContext, line):
 
 def _coordinate(base: PadicContext, left, right):
     """Entry (m, n) from ``_scaled`` lines: the ``_sum_triples`` triple of
-    the ``_residue`` terms of ``_dot``, or _TERMS.  S, the sum of the scaled
-    units of the live products, is the entry over p**(r + c); the lifts
-    ``_sum_triples`` adds differ from it by multiples of p**A, A the least
-    v + v' + min(prec, prec') of those products.  A is taken only where the
-    lines' least v + prec leave fewer than ``precision`` digits."""
+    the ``_residue`` terms of ``_dot``.  S, the sum of the scaled units of
+    the live products, is the entry over p**(r + c), known modulo p**A, A
+    the least v + v' + min(prec, prec') of those products; the entry is
+    O(p**(r + c + A)) where S vanishes modulo p**A, and None where no
+    product is live.  A is taken only where the lines' least v + prec leave
+    fewer than ``precision`` digits, or S is 0."""
     p, cap = base.p, base.precision
     out = []
     for r, us, vs, als, low, lo, hi in left:
         row = []
         for c, ws, wvs, wals, wlow, wlo, whi in right:
-            s = sum(map(mul, us, ws))
-            if not s:  # no live product: the units are positive
-                row.append(None)
-                continue
-            w = 0
-            while not s % p:
+            s, w = sum(map(mul, us, ws)), 0
+            while s and not s % p:
                 s, w = s // p, w + 1
             # at most cap: the prec of a line's least valuation
             k = (low if low < wlow else wlow) - w
-            if k < cap:
+            if k < cap or not s:
                 least = lo if lo < wlo else wlo
                 if least == (hi if hi < whi else whi):
-                    k = min(map(add, vs, wvs)) + least - w
+                    a = min(map(add, vs, wvs)) + least
                 else:
-                    k = min(min(map(add, als, wvs)), min(map(add, vs, wals))) - w
-                k = k if k < cap else cap
-            row.append((r + c + w, s % base._power(k), k) if k > 0 else _TERMS)
+                    a = min(min(map(add, als, wvs)), min(map(add, vs, wals)))
+                if not s or a <= w:
+                    row.append(None if a >= _FAR else (r + c + a, 0, 0))
+                    continue
+                k = a - w if a - w < cap else cap
+            row.append((r + c + w, s % base._power(k), k))
         out.append(row)
     return out
-
-
-def _cancelling(base: PadicContext, rows, cols, least: int) -> set[tuple[int, int]]:
-    """The entries (m, n) with a term a*b + c*d that may cancel in
-    ``_residue``'s zero branch: v_a - v_c == v_d - v_b and u_a/u_c ==
-    -u_d/u_b mod p**t, t the largest with p**t <= 2**20 (at least 1, at most
-    the least prec).  A hash join on each row k of the right factor, O(d**2);
-    the ac term is matched inverted, so one right key serves both."""
-    mod = base.p ** max(1, min(least, max(t for t in range(21) if base.p**t <= 1 << 20)))
-    inv = lambda u: pow(u, -1, mod)
-    found = set()
-    for k, row_k in enumerate(zip(*cols)):
-        keys: dict = {}
-        for n, y in enumerate(row_k):
-            if y and y[0] and y[1]:
-                (bv, bu, _), (dv, du, _) = y
-                keys.setdefault((dv - bv, -du * inv(bu) % mod), []).append(n)
-        for m, row in enumerate(rows):
-            x = row[k]
-            if keys and x and x[0] and x[2]:
-                (av, au, _), (cv, cu, _), (ev, eu, _) = x
-                for key in ((av - cv, au * inv(cu) % mod), (ev - av, eu * inv(au) % mod)):
-                    if key in keys:
-                        found.update((m, n) for n in keys[key])
-    return found
 
 
 def _residue(base: PadicContext, a, b, c, d):
     """The term a*b + c*d of a sum, on coordinate triples, as the triple
     (v, r, k) that ``padic._sum_triples`` sums: the value r * p**v, known
-    to k digits; None for an exact zero.
+    to k digits, r possibly 0; None when neither product is live.
 
     v is the lower of the two products' valuations, v + k the term's
     absolute precision as ``PadicNumber`` tracks it, and r the residue
     modulo p**k of the unreduced u_a*u_b*p**(v1-v) + u_c*u_d*p**(v2-v).
     A unit product differs from its reduction by a multiple of p**prec,
-    so the sum's symmetric lift of r, times p**v, is exactly the term the
-    scalar route (``QuadExtElement.__mul__``) hands the sum: its
-    truncation keeps v + k - v' <= cap digits at its valuation v' >= v,
-    and a symmetric residue scales with a power of p.  r is 0 only when
-    v1 == v2; then the two reduced products are summed as ``padic_sum``
-    sums them (``padic._sum_triples``), which drops the term or raises.
-    The one two-product rule: ``_times`` closes a single term."""
+    so r * p**v is the term the scalar route (``QuadExtElement.__mul__``)
+    hands the sum, modulo p**(v + k), and a sum's outcome depends on its
+    terms only there.  The one two-product rule: ``_times`` closes a
+    single term."""
     if a is None or b is None:
         if c is None or d is None:
             return None
@@ -569,11 +514,4 @@ def _residue(base: PadicContext, a, b, c, d):
         return v, a[1] * b[1] % (powers[n] if n < top else p**n), n
     k = n if n < e + n2 else e + n2
     m = powers[k] if k < top else p**k
-    ab, cd = a[1] * b[1], c[1] * d[1]
-    r = (ab + cd * (powers[e] if e < top else p**e)) % m
-    if r:
-        return v, r, k
-    # e == 0, and the sum cancels at least to the known digits
-    m1, m2 = powers[n] if n < top else p**n, powers[n2] if n2 < top else p**n2
-    return padic._sum_triples(base, [(v, ab % m1, n), (v, cd % m2, n2)])
-
+    return v, (a[1] * b[1] + c[1] * d[1] * (powers[e] if e < top else p**e)) % m, k

@@ -20,7 +20,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PINNED = (
     ("block-algebra", 4, "2dd1657070dc8d294459ea7cfd0ef9cd2b91507d654904f2d52d95251254a034"),
     ("cli-batch", 2, "1f969ebeb0c3b322c280020ea2228ddb4f9dc3181e49cf8b920ebcf8b6305781"),
-    ("states-pairing", 2, "89ca679472f8e4e79413847d295b5d8d46b442f0657d09f67aba4697e14456a0"),
+    ("states-pairing", 2, "11d54f7403a94b5f98d45e06e09a45bf6fe938bc6108eff372921753bc9e36e3"),
 )
 
 _SCRIPT = """

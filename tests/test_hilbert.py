@@ -30,7 +30,7 @@ from padicqm.errors import (
     SearchExhausted,
     ValidationError,
 )
-from padicqm.hilbert import residue_field
+from padicqm.hilbert import _digit, residue_field
 
 E35 = helpers.ext_ctx(3, 5)
 E33 = helpers.ext_ctx(3, 3)
@@ -304,3 +304,11 @@ def test_residue_field_matches_per_kind_formulas(p, mu):
             assert fld.mul(a, fld.inv(a)) == (1, 0)
     with pytest.raises(ZeroDivisionError):
         fld.inv((0, 0))
+
+
+def test_the_residue_digit_of_an_inexact_zero_is_known_only_past_the_units():
+    # O(3^1) has residue digit 0; O(3^0) may have any, so it is not decided
+    one = E35.base.from_digits(0, [1, 1])
+    assert _digit(one - one) == 0 and _digit(E35.base.zero()) == 0
+    with pytest.raises(PrecisionExhausted):
+        _digit(E35.base.from_digits(-2, [1, 1]) - E35.base.from_digits(-2, [1, 1]))

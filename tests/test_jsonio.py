@@ -45,6 +45,25 @@ def test_padic_round_trip():
     assert padic_from_dict(data).is_zero
 
 
+def test_an_inexact_zero_carries_its_absolute_precision_on_the_wire():
+    # O(3^2): a null valuation, no digits, and "absolute" as a JSON integer;
+    # an exact zero writes no "absolute"
+    o = B3.from_digits(0, [1, 2]) - B3.from_digits(0, [1, 2])
+    data = padic_to_dict(o)
+    assert data == {"p": 3, "precision": 8, "valuation": None, "absolute": 2}
+    back = padic_from_dict(json.loads(dumps(data)))
+    assert (back.valuation, back.prec, back.absolute) == (None, 0, 2)
+    assert "absolute" not in padic_to_dict(B3.zero())
+    z = helpers.rand_quad(random.Random(63), E35)
+    assert quadext_to_dict(quadext_from_dict(quadext_to_dict(z.scale_base(o)), E35))["sc"]["absolute"] == 2 + z.sc.valuation
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2", [2]])
+def test_an_absolute_precision_that_is_not_a_json_integer_is_a_parse_error_naming_it(value):
+    with pytest.raises(ParseError, match="absolute"):
+        padic_from_dict({"p": 3, "precision": 8, "valuation": None, "absolute": value})
+
+
 def test_padic_partial_precision_round_trip():
     x = B3.from_digits(2, [1, 2, 0])
     back = padic_from_dict(padic_to_dict(x))

@@ -58,10 +58,12 @@ def test_one_plus_two_is_three():
     assert (C3.from_int(1) + C3.from_int(2)).abs_p() == Fraction(1, 3)
 
 
-def test_additive_inverse_gives_exact_zero():
+def test_additive_inverse_is_zero_at_its_precision():
+    # x - x vanishes at every digit x carries: O(3^5), which equals 0
     x = C3.from_int(47)
-    assert (x + (-x)).is_zero
-    assert (x - x).is_zero
+    for zero in (x + (-x), x - x):
+        assert zero.is_zero and zero.absolute == 5 and zero.prec == 0
+        assert zero == C3.zero() and zero == C3.from_int(3**5) and zero != C3.from_int(3**4)
 
 
 def test_geometric_series_digits():
@@ -142,10 +144,39 @@ def test_a_precision_past_the_limit_is_refused_before_any_power_is_built():
 
 
 def test_precision_exhausted_on_deep_cancellation():
+    # 13 - 4 = 9 vanishes mod 9, the common precision: the sum is O(3^2), and
+    # only a consumer that needs its valuation or a digit raises
     a = C3.from_digits(0, [1, 1, 1, 0, 0])  # 13, known to two digits below
     b = C3.from_digits(0, [2, 1])  # -4 at two known digits
-    with pytest.raises(PrecisionExhausted):
-        a + b  # 13 - 4 = 9 vanishes mod 9, the common precision
+    total = a + b
+    assert total.is_zero and total.absolute == 2 and repr(total) == "PadicNumber(p=3, O(3^2))"
+    consumers = [total.inv, total.digits, lambda: sqrt(total), lambda: is_square(total), lambda: square_class(total)]
+    for consumer in consumers:
+        with pytest.raises(PrecisionExhausted, match=r"O\(3\^2\)"):
+            consumer()
+    with pytest.raises(DivisionByZero):
+        C3.zero().inv()
+
+
+def test_a_sum_depends_only_on_the_values_at_its_precision():
+    # 7 and 34 agree mod 27, the precision of b = -7 known to 3 digits; a rule
+    # that read the stored lifts called one sum exact zero and raised on the other
+    ctx = helpers.base_ctx(3, 8)
+    b = ctx.from_digits(0, [2, 0, 2])
+    sums = [ctx.from_int(n) + b for n in (7, 34)]
+    assert [(x.valuation, x.unit, x.prec, x.absolute) for x in sums] == [(None, 0, 0, 3)] * 2
+
+
+def test_inexact_zero_arithmetic():
+    # O(3^2) bounds every sum it enters, scales with a product, and an exact
+    # zero absorbs it
+    o2 = C3.from_digits(0, [1, 1]) - C3.from_digits(0, [1, 1])
+    x = C3.from_digits(-1, [1, 2, 1, 1, 1])
+    assert o2 + x == x and (o2 + x).prec == 3 and (x + o2).prec == 3
+    assert (o2 + o2).absolute == 2 and padic_sum(C3, [o2, C3.zero(), o2]).absolute == 2
+    assert (o2 * x).absolute == 1 and (x * o2).absolute == 1 and (o2 * o2).absolute == 4
+    assert (o2 * C3.zero()).absolute is None and (-o2).absolute == 2
+    assert o2 == C3.from_digits(2, [1]) and o2 != C3.from_digits(1, [1]) and C3.from_digits(1, [1]) != o2
 
 
 def test_is_square_known_values():

@@ -149,14 +149,11 @@ def _every_class(precision):
 
 
 def _norm_form_abs(z):
-    """|z| read from the norm form's valuation; None where that cancels
-    past its known digits."""
+    """|z| read from the norm form's valuation; None where that vanishes
+    at its known digits."""
     if z.is_zero:
         return Magnitude.zero(z.context.p)
-    try:
-        v = z.norm_form().valuation
-    except PrecisionExhausted:
-        return None
+    v = z.norm_form().valuation
     return None if v is None else Magnitude(z.context.p, -v)
 
 
@@ -201,9 +198,32 @@ def test_ext_abs_is_the_valuation_of_the_exact_norm():
 
 def test_ext_abs_of_a_norm_form_that_cancels_to_zero():
     # sc = 1/2 and ac = 3/2 known to 2 digits in Q_2(sqrt 5): the norm form
-    # cancels to an exact zero, while z conj(z) = -11 is a unit.
+    # cancels to O(2^0), while z conj(z) = -11 is a unit.
     base = PadicContext(2, 5)
     ctx = ExtensionContext(base, base.from_int(5))
     z = QuadExtElement(ctx, base.from_digits(-1, [1, 0]), base.from_digits(-1, [1, 1]))
     assert z.norm_form().is_zero
     assert z.ext_abs() == Magnitude.one(2)
+
+
+def test_an_inexact_coordinate_decides_no_magnitude_it_could_change():
+    # O(3^2) beside 1 or 3 leaves |z| to them; beside 9 or 27 it could decide
+    # |z|; two zeros are 0, as is_zero reads them
+    o = E35.base.from_digits(0, [1, 1]) - E35.base.from_digits(0, [1, 1])
+    assert (o.absolute, QuadExtElement(E35, E35.base.one(), o).ext_abs()) == (2, Magnitude.one(3))
+    assert QuadExtElement(E35, o, E35.base.from_int(3)).ext_abs() == Magnitude(3, -2)
+    for n in (9, 27):
+        with pytest.raises(PrecisionExhausted):
+            QuadExtElement(E35, E35.base.from_int(n), o).ext_abs()
+    assert QuadExtElement(E35, o, E35.base.zero()).ext_abs() == Magnitude.zero(3)
+
+
+def test_inverting_an_inexact_zero_is_precision_exhausted():
+    o = E35.base.from_digits(0, [1, 1]) - E35.base.from_digits(0, [1, 1])
+    with pytest.raises(PrecisionExhausted):
+        QuadExtElement(E35, o, o).inv()
+    with pytest.raises(DivisionByZero):
+        E35.zero().inv()
+    # 1 + O(3^2) sqrt(5) has the norm 1 + O(3^4)
+    inv = QuadExtElement(E35, E35.base.one(), o).inv()
+    assert (inv.sc.valuation, inv.sc.prec, inv.ac.absolute) == (0, 4, 2)

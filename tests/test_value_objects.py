@@ -81,6 +81,7 @@ BAD_SCALARS = [
     {"unit": 3**8},  # not reduced
     {"prec": 9},  # past the context's precision
     {"prec": 0},
+    {"absolute": 3},  # only a zero carries an absolute precision
 ]
 
 
@@ -88,6 +89,13 @@ BAD_SCALARS = [
 def test_replace_runs_the_validator(bad):
     with pytest.raises(ValidationError):
         replace(C.from_int(7), **bad)
+
+
+def test_an_inexact_zero_refuses_an_absolute_precision_that_is_not_an_int():
+    for absolute in (2.0, True, "2"):
+        with pytest.raises(ValidationError, match="absolute precision must be an integer"):
+            PadicNumber(C, None, 0, 0, absolute)
+    assert PadicNumber(C, None, 0, 0, -2).absolute == -2
 
 
 def test_a_float_or_bool_scalar_is_refused_by_the_constructor():
