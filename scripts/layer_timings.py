@@ -8,13 +8,15 @@ precision 20, with valuations 0 to 2.  Scalar operations are timed over a
 batch and reported in microseconds per operation, and so is construction:
 ``padic.new_us`` is the public ``PadicNumber`` constructor on a
 (valuation, unit, prec) triple, ``quadext.element_us`` the kernel's
-``quadext._element`` on a pair of them; block products (d = 4,
-8, 16, 32, up to ``--max-dim``) in milliseconds per call, and so are
-a diagonal block times a dense one (the S T shape of
-``factor_trace_class``), ``hs_inner``, ``canonical_decomposition`` alone
-and its round trip (``reconstruct`` of ``canonical_decomposition``),
-``factor_trace_class`` and ``operator_norm`` (d = 16, or ``--max-dim``
-when smaller), ``apply`` of that block to a dense vector and
+``quadext._element`` on a pair of them; block products (d = 4, 8, 16,
+24, 32, up to ``--max-dim``; 24 is the benchmark's largest) in
+milliseconds per call, and so are ``block_mul_gap_ms``, the square of
+the 2 x 2 block [[x, far], [x, x]] with x = 1 + 2 sqrt(mu) and
+far = p**GAP (one entry of it a multiple of p**GAP), a diagonal block
+times a dense one (the S T shape of ``factor_trace_class``),
+``hs_inner``, ``canonical_decomposition`` alone and its round trip
+(``reconstruct`` of ``canonical_decomposition``), ``factor_trace_class``
+and ``operator_norm`` (d = 16, or ``--max-dim`` when smaller), ``apply`` of that block to a dense vector and
 ``inner_product`` of two dense vectors of that length, and so are the
 unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
 butterfly of ``rotation_on_pairs`` stages at that size and
@@ -70,7 +72,9 @@ P, MU, PRECISION = 3, 5, 20
 SEED = 0
 BATCH = 2000  # scalar operations per timed run
 SUM_TERMS = 16
-BLOCK_DIMS = (4, 8, 16, 32)
+BLOCK_DIMS = (4, 8, 16, 24, 32)
+# the valuation of the far entry of the gap product
+GAP = 10**4
 # diagonal times dense, hs_inner, the decomposition and its round trip, the
 # factorization, the norm
 SINGLE_DIM = 16
@@ -156,6 +160,9 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     for d in (d for d in BLOCK_DIMS if d <= max_dim):
         a, b = _block(rng, ext, d), _block(rng, ext, d)
         out[f"block_mul.d{d}_ms"] = _best(lambda: a * b, repeat) * 1e3
+    x = ext.from_ints(1, 2)
+    gap = BlockOperator(ext, [[x, ext.from_base(ctx.from_digits(GAP, [1]))], [x, x]])
+    out["block_mul_gap_ms"] = _best(lambda: gap * gap, repeat) * 1e3
     d = min(SINGLE_DIM, max_dim)
     s, t = _block(rng, ext, d), _block(rng, ext, d)
     diag = diagonal(ext, [_element(rng, ext) for _ in range(d)])

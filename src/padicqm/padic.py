@@ -137,9 +137,9 @@ class PadicContext:
         return PadicContext, (self.p, self.precision)
 
     def _power(self, e: int) -> int:
-        """p**e for e >= 0: from the table, or computed past it (the loops
-        of ``_sum_triples`` and ``quadext._residue`` and the validator of
-        ``PadicNumber`` inline this)."""
+        """p**e for e >= 0: from the table, or computed past it (the integer
+        layer, ``_sum_triples``, ``_truncate`` and the ``quadext`` kernel, and
+        the validator of ``PadicNumber`` inline this)."""
         powers = self._powers
         return powers[e] if e < len(powers) else self.p**e
 
@@ -413,15 +413,15 @@ def _truncate(
     the result keeps min(absolute - v, cap) digits.  The outcome depends on
     s only modulo p**(absolute - v0), that is, on the terms' values alone.
     """
-    if not s % context._power(absolute - v0):
+    powers, top, p = context._powers, len(context._powers), context.p
+    if not s % (powers[absolute - v0] if absolute - v0 < top else p ** (absolute - v0)):
         return absolute, 0, 0
-    p = context.p
     v = v0
     while not s % p:
         s //= p
         v += 1
     prec = absolute - v if absolute - v < context.precision else context.precision
-    return v, s % context._power(prec), prec
+    return v, s % (powers[prec] if prec < top else p**prec), prec
 
 
 # -- squares and square classes ------------------------------------------------

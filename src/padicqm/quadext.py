@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add, lshift, mul
 from typing import Iterable
 
 from . import padic
@@ -314,9 +314,10 @@ def _lhs_coords(z: QuadExtElement):
     sc, ac = coords
     if ac is None:
         return sc, None, None
-    mu = z.context.mu
+    mu, pw = z.context.mu, z.context.base._powers
     prec = min(mu.prec, ac[2])
-    return sc, (mu.valuation + ac[0], mu.unit * ac[1] % mu.context._power(prec), prec), ac
+    m = pw[prec] if prec < len(pw) else z.context.base.p ** prec
+    return sc, (mu.valuation + ac[0], mu.unit * ac[1] % m, prec), ac
 
 
 def _conj(base: PadicContext, coords):
@@ -324,7 +325,9 @@ def _conj(base: PadicContext, coords):
     coordinate after sc negated modulo p**prec, as ``PadicNumber.__neg__``."""
     if coords is None:
         return None
-    return (coords[0], *[c and (c[0], -c[1] % base._power(c[2]), c[2]) for c in coords[1:]])
+    pw, top, p = base._powers, len(base._powers), base.p
+    tail = [c and (c[0], -c[1] % (pw[c[2]] if c[2] < top else p ** c[2]), c[2]) for c in coords[1:]]
+    return (coords[0], *tail)
 
 
 def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
@@ -419,8 +422,8 @@ def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]
     """The block product of element rows and columns, each entry digit for
     digit ``_dot`` of their ``_lhs_coords`` and ``_rhs_coords``.  Each
     coordinate is a base-field product, sc = [sc | mu*ac] . [sc'; ac'] or
-    ac = [sc | ac] . [ac'; sc'], with one exact integer sum per entry
-    (``_coordinate``)."""
+    ac = [sc | ac] . [ac'; sc'], its entry sums packed one int per row
+    (``_sums``) and then truncated (``_coordinate``)."""
     base, d = context.base, len(cols)
     rows = [[_lhs_coords(z) for z in row] for row in rows]
     cols = [[_rhs_coords(z) for z in col] for col in cols]
@@ -450,21 +453,40 @@ def _scaled(base: PadicContext, line):
     return r, us, vs, als, min(als), min(precs), max(precs)
 
 
+def _sums(base: PadicContext, left, right) -> list[list[int]]:
+    """sum(map(mul, us, ws)) for the units of each ``_scaled`` left and right
+    line by Kronecker packing: the right lines' units, never negative, share
+    one int per place in slots wider than any entry sum.  A unit with more
+    bits than p**precision and the last table power gives the direct sums."""
+    lmax, rmax = (max([max(z[1]) for z in lines] or [0]) for lines in (left, right))
+    if (lmax | rmax).bit_length() > base.modulus.bit_length() + base._powers[-1].bit_length():
+        return [[sum(map(mul, x[1], y[1])) for y in right] for x in left]
+    places = list(zip(*[y[1] for y in right]))
+    width = (lmax * rmax * len(places)).bit_length() or 1
+    mask, slots = (1 << width) - 1, range(0, width * len(right), width)
+    packed = [sum(map(lshift, place, slots)) for place in places]
+    return [[s >> i & mask for i in slots] for s in (sum(map(mul, x[1], packed)) for x in left)]
+
+
 def _coordinate(base: PadicContext, left, right):
     """Entry (m, n) from ``_scaled`` lines: the ``_sum_triples`` triple of
-    the ``_residue`` terms of ``_dot``.  S, the sum of the scaled units of
-    the live products, is the entry over p**(r + c), known modulo p**A, A
-    the least v + v' + min(prec, prec') of those products; the entry is
-    O(p**(r + c + A)) where S vanishes modulo p**A, and None where no
+    the ``_residue`` terms of ``_dot``.  S (``_sums``), the sum of the scaled
+    units of the live products, is the entry over p**(r + c), known modulo
+    p**A, A the least v + v' + min(prec, prec') of those products; the entry
+    is O(p**(r + c + A)) where S vanishes modulo p**A, and None where no
     product is live.  A is taken only where the lines' least v + prec leave
-    fewer than ``precision`` digits, or S is 0."""
-    p, cap = base.p, base.precision
+    fewer than ``precision`` digits, or S is 0.  S divisible by p**precision
+    loses p**m, m the least v + v' (>= A - precision), at once."""
+    p, cap, powers, top = base.p, base.precision, base._powers, len(base._powers)
     out = []
-    for r, us, vs, als, low, lo, hi in left:
+    for (r, _, vs, als, low, lo, hi), sums in zip(left, _sums(base, left, right)):
         row = []
-        for c, ws, wvs, wals, wlow, wlo, whi in right:
-            s, w = sum(map(mul, us, ws)), 0
-            while s and not s % p:
+        for (c, _, wvs, wals, wlow, wlo, whi), s in zip(right, sums):
+            w = m = 0
+            if s and not s % base.modulus:
+                m = w = min(map(add, vs, wvs))
+                s //= powers[w] if w < top else p**w
+            while s and w < m + cap and not s % p:
                 s, w = s // p, w + 1
             # at most cap: the prec of a line's least valuation
             k = (low if low < wlow else wlow) - w
@@ -478,7 +500,7 @@ def _coordinate(base: PadicContext, left, right):
                     row.append(None if a >= _FAR else (r + c + a, 0, 0))
                     continue
                 k = a - w if a - w < cap else cap
-            row.append((r + c + w, s % base._power(k), k))
+            row.append((r + c + w, s % (powers[k] if k < top else p**k), k))
         out.append(row)
     return out
 

@@ -16,6 +16,7 @@ from .errors import (
     DegenerateNormalizer,
     DimensionMismatch,
     NotSelfAdjoint,
+    PrecisionExhausted,
     SumNotIdentity,
     SumNotOne,
     TraceNotOne,
@@ -149,18 +150,24 @@ def _require_self_adjoint(op: BlockOperator) -> None:
 
 
 def make_statistical(op: BlockOperator) -> StatisticalOperator:
-    _require_self_adjoint(op)
-    tr = trace(op)
-    if tr != op.context.one():
-        raise TraceNotOne("trace must be exactly 1")
+    _require_trace(op, op.context.one(), TraceNotOne("trace must be exactly 1"))
     return StatisticalOperator(op)
 
 
 def make_zero_trace(op: BlockOperator) -> ZeroTraceOperator:
-    _require_self_adjoint(op)
-    if not trace(op).is_zero:
-        raise TraceNotZero("trace must be exactly 0")
+    _require_trace(op, op.context.zero(), TraceNotZero("trace must be exactly 0"))
     return ZeroTraceOperator(op)
+
+
+def _require_trace(op: BlockOperator, value: QuadExtElement, error: Exception) -> None:
+    """error unless op is self-adjoint with trace ``value``; PrecisionExhausted
+    where a trace coordinate is O(p**N), N <= 0, whose p**0 digit is unknown."""
+    _require_self_adjoint(op)
+    tr = trace(op)
+    if tr != value:
+        raise error
+    if any(x.absolute is not None and x.absolute <= 0 for x in (tr.sc, tr.ac)):
+        raise PrecisionExhausted("the trace is not known at p^0; raise the precision")
 
 
 def is_density(s: StatisticalOperator) -> bool:

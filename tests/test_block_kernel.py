@@ -24,6 +24,7 @@ calls it replaced in the same way.
 
 import math
 import random
+from operator import mul
 from dataclasses import replace
 from fractions import Fraction
 
@@ -445,6 +446,67 @@ def test_products_up_to_size_8_match_the_scalar_route(monkeypatch):
     # entries that vanish at their precision are reached, and every entry is
     # decided on the integer sums: the scalar route calls no _dot either
     assert inexact > 100 and dots[0] == 0
+
+
+# -- packed entry sums -------------------------------------------------------------
+
+_LINE_KINDS = ("random", "zero", "one", "full", "top", "wide")
+
+
+def _packing_line(rng: random.Random, base: PadicContext, kind: str, n: int) -> list:
+    """n coordinate triples (None for zero) of one kind: ``random`` mixes
+    zeros and units of 1 to ``precision`` digits at valuations -2..3;
+    ``zero`` has no live place and ``one`` a single one; ``full`` holds the
+    largest residue p**precision - 1 at every place, and ``top`` holds it at
+    valuation 0 and at the power table's last exponent, the largest scaled
+    units that are packed; ``wide`` adds a unit whose valuation gap lies past
+    the table, which takes the direct sums."""
+    cap, last, full = base.precision, len(base._powers) - 1, base.modulus - 1
+
+    def unit(k):
+        return rng.randrange(1, base.p) + base.p * rng.randrange(base.p ** (k - 1))
+
+    if kind == "zero":
+        return [None] * n
+    if kind == "full":
+        return [(0, full, cap)] * n
+    if kind == "top":
+        return [(0, full, cap)] + [(last, full, cap)] * (n - 1)
+    line = [None] * n
+    if kind == "one":
+        k = rng.randint(1, cap)
+        line[rng.randrange(n)] = (rng.randint(-2, 3), unit(k), k)
+        return line
+    for i in range(n):
+        if rng.random() < 0.75:
+            k = rng.randint(1, cap)
+            line[i] = (rng.randint(-2, 3), unit(k), k)
+    if kind == "wide":
+        line[0], line[-1] = (0, unit(cap), cap), (cap + last + 2, full, cap)
+    return line
+
+
+@pytest.mark.parametrize("precision", [5, 40])
+def test_packed_entry_sums_equal_the_direct_sums(precision):
+    # every left line against every right line, for p in {2, 3, 5, 7} and
+    # d = 1..9 (lines of 2d places, as ``_product`` forms them); the all-full
+    # lines fill each slot to n * max(us) * max(ws), the largest sum a slot holds
+    rng = random.Random(25)
+    wide = False
+    for p in (2, 3, 5, 7):
+        base = PadicContext(p, precision)
+        limit = base.modulus.bit_length() + base._powers[-1].bit_length()
+        for d in range(1, 10):
+            fixed = [["full"] * 2, ["top"] * 2, ["zero", "random"], ["random", "zero"], ["zero"] * 2]
+            for kinds in fixed + [["one", "random"]] * 2 + [rng.choices(_LINE_KINDS, k=2) for _ in range(4)]:
+                left, right = (
+                    [quadext._scaled(base, _packing_line(rng, base, kind, 2 * d)) for _ in range(d)]
+                    for kind in kinds
+                )
+                direct = [[sum(map(mul, x[1], y[1])) for y in right] for x in left]
+                assert quadext._sums(base, left, right) == direct, (p, d, kinds)
+                wide |= max(u for x in left + right for u in x[1]).bit_length() > limit
+    assert wide
 
 
 def _zero_residue_terms(a, b):

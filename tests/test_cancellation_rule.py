@@ -290,3 +290,17 @@ def test_a_term_beyond_the_sums_precision_costs_nothing():
     sums += [verify_cyclic(diagonal(ctx, [ctx.from_base(far), ctx.from_base(x)]), identity(ctx, 2))[0].sc]
     assert time.perf_counter() - start < 1
     assert [(s.valuation, s.digits()) for s in sums] == [(0, [1, 2])] * 4
+
+
+def test_a_far_product_in_a_block_entry_costs_no_division_per_digit_of_its_gap():
+    # entry (1, 2) of a * a is x*far + far*x = 2x * 3**g: its integer sum is a
+    # multiple of p**g, divided out at once, not one p at a time
+    ctx = helpers.ext_ctx(3, 5, 20)
+    x, far = ctx.from_ints(1, 2), ctx.from_base(ctx.base.from_digits(10**5, [1]))
+    a = BlockOperator(ctx, [[x, far], [x, x]])
+    start = time.perf_counter()
+    product = a * a
+    assert time.perf_counter() - start < 1
+    scalar = [[quad_sum(ctx, [a.rows[m][k] * a.rows[k][n] for k in (0, 1)]) for n in (0, 1)] for m in (0, 1)]
+    assert _view(product) == [[_view(z) for z in row] for row in scalar]
+    assert _view(product.rows[0][1])[0] == (10**5, 2, 1, None)

@@ -44,6 +44,7 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "quadext.mul_us",
         "quadext.element_us",
         "block_mul.d4_ms",
+        "block_mul_gap_ms",
         "block_mul_diag.d4_ms",
         "hs_inner.d4_ms",
         "decompose.d4_ms",

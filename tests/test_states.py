@@ -121,6 +121,26 @@ def test_make_statistical_validation():
         make_statistical(rank_one(basis_vector(E35, 1), basis_vector(E35, 2), 2))
 
 
+def test_a_trace_not_known_at_p0_is_neither_one_nor_zero():
+    # each entry is known to one digit at valuation -1, so the trace
+    # 3^-1 * (1 + 2) is O(3^0): its p^0 digit, which both checks decide, is unknown
+    ctx = helpers.ext_ctx(3, 5, 5)
+    c = ctx.base
+    x, y = (ctx.from_base(c.from_digits(-1, [d])) for d in (1, 2))
+    op = diagonal(ctx, [x, y])
+    assert (trace(op).sc.absolute, trace(op).ac.is_zero) == (0, True)
+    for check in (make_statistical, make_zero_trace):
+        with pytest.raises(PrecisionExhausted):
+            check(op)
+    # O(3^1) is known at p^0: it is not 1, and it is 0 at its precision
+    z = ctx.from_base(c.from_digits(0, [1]))
+    known = diagonal(ctx, [z, -z])
+    assert trace(known).sc.absolute == 1
+    with pytest.raises(TraceNotOne):
+        make_statistical(known)
+    assert make_zero_trace(known).op is known
+
+
 def test_density_examples():
     # normalized rank-one projection on a vector with |<psi,psi>| = ||psi||^2
     psi = basis_vector(E35, 1) + basis_vector(E35, 2)
