@@ -454,10 +454,10 @@ def _scaled(base: PadicContext, line):
 
 
 def _sums(base: PadicContext, left, right) -> list[list[int]]:
-    """sum(map(mul, us, ws)) for the units of each ``_scaled`` left and right
-    line by Kronecker packing: the right lines' units, never negative, share
-    one int per place in slots wider than any entry sum.  A unit with more
-    bits than p**precision and the last table power gives the direct sums."""
+    """sum(map(mul, us, ws)) for each ``_scaled`` left and right line by
+    Kronecker packing: the right lines' units, never negative, share one int
+    per place in slots wider than any entry sum.  A unit wider than p**precision
+    and the last table power together would fill every slot: the direct sums."""
     lmax, rmax = (max([max(z[1]) for z in lines] or [0]) for lines in (left, right))
     if (lmax | rmax).bit_length() > base.modulus.bit_length() + base._powers[-1].bit_length():
         return [[sum(map(mul, x[1], y[1])) for y in right] for x in left]

@@ -18,6 +18,7 @@ Two properties hold the rule to what the operands' known digits decide.
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,3 +305,26 @@ def test_a_far_product_in_a_block_entry_costs_no_division_per_digit_of_its_gap()
     scalar = [[quad_sum(ctx, [a.rows[m][k] * a.rows[k][n] for k in (0, 1)]) for n in (0, 1)] for m in (0, 1)]
     assert _view(product) == [[_view(z) for z in row] for row in scalar]
     assert _view(product.rows[0][1])[0] == (10**5, 2, 1, None)
+
+
+def test_a_far_entry_in_a_large_product_costs_its_gap_once_per_line():
+    # the far entry's scaled unit has about g * log2(3) bits; packed slots
+    # wide enough for it would make each of the 2d packed ints d times wider
+    # (packing alone took 1.1 s and 77 MB here), so such a product keeps the
+    # per-entry sums and its cost grows with g, not with d * d * g
+    ctx, d, g = helpers.ext_ctx(3, 5, 20), 16, 2 * 10**5
+    rng = random.Random(7)
+    rows = [[ctx.from_ints(rng.randrange(1, 100), rng.randrange(100)) for _ in range(d)] for _ in range(d)]
+    rows[0][1] = ctx.from_base(ctx.base.from_digits(g, [1]))
+    a = BlockOperator(ctx, rows)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        product = a * a
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 16 * 2**20
+    scalar = [[quad_sum(ctx, [rows[m][k] * rows[k][n] for k in range(d)]) for n in range(d)] for m in range(d)]
+    assert _view(product) == [[_view(z) for z in row] for row in scalar]
