@@ -12,7 +12,9 @@ batch and reported in microseconds per operation, and so is construction:
 24, 32, up to ``--max-dim``; 24 is the benchmark's largest) in
 milliseconds per call, and so are ``block_mul_gap_ms``, the square of
 the 2 x 2 block [[x, far], [x, x]] with x = 1 + 2 sqrt(mu) and
-far = p**GAP (one entry of it a multiple of p**GAP), a diagonal block
+far = p**GAP (one entry of it a multiple of p**GAP),
+``block_mul_far_row_ms``, [[x, far], [x, x]] times [[x, x], [0, 0]] with
+far = p**FAR_ROW_GAP (the far entry meets only the zero row), a diagonal block
 times a dense one (the S T shape of ``factor_trace_class``),
 ``hs_inner``, ``canonical_decomposition`` alone and its round trip
 (``reconstruct`` of ``canonical_decomposition``), ``factor_trace_class``
@@ -75,6 +77,8 @@ SUM_TERMS = 16
 BLOCK_DIMS = (4, 8, 16, 24, 32)
 # the valuation of the far entry of the gap product
 GAP = 10**4
+# the valuation of the far entry of the far-row product
+FAR_ROW_GAP = 10**6
 # diagonal times dense, hs_inner, the decomposition and its round trip, the
 # factorization, the norm
 SINGLE_DIM = 16
@@ -163,6 +167,9 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     x = ext.from_ints(1, 2)
     gap = BlockOperator(ext, [[x, ext.from_base(ctx.from_digits(GAP, [1]))], [x, x]])
     out["block_mul_gap_ms"] = _best(lambda: gap * gap, repeat) * 1e3
+    far_row = BlockOperator(ext, [[x, ext.from_base(ctx.from_digits(FAR_ROW_GAP, [1]))], [x, x]])
+    zero_row = BlockOperator(ext, [[x, x], [ext.zero(), ext.zero()]])
+    out["block_mul_far_row_ms"] = _best(lambda: far_row * zero_row, repeat) * 1e3
     d = min(SINGLE_DIM, max_dim)
     s, t = _block(rng, ext, d), _block(rng, ext, d)
     diag = diagonal(ext, [_element(rng, ext) for _ in range(d)])

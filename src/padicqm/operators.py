@@ -29,6 +29,7 @@ from .errors import (
     NotSelfAdjoint,
     NotTraceClass,
     OutsideWindow,
+    PrecisionExhausted,
     RequiresOddP,
     SearchExhausted,
     TailDominates,
@@ -375,6 +376,8 @@ def _magnitude_below(p: int, floor: Fraction) -> Magnitude:
 
 def _magnitude_within(z: QuadExtElement, bound: float | Fraction) -> bool:
     if z.is_zero:
+        if min([x.absolute for x in (z.sc, z.ac) if x.absolute is not None], default=INF) < bound:
+            raise PrecisionExhausted("O(p^N) with N below the decay bound; raise the precision")
         return True
     if bound == INF:
         return False

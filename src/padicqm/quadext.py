@@ -430,37 +430,39 @@ def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]
     left_sc = [_scaled(base, [x and x[0] for x in r] + [x and x[1] for x in r]) for r in rows]
     left_ac = [_scaled(base, [x and x[0] for x in r] + [x and x[2] for x in r]) for r in rows]
     right = [_scaled(base, [y and y[0] for y in c] + [y and y[1] for y in c]) for c in cols]
+    if None in left_sc or None in left_ac or None in right:
+        return [[_dot(context, row, col) for col in cols] for row in rows]
     # [ac'; sc'] is [sc'; ac'] with its halves swapped
     swapped = [(c, u[d:] + u[:d], v[d:] + v[:d], a[d:] + a[:d], *x) for c, u, v, a, *x in right]
     sc, ac = _coordinate(base, left_sc, right), _coordinate(base, left_ac, swapped)
     return [[_element(context, coords) for coords in zip(srow, arow)] for srow, arow in zip(sc, ac)]
 
 
-_FAR = 1 << 62  # a zero's valuation in a line: beyond any p**gap that fits in memory
+_FAR = 1 << 62  # a zero's valuation in a line: beyond every live place
 
 
 def _scaled(base: PadicContext, line):
     """A line of triples (None for zero) over its least valuation r: r, the
     units p**(v - r) * u, the v - r and v + prec - r (0, _FAR and _FAR for
-    a zero), the least v + prec - r, and the least and largest prec."""
+    a zero), the least v + prec - r, and the least and largest prec; None
+    where the valuations span the power table, whose product takes ``_dot``."""
     live = [x for x in line if x]
-    r = min([x[0] for x in live], default=0)
-    pw, top, p = base._powers, len(base._powers), base.p
-    us = [x[1] * (pw[x[0] - r] if x[0] - r < top else p ** (x[0] - r)) if x else 0 for x in line]
+    vals = [x[0] for x in live] or [0]
+    r, pw = min(vals), base._powers
+    if max(vals) - r >= len(pw):
+        return None
+    us = [x[1] * pw[x[0] - r] if x else 0 for x in line]
     vs = [x[0] - r if x else _FAR for x in line]
     als = [x[0] + x[2] - r if x else _FAR for x in line]
     precs = [x[2] for x in live] or [_FAR]
     return r, us, vs, als, min(als), min(precs), max(precs)
 
 
-def _sums(base: PadicContext, left, right) -> list[list[int]]:
+def _sums(left, right) -> list[list[int]]:
     """sum(map(mul, us, ws)) for each ``_scaled`` left and right line by
     Kronecker packing: the right lines' units, never negative, share one int
-    per place in slots wider than any entry sum.  A unit wider than p**precision
-    and the last table power together would fill every slot: the direct sums."""
+    per place in slots wider than any entry sum."""
     lmax, rmax = (max([max(z[1]) for z in lines] or [0]) for lines in (left, right))
-    if (lmax | rmax).bit_length() > base.modulus.bit_length() + base._powers[-1].bit_length():
-        return [[sum(map(mul, x[1], y[1])) for y in right] for x in left]
     places = list(zip(*[y[1] for y in right]))
     width = (lmax * rmax * len(places)).bit_length() or 1
     mask, slots = (1 << width) - 1, range(0, width * len(right), width)
@@ -475,18 +477,14 @@ def _coordinate(base: PadicContext, left, right):
     p**A, A the least v + v' + min(prec, prec') of those products; the entry
     is O(p**(r + c + A)) where S vanishes modulo p**A, and None where no
     product is live.  A is taken only where the lines' least v + prec leave
-    fewer than ``precision`` digits, or S is 0.  S divisible by p**precision
-    loses p**m, m the least v + v' (>= A - precision), at once."""
+    fewer than ``precision`` digits, or S is 0."""
     p, cap, powers, top = base.p, base.precision, base._powers, len(base._powers)
     out = []
-    for (r, _, vs, als, low, lo, hi), sums in zip(left, _sums(base, left, right)):
+    for (r, _, vs, als, low, lo, hi), sums in zip(left, _sums(left, right)):
         row = []
         for (c, _, wvs, wals, wlow, wlo, whi), s in zip(right, sums):
-            w = m = 0
-            if s and not s % base.modulus:
-                m = w = min(map(add, vs, wvs))
-                s //= powers[w] if w < top else p**w
-            while s and w < m + cap and not s % p:
+            w = 0
+            while s and not s % p:
                 s, w = s // p, w + 1
             # at most cap: the prec of a line's least valuation
             k = (low if low < wlow else wlow) - w

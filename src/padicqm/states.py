@@ -52,8 +52,10 @@ class PadicDistribution:
         for w in self.weights:
             if w.context != self.context:
                 raise ContextMismatch("weight from a different context")
-        if padic_sum(self.context, list(self.weights)) != self.context.one():
+        total = padic_sum(self.context, list(self.weights))
+        if total != self.context.one():
             raise SumNotOne("weights must sum to 1")
+        _require_known([total], "the weight sum")
 
     def sup_norm(self) -> Fraction:
         return max((w.abs_p() for w in self.weights), default=Fraction(0))
@@ -166,8 +168,13 @@ def _require_trace(op: BlockOperator, value: QuadExtElement, error: Exception) -
     tr = trace(op)
     if tr != value:
         raise error
-    if any(x.absolute is not None and x.absolute <= 0 for x in (tr.sc, tr.ac)):
-        raise PrecisionExhausted("the trace is not known at p^0; raise the precision")
+    _require_known([tr.sc, tr.ac], "the trace")
+
+
+def _require_known(numbers, what: str) -> None:
+    """PrecisionExhausted where a number is O(p**N), N <= 0: its p**0 digit is unknown."""
+    if any(x.absolute is not None and x.absolute <= 0 for x in numbers):
+        raise PrecisionExhausted(f"{what} is not known at p^0; raise the precision")
 
 
 def is_density(s: StatisticalOperator) -> bool:
@@ -253,6 +260,7 @@ def make_sovm(effects: list[BlockOperator]) -> Sovm:
         acc = a if acc is None else acc + a
     if acc != identity(acc.context, acc.dim):
         raise SumNotIdentity("effects must sum to the identity")
+    _require_known([x for row in acc.rows for z in row for x in (z.sc, z.ac)], "the sum of the effects")
     return Sovm(tuple(effects), acc.dim)
 
 

@@ -2,7 +2,8 @@
 
 ``BlockOperator.__mul__`` sums each entry exactly over integers
 (``quadext._product``), an entry that vanishes at its precision as the
-inexact zero O(p**N), and calls ``quadext._dot`` for none.
+inexact zero O(p**N), and calls ``quadext._dot`` for none unless a line
+spans the power table.
 ``operators._trace_of_product``, ``BlockOperator.apply`` and the rank-one
 sums (``operators._rank_one_sum``: decomposition reconstructions,
 ``factor_trace_class``, ``rank_one``) sum their products on integer
@@ -24,6 +25,7 @@ calls it replaced in the same way.
 
 import math
 import random
+import time
 from operator import mul
 from dataclasses import replace
 from fractions import Fraction
@@ -450,7 +452,7 @@ def test_products_up_to_size_8_match_the_scalar_route(monkeypatch):
 
 # -- packed entry sums -------------------------------------------------------------
 
-_LINE_KINDS = ("random", "zero", "one", "full", "top", "wide")
+_LINE_KINDS = ("random", "zero", "one", "full", "top")
 
 
 def _packing_line(rng: random.Random, base: PadicContext, kind: str, n: int) -> list:
@@ -460,7 +462,7 @@ def _packing_line(rng: random.Random, base: PadicContext, kind: str, n: int) -> 
     largest residue p**precision - 1 at every place, and ``top`` holds it at
     valuation 0 and at the power table's last exponent, the largest scaled
     units that are packed; ``wide`` adds a unit whose valuation gap lies past
-    the table, which takes the direct sums."""
+    the table, a line ``_scaled`` refuses."""
     cap, last, full = base.precision, len(base._powers) - 1, base.modulus - 1
 
     def unit(k):
@@ -492,10 +494,8 @@ def test_packed_entry_sums_equal_the_direct_sums(precision):
     # d = 1..9 (lines of 2d places, as ``_product`` forms them); the all-full
     # lines fill each slot to n * max(us) * max(ws), the largest sum a slot holds
     rng = random.Random(25)
-    wide = False
     for p in (2, 3, 5, 7):
         base = PadicContext(p, precision)
-        limit = base.modulus.bit_length() + base._powers[-1].bit_length()
         for d in range(1, 10):
             fixed = [["full"] * 2, ["top"] * 2, ["zero", "random"], ["random", "zero"], ["zero"] * 2]
             for kinds in fixed + [["one", "random"]] * 2 + [rng.choices(_LINE_KINDS, k=2) for _ in range(4)]:
@@ -504,9 +504,33 @@ def test_packed_entry_sums_equal_the_direct_sums(precision):
                     for kind in kinds
                 )
                 direct = [[sum(map(mul, x[1], y[1])) for y in right] for x in left]
-                assert quadext._sums(base, left, right) == direct, (p, d, kinds)
-                wide |= max(u for x in left + right for u in x[1]).bit_length() > limit
-    assert wide
+                assert quadext._sums(left, right) == direct, (p, d, kinds)
+
+
+@pytest.mark.parametrize("precision", [5, 40])
+def test_a_line_spanning_the_power_table_takes_the_per_entry_sums(monkeypatch, precision):
+    # a line whose valuations span the table is refused before any unit is
+    # scaled, one that spans one less is packed; a product with a refused
+    # line makes every entry one _dot, digit for digit the scalar route
+    rng = random.Random(26)
+    dots = _counting_dots(monkeypatch)
+    for p, mu in ((2, 3), (3, 5), (5, 2), (7, 3)):
+        ctx = helpers.ext_ctx(p, mu, precision)
+        base, last = ctx.base, len(ctx.base._powers) - 1
+        assert quadext._scaled(base, [None, (0, 1, 1), (last, 1, 1)]) is not None
+        assert quadext._scaled(base, [None, (0, 1, 1), (last + 1, 1, 1)]) is None
+        for d in range(1, 5):
+            assert quadext._scaled(base, _packing_line(rng, base, "wide", 2 * d)) is None
+            rows = [[_element(rng, ctx) for _ in range(d)] for _ in range(d)]
+            m, n = rng.randrange(d), rng.randrange(d)
+            far = base.from_digits(last + 1 + rng.randrange(3), [1, 1])
+            rows[m][n] = QuadExtElement(ctx, far, base.one())
+            a, b = BlockOperator(ctx, rows), _operands(rng, ctx)[0]
+            calls = dots[0]
+            _compare_products(a, b)
+            _compare_products(b, a)
+            assert dots[0] > calls
+    assert quadext._scaled(base, [None] * 4) is not None
 
 
 def _zero_residue_terms(a, b):
@@ -1150,3 +1174,76 @@ def test_triple_routes_form_no_scalar_product_conjugate_or_adjoint(monkeypatch, 
     for owner, name in ((QuadExtElement, "__mul__"), (QuadExtElement, "conj"), (BlockOperator, "adjoint")):
         monkeypatch.setattr(owner, name, _refuse)
     assert [_outcome(call, lambda x: x) for call in calls] == expected
+
+
+# -- a far entry at every entry point ----------------------------------------------
+#
+# One operand entry at valuation 10**7 over Q_3(sqrt(5)) at precision 20.  The
+# product is [[x, far], [x, x]] * [[x, x], [0, 0]]: the far entry meets only a
+# zero row, and its row spans the power table, so every entry is one _dot,
+# which drops the far term before scaling it.  u = [[1, far], [0, 1]] is
+# refuted by the Gram entry that holds far.
+
+def _far_operands():
+    ctx = helpers.ext_ctx(3, 5, 20)
+    x, far, zero, one = ctx.from_ints(1, 2), ctx.from_base(ctx.base.from_digits(10**7, [1])), ctx.zero(), ctx.one()
+    a, b = BlockOperator(ctx, [[x, far], [x, x]]), BlockOperator(ctx, [[x, x], [zero, zero]])
+    u, v = BlockOperator(ctx, [[one, far], [zero, one]]), PVector(ctx, {1: x, 2: far})
+    return a, b, u, v
+
+
+def _far_columns(u):
+    return [PVector(u.context, dict(enumerate(col, 1))) for col in zip(*u.rows)]
+
+
+@pytest.mark.parametrize(
+    "kernel, scalar, view",
+    [
+        pytest.param(lambda a, b, u, v: (a * b).rows, lambda a, b, u, v: _scalar_product(a, b), _rows, id="product"),
+        pytest.param(
+            lambda a, b, u, v: [_digits(t) for t in verify_cyclic(a, b)],
+            lambda a, b, u, v: [_digits(_scalar_trace_of_product(a, b)), _digits(_scalar_trace_of_product(b, a))],
+            list,
+            id="verify_cyclic",
+        ),
+        pytest.param(lambda a, b, u, v: hs_inner(a, b), lambda a, b, u, v: _scalar_hs_inner(a, b), _digits, id="hs_inner"),
+        pytest.param(lambda a, b, u, v: dict(a.apply(v).items()), lambda a, b, u, v: _scalar_apply(a, v), _vector, id="apply"),
+        pytest.param(
+            lambda a, b, u, v: inner_product(v, v), lambda a, b, u, v: _scalar_inner_product(v, v), _digits, id="inner_product"
+        ),
+        pytest.param(
+            lambda a, b, u, v: rank_one(v, v).rows,
+            lambda a, b, u, v: _scalar_rank_one_sum(a.context, 2, [(a.context.one(), v, v)]),
+            _rows,
+            id="rank_one",
+        ),
+        pytest.param(
+            lambda a, b, u, v: canonical_decomposition(a).reconstruct().rows,
+            lambda a, b, u, v: _scalar_rank_one_sum(a.context, 2, _scalar_canonical_terms(a)),
+            _rows,
+            id="canonical_round_trip",
+        ),
+        pytest.param(
+            lambda a, b, u, v: [x.rows for x in factor_trace_class(a)],
+            lambda a, b, u, v: _scalar_factor(a),
+            _pair_of_rows,
+            id="factor_trace_class",
+        ),
+        pytest.param(lambda a, b, u, v: is_unitary(u), lambda a, b, u, v: _scalar_unitarity(u)[1](), bool, id="is_unitary"),
+        pytest.param(
+            lambda a, b, u, v: is_ip_preserving(u), lambda a, b, u, v: _scalar_unitarity(u)[0](), bool, id="is_ip_preserving"
+        ),
+        pytest.param(
+            lambda a, b, u, v: is_orthonormal_system(_far_columns(u)),
+            lambda a, b, u, v: _double_loop_orthonormal(_far_columns(u)),
+            bool,
+            id="is_orthonormal_system",
+        ),
+    ],
+)
+def test_a_far_entry_costs_nothing_at_any_entry_point(kernel, scalar, view):
+    operands = _far_operands()
+    start = time.perf_counter()
+    got = _outcome(lambda: kernel(*operands), view)
+    assert time.perf_counter() - start < 1
+    assert got == _outcome(lambda: scalar(*operands), view)

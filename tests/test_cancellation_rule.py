@@ -22,6 +22,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -294,8 +295,9 @@ def test_a_term_beyond_the_sums_precision_costs_nothing():
 
 
 def test_a_far_product_in_a_block_entry_costs_no_division_per_digit_of_its_gap():
-    # entry (1, 2) of a * a is x*far + far*x = 2x * 3**g: its integer sum is a
-    # multiple of p**g, divided out at once, not one p at a time
+    # entry (1, 2) of a * a is x*far + far*x = 2x * 3**g: the far entry's
+    # lines span the power table, so each entry is one _dot, and no integer
+    # sum holds p**g to be stripped one p at a time
     ctx = helpers.ext_ctx(3, 5, 20)
     x, far = ctx.from_ints(1, 2), ctx.from_base(ctx.base.from_digits(10**5, [1]))
     a = BlockOperator(ctx, [[x, far], [x, x]])
@@ -307,12 +309,14 @@ def test_a_far_product_in_a_block_entry_costs_no_division_per_digit_of_its_gap()
     assert _view(product.rows[0][1])[0] == (10**5, 2, 1, None)
 
 
-def test_a_far_entry_in_a_large_product_costs_its_gap_once_per_line():
-    # the far entry's scaled unit has about g * log2(3) bits; packed slots
-    # wide enough for it would make each of the 2d packed ints d times wider
-    # (packing alone took 1.1 s and 77 MB here), so such a product keeps the
-    # per-entry sums and its cost grows with g, not with d * d * g
-    ctx, d, g = helpers.ext_ctx(3, 5, 20), 16, 2 * 10**5
+@pytest.mark.parametrize("d, g, megabytes", [(16, 2 * 10**5, 16), (24, 10**6, 2)])
+def test_a_far_entry_in_a_large_product_costs_its_gap_once_per_line(d, g, megabytes):
+    # the far entry's scaled unit would have about g * log2(3) bits; packed
+    # slots wide enough for it made each of the 2d packed ints d times wider
+    # (1.1 s and 77 MB at d = 16, g = 2 * 10**5), and scaling its row and
+    # column alone 11.6 MB at d = 24, g = 10**6.  Its lines span the power
+    # table, so every entry is one _dot, which leaves out each far term
+    ctx = helpers.ext_ctx(3, 5, 20)
     rng = random.Random(7)
     rows = [[ctx.from_ints(rng.randrange(1, 100), rng.randrange(100)) for _ in range(d)] for _ in range(d)]
     rows[0][1] = ctx.from_base(ctx.base.from_digits(g, [1]))
@@ -325,6 +329,6 @@ def test_a_far_entry_in_a_large_product_costs_its_gap_once_per_line():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert elapsed < 0.5 and peak < 16 * 2**20
+    assert elapsed < 0.5 and peak < megabytes * 2**20
     scalar = [[quad_sum(ctx, [rows[m][k] * rows[k][n] for k in range(d)]) for n in range(d)] for m in range(d)]
     assert _view(product) == [[_view(z) for z in row] for row in scalar]

@@ -32,6 +32,7 @@ from padicqm.errors import (
     NotAdjointable,
     NotSelfAdjoint,
     NotTraceClass,
+    PrecisionExhausted,
     TailDominates,
     ValidationError,
 )
@@ -58,6 +59,28 @@ def test_symmetric_window_is_not_certified_self_adjoint():
     assert not flag.holds
     assert flag.verdict == Verdict.REFUTED
     assert flag.witness == "certificate declares no symmetry"
+
+
+def test_an_inexact_zero_window_entry_below_its_bound_is_refused():
+    # O(3^-1) is only known to lie below 3^1: the bound 7 at (1, 1) asks for
+    # |z| <= 3^-7, and a diagonal-only certificate asks for 0 off the diagonal
+    ctx = helpers.ext_ctx(3, 5, 5)
+    c = ctx.base
+
+    def inexact_zero(v):
+        return ctx.from_base(c.from_digits(v, [1]) - c.from_digits(v, [1, 0]))
+
+    o = inexact_zero(-2)
+    assert o.is_zero and o.sc.absolute == -1
+    with pytest.raises(PrecisionExhausted):
+        GeneratorOperator(BlockOperator(ctx, [[o]]), affine_certificate(5, 1, 1))
+    off_diagonal = [[ctx.one(), o], [ctx.zero(), ctx.one()]]
+    with pytest.raises(PrecisionExhausted):
+        GeneratorOperator(BlockOperator(ctx, off_diagonal), affine_certificate(-2, 0, 0, diagonal_only=True))
+    # O(3^7) meets the bound 7, and an exact zero meets every bound
+    assert inexact_zero(6).sc.absolute == 7
+    GeneratorOperator(BlockOperator(ctx, [[inexact_zero(6)]]), affine_certificate(5, 1, 1))
+    GeneratorOperator(BlockOperator(ctx, [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]]), affine_certificate(-2, 0, 0, diagonal_only=True))
 
 
 def test_constant_bound_is_not_trace_class():

@@ -141,6 +141,28 @@ def test_a_trace_not_known_at_p0_is_neither_one_nor_zero():
     assert make_zero_trace(known).op is known
 
 
+def test_weights_whose_sum_is_not_known_at_p0_are_refused():
+    # 3^-1 * 1 + 3^-1 * 2 is O(3^0): whether it is 1 is unknown
+    c = helpers.base_ctx(3, 5)
+    with pytest.raises(PrecisionExhausted):
+        validate_distribution(c, [c.from_digits(-1, [1]), c.from_digits(-1, [2])])
+    # O(3^1) is known at p^0, and it is not 1
+    with pytest.raises(SumNotOne):
+        validate_distribution(c, [c.from_digits(0, [1]), c.from_digits(0, [2])])
+
+
+def test_effects_whose_sum_is_not_known_at_p0_are_refused():
+    # the 1 x 1 effects 3^-1 * 1 and 3^-1 * 2 sum to O(3^0), not to a known Id
+    ctx = helpers.ext_ctx(3, 5, 5)
+    effects = [BlockOperator(ctx, [[ctx.from_base(ctx.base.from_digits(-1, [d]))]]) for d in (1, 2)]
+    with pytest.raises(PrecisionExhausted):
+        make_sovm(effects)
+    # the same sum known at p^0 is refused as not the identity
+    known = [BlockOperator(ctx, [[ctx.from_base(ctx.base.from_digits(0, [d]))]]) for d in (1, 2)]
+    with pytest.raises(SumNotIdentity):
+        make_sovm(known)
+
+
 def test_density_examples():
     # normalized rank-one projection on a vector with |<psi,psi>| = ||psi||^2
     psi = basis_vector(E35, 1) + basis_vector(E35, 2)
