@@ -21,7 +21,8 @@ times a dense one (the S T shape of ``factor_trace_class``),
 and ``operator_norm`` (d = 16, or ``--max-dim`` when smaller), ``apply`` of that block to a dense vector and
 ``inner_product`` of two dense vectors of that length, and so are the
 unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
-butterfly of ``rotation_on_pairs`` stages at that size and
+butterfly of ``rotation_on_pairs`` stages at that size and at d = 8
+(``unitarity.d8_ms``, whatever ``--max-dim``), and
 ``is_orthonormal_system`` on the butterfly's columns.  The JSON wire
 is timed on the same block: ``operator_from_dict`` of its dict in
 microseconds per entry, ``jsonio.dumps`` of that dict in microseconds
@@ -82,6 +83,9 @@ FAR_ROW_GAP = 10**6
 # diagonal times dense, hs_inner, the decomposition and its round trip, the
 # factorization, the norm
 SINGLE_DIM = 16
+# the unitarity check also at this size, the largest block of the CLI
+# benchmark, where each line's fixed cost shows
+UNITARITY_DIM = 8
 
 
 def _number(rng: random.Random, ctx: PadicContext) -> PadicNumber:
@@ -184,8 +188,9 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     v, w = (PVector(ext, dict(enumerate(x.rows[0], 1))) for x in (s, t))
     out[f"apply.d{d}_ms"] = _best(lambda: s.apply(w), repeat) * 1e3
     out[f"inner_product.d{d}_ms"] = _best(lambda: inner_product(v, w), repeat) * 1e3
-    u = _butterfly(ext, d)
-    out[f"unitarity.d{d}_ms"] = _best(lambda: (is_unitary(u), is_ip_preserving(u)), repeat) * 1e3
+    for size in (UNITARITY_DIM, d):
+        u = _butterfly(ext, size)
+        out[f"unitarity.d{size}_ms"] = _best(lambda: (is_unitary(u), is_ip_preserving(u)), repeat) * 1e3
     cols = [PVector(ext, dict(enumerate(col, 1))) for col in zip(*u.rows)]
     out[f"orthonormal.d{d}_ms"] = _best(lambda: is_orthonormal_system(cols), repeat) * 1e3
     wire = operator_to_dict(s)

@@ -272,7 +272,8 @@ def _family_context(vectors: list[PVector]) -> ExtensionContext:
 def is_orthonormal_system(vectors: list[PVector]) -> bool:
     """All norms 1, inner products delta_ab, and norm-orthogonal.  The inner
     products are one Gram scan (``quadext._gram_is_identity``) of the vectors
-    over their joint support: False once one differs, else the first raise."""
+    over their joint support, which returns False at the first that differs
+    and raises for none."""
     ctx = _family_context(vectors)
     if not all(sup_norm(v).is_one for v in vectors):
         return False

@@ -265,8 +265,23 @@ _set_context, _set_sc, _set_ac = (
 
 
 def max_abs(context: ExtensionContext, values: Iterable[QuadExtElement]) -> Magnitude:
-    """The largest |z| over the values; zero when there are none."""
-    return max((z.ext_abs() for z in values), default=Magnitude.zero(context.p))
+    """The largest |z| over the values; zero when there are none.
+
+    A z whose coordinates are both zeros, one of them O(p**N), is known only
+    to lie below p**(b/2), b = -min(2 N_sc, 2 N_ac + v(mu)) (an exact zero
+    side left out).  It raises PrecisionExhausted where b exceeds the
+    largest known |z|, or where no |z| is known."""
+    largest, bound, shift = Magnitude.zero(context.p), None, context.mu.valuation
+    for z in values:
+        if not z.is_zero:
+            largest = max(largest, z.ext_abs())
+            continue
+        sides = [2 * n + s for n, s in ((z.sc.absolute, 0), (z.ac.absolute, shift)) if n is not None]
+        if sides and (bound is None or -min(sides) > bound):
+            bound = -min(sides)
+    if bound is not None and (largest.is_zero or bound > largest.exp2):
+        raise PrecisionExhausted("an O(p^N) entry could exceed the largest known |z|; raise the precision")
+    return largest
 
 
 def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtElement:
@@ -402,40 +417,136 @@ def _rank_one_entries(context: ExtensionContext, terms) -> dict:
 
 def _gram_is_identity(ctx: ExtensionContext, lines: list) -> bool:
     """G == Id without forming G, whose entry (m, n) is sum_k
-    conj(lines[m][k]) * lines[n][k], one ``_dot``: adjoint(U) U from the
-    columns of U, the conjugate of U adjoint(U) from its rows, the Gram
-    matrix of an orthonormal system from its vectors.  Entry (n, m) is the
-    conjugate of entry (m, n), zeros included, so only m <= n is summed,
-    up to the first entry that differs from Id.
-    """
-    base, one, zero = ctx.base, ctx.one(), ctx.zero()
-    left = [[_conj(base, _lhs_coords(z)) for z in line] for line in lines]
-    right = [[_rhs_coords(z) for z in line] for line in lines]
-    return all(
-        _dot(ctx, row, right[n]) == (one if m == n else zero)
-        for m, row in enumerate(left)
-        for n in range(m, len(right))
-    )
+    conj(lines[m][k]) * lines[n][k]: adjoint(U) U from the columns of U,
+    the conjugate of U adjoint(U) from its rows, the Gram matrix of an
+    orthonormal system from its vectors.  Entry (n, m) is the conjugate of
+    entry (m, n), zeros included, so only m <= n is decided, up to the first
+    entry that differs from Id: the diagonal first, each entry as its line
+    is scaled (``_gram_line``), then row m's entries n > m from the row's
+    packed sums (``_sums``), each read off its integer sums by
+    ``_matches_id``.  Where a line spans the power table every entry is one
+    ``_dot``, as in a product."""
+    base, d, grams = ctx.base, len(lines), []
+    for line in lines:
+        g = _gram_line(ctx, line)
+        if g is None:
+            one, zero = ctx.one(), ctx.zero()
+            left = [[_conj(base, _lhs_coords(z)) for z in x] for x in lines]
+            right = [[_rhs_coords(z) for z in x] for x in lines]
+            return all(
+                _dot(ctx, row, right[n]) == (one if m == n else zero) for m, row in enumerate(left) for n in range(m, d)
+            )
+        xs, xa, y = g[:3]
+        if not _matches_id(base, g, g, sum(map(mul, xs[1], y[1])), sum(map(mul, xa[1], y[1]))):
+            return False
+        grams.append(g)
+    sums = _sums([x for g in grams for x in g[:2]], [g[2] for g in grams])
+    # the rows come in pairs, sc then ac of one left line; the last has no n > m
+    for m, (g, srow, arow) in enumerate(zip(grams[:-1], sums, sums)):
+        for n in range(m + 1, d):
+            if not _matches_id(base, g, grams[n], srow[n], arow[n]):
+                return False
+    return True
+
+
+def _gram_line(ctx: ExtensionContext, line):
+    """The ``_scaled`` lines of one Gram line z and their ``_masks``:
+    conj(z) . z' has sc = [sc | -mu*ac] . [sc' | ac'] and
+    ac = [-ac | sc] . [sc' | ac'], so the left sc line, the left ac line and
+    the right line [sc | ac], then the masks of each.  Conjugation changes
+    units only, so the left ac line is the right line's structure with its
+    halves swapped and its ac units negated, as ``_conj`` of ``_lhs_coords``
+    gives them, and its masks are the right line's with their halves
+    swapped.  So is the left sc line the right line's, with the units of
+    -mu*ac, where mu is a unit known to every prec of the line.  None where
+    a line spans the power table."""
+    base, mu, d = ctx.base, ctx.mu, len(line)
+    pw, top, p = base._powers, len(base._powers), base.p
+    scs, acs = [padic._triple(z.sc) for z in line], [padic._triple(z.ac) for z in line]
+    right = _scaled(base, scs + acs)
+    if right is None:
+        return None
+    r, us, vs, als, low, lo, hi = right
+    mods = [a and (pw[a[2]] if a[2] < top else p ** a[2]) for a in acs]
+    neg = [-a[1] % m * pw[a[0] - r] if a else 0 for a, m in zip(acs, mods)]
+    left_ac = r, neg + us[:d], vs[d:] + vs[:d], als[d:] + als[:d], low, lo, hi
+    lows, zeros = masks = _masks(right)
+    half = (1 << d) - 1
+    flipped = lows >> d | (lows & half) << d, zeros >> d | (zeros & half) << d
+    if not mu.valuation and mu.prec >= hi:
+        mus = [-mu.unit * a[1] % m * pw[a[0] - r] if a else 0 for a, m in zip(acs, mods)]
+        return (r, us[:d] + mus, vs, als, low, lo, hi), left_ac, right, masks, flipped, masks
+    mac = []
+    for a in acs:
+        if a:
+            k = mu.prec if mu.prec < a[2] else a[2]
+            a = mu.valuation + a[0], -mu.unit * a[1] % (pw[k] if k < top else p**k), k
+        mac.append(a)
+    left = _scaled(base, scs + mac)
+    return left and (left, left_ac, right, _masks(left), flipped, masks)
+
+
+def _masks(line) -> tuple[int, int]:
+    """Two bit masks of a ``_scaled`` line's places: where it sits at its
+    least v + prec, and where at valuation 0 (``_vanishes``)."""
+    vs, als, low = line[2], line[3], line[4]
+    return sum([1 << i for i, a in enumerate(als) if a == low]), sum([1 << i for i, v in enumerate(vs) if not v])
+
+
+def _matches_id(base: PadicContext, g, h, s: int, t: int) -> bool:
+    """Whether entry (m, n) of a Gram matrix equals Id's, from the
+    ``_gram_line`` g of line m, h of line n, and the entry's sc and ac sums:
+    off the diagonal both coordinates are zeros, and on it (h is g) sc is 1,
+    as ``_entries`` reads its triple (O(p**N) equals 1 where N <= 0), and ac
+    is a zero."""
+    xs, xa, _, ms, ma, _ = g
+    y, my = h[2], h[5]
+    if h is g:
+        e = _entries(base, xs, (y,), (s,))[0]
+        if e is None or (e[0] > 0 if not e[2] else e[0] != 0 or e[1] != 1):
+            return False
+    elif not _vanishes(base, xs, ms, y, my, s):
+        return False
+    return _vanishes(base, xa, ma, y, my, t)
+
+
+def _vanishes(base: PadicContext, x, xm, y, ym, s: int) -> bool:
+    """Whether ``_entries`` of lines x, y with ``_masks`` xm, ym and sum s
+    is a zero, exact or O(p**N), without forming it: s is 0, or p**A
+    divides s.  Every live product has v + v' + min(prec, prec') >=
+    min(v + prec, v' + prec'), so A >= a0, the lesser of the lines' least
+    v + prec, and an s that p**a0 does not divide is no zero.  A is a0 where
+    the line that attains a0 sits at its least v + prec at a place where the
+    other is at valuation 0: that product's bound is at most a0."""
+    if not s:
+        return True
+    powers, top, p = base._powers, len(base._powers), base.p
+    low, wlow = x[4], y[4]
+    a = low if low < wlow else wlow
+    if s % (powers[a] if a < top else p**a):
+        return False
+    if low <= wlow and xm[0] & ym[1] or wlow <= low and xm[1] & ym[0]:
+        return True
+    a = _bound(x, y)
+    return not s % (powers[a] if a < top else p**a)
 
 
 def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]]:
     """The block product of element rows and columns, each entry digit for
     digit ``_dot`` of their ``_lhs_coords`` and ``_rhs_coords``.  Each
     coordinate is a base-field product, sc = [sc | mu*ac] . [sc'; ac'] or
-    ac = [sc | ac] . [ac'; sc'], its entry sums packed one int per row
-    (``_sums``) and then truncated (``_coordinate``)."""
-    base, d = context.base, len(cols)
+    ac = [ac | sc] . [sc'; ac'], its entry sums packed one int per row
+    (``_sums``) and then truncated (``_entries``)."""
+    base = context.base
     rows = [[_lhs_coords(z) for z in row] for row in rows]
     cols = [[_rhs_coords(z) for z in col] for col in cols]
-    left_sc = [_scaled(base, [x and x[0] for x in r] + [x and x[1] for x in r]) for r in rows]
-    left_ac = [_scaled(base, [x and x[0] for x in r] + [x and x[2] for x in r]) for r in rows]
+    # both coordinates of a row against the same right lines, packed once
+    left = [_scaled(base, [x and x[i] for x in r] + [x and x[j] for x in r]) for r in rows for i, j in ((0, 1), (2, 0))]
     right = [_scaled(base, [y and y[0] for y in c] + [y and y[1] for y in c]) for c in cols]
-    if None in left_sc or None in left_ac or None in right:
+    if None in left or None in right:
         return [[_dot(context, row, col) for col in cols] for row in rows]
-    # [ac'; sc'] is [sc'; ac'] with its halves swapped
-    swapped = [(c, u[d:] + u[:d], v[d:] + v[:d], a[d:] + a[:d], *x) for c, u, v, a, *x in right]
-    sc, ac = _coordinate(base, left_sc, right), _coordinate(base, left_ac, swapped)
-    return [[_element(context, coords) for coords in zip(srow, arow)] for srow, arow in zip(sc, ac)]
+    pairs = iter([_entries(base, x, right, sums) for x, sums in zip(left, _sums(left, right))])
+    return [[_element(context, coords) for coords in zip(srow, arow)] for srow, arow in zip(pairs, pairs)]
 
 
 _FAR = 1 << 62  # a zero's valuation in a line: beyond every live place
@@ -458,49 +569,58 @@ def _scaled(base: PadicContext, line):
     return r, us, vs, als, min(als), min(precs), max(precs)
 
 
-def _sums(left, right) -> list[list[int]]:
-    """sum(map(mul, us, ws)) for each ``_scaled`` left and right line by
-    Kronecker packing: the right lines' units, never negative, share one int
-    per place in slots wider than any entry sum."""
+def _sums(left, right):
+    """sum(map(mul, us, ws)) of each ``_scaled`` left line against every
+    right line, one row per left line as it is read, by Kronecker packing:
+    the right lines' units, never negative, share one int per place in
+    slots wider than any entry sum."""
     lmax, rmax = (max([max(z[1]) for z in lines] or [0]) for lines in (left, right))
     places = list(zip(*[y[1] for y in right]))
     width = (lmax * rmax * len(places)).bit_length() or 1
     mask, slots = (1 << width) - 1, range(0, width * len(right), width)
     packed = [sum(map(lshift, place, slots)) for place in places]
-    return [[s >> i & mask for i in slots] for s in (sum(map(mul, x[1], packed)) for x in left)]
+    for x in left:
+        s = sum(map(mul, x[1], packed))
+        yield [s >> i & mask for i in slots]
 
 
-def _coordinate(base: PadicContext, left, right):
-    """Entry (m, n) from ``_scaled`` lines: the ``_sum_triples`` triple of
-    the ``_residue`` terms of ``_dot``.  S (``_sums``), the sum of the scaled
-    units of the live products, is the entry over p**(r + c), known modulo
-    p**A, A the least v + v' + min(prec, prec') of those products; the entry
-    is O(p**(r + c + A)) where S vanishes modulo p**A, and None where no
-    product is live.  A is taken only where the lines' least v + prec leave
-    fewer than ``precision`` digits, or S is 0."""
+def _entries(base: PadicContext, x, right, sums) -> list:
+    """Entry (m, n) of left line x against each right line from their sum s
+    (``_sums``), all ``_scaled``: the ``_sum_triples`` triple of the
+    ``_residue`` terms of ``_dot``.  s, the sum of the scaled units of the
+    live products, is the entry over p**(r + c), known modulo p**A
+    (``_bound``); the entry is O(p**(r + c + A)) where s vanishes modulo
+    p**A, and None where no product is live.  A is taken only where the
+    lines' least v + prec leave fewer than ``precision`` digits, or s is 0."""
     p, cap, powers, top = base.p, base.precision, base._powers, len(base._powers)
-    out = []
-    for (r, _, vs, als, low, lo, hi), sums in zip(left, _sums(left, right)):
-        row = []
-        for (c, _, wvs, wals, wlow, wlo, whi), s in zip(right, sums):
-            w = 0
-            while s and not s % p:
-                s, w = s // p, w + 1
-            # at most cap: the prec of a line's least valuation
-            k = (low if low < wlow else wlow) - w
-            if k < cap or not s:
-                least = lo if lo < wlo else wlo
-                if least == (hi if hi < whi else whi):
-                    a = min(map(add, vs, wvs)) + least
-                else:
-                    a = min(min(map(add, als, wvs)), min(map(add, vs, wals)))
-                if not s or a <= w:
-                    row.append(None if a >= _FAR else (r + c + a, 0, 0))
-                    continue
-                k = a - w if a - w < cap else cap
-            row.append((r + c + w, s % (powers[k] if k < top else p**k), k))
-        out.append(row)
-    return out
+    r, _, _, _, low, _, _ = x
+    row = []
+    for y, s in zip(right, sums):
+        c, wlow = y[0], y[4]
+        w = 0
+        while s and not s % p:
+            s, w = s // p, w + 1
+        # at most cap: the prec of a line's least valuation
+        k = (low if low < wlow else wlow) - w
+        if k < cap or not s:
+            a = _bound(x, y)
+            if not s or a <= w:
+                row.append(None if a >= _FAR else (r + c + a, 0, 0))
+                continue
+            k = a - w if a - w < cap else cap
+        row.append((r + c + w, s % (powers[k] if k < top else p**k), k))
+    return row
+
+
+def _bound(x, y) -> int:
+    """A of ``_scaled`` lines x and y: the least v + v' + min(prec, prec')
+    over the places where both are live, _FAR or more where none is."""
+    _, _, vs, als, _, lo, hi = x
+    _, _, wvs, wals, _, wlo, whi = y
+    least = lo if lo < wlo else wlo
+    if least == (hi if hi < whi else whi):
+        return min(map(add, vs, wvs)) + least
+    return min(min(map(add, als, wvs)), min(map(add, vs, wals)))
 
 
 def _residue(base: PadicContext, a, b, c, d):

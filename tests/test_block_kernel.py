@@ -504,7 +504,7 @@ def test_packed_entry_sums_equal_the_direct_sums(precision):
                     for kind in kinds
                 )
                 direct = [[sum(map(mul, x[1], y[1])) for y in right] for x in left]
-                assert quadext._sums(left, right) == direct, (p, d, kinds)
+                assert list(quadext._sums(left, right)) == direct, (p, d, kinds)
 
 
 @pytest.mark.parametrize("precision", [5, 40])
@@ -1036,6 +1036,176 @@ def test_a_gram_entry_for_p2_and_its_mirror_agree():
     b = QuadExtElement(ctx, f(1, [1]), f(1, [1, 0]))
     expected = ((1, 1, 1, None), (None, 0, 0, 2))
     assert _digits(_gram_entry(ctx, [a], [b])) == _digits(_gram_entry(ctx, [b], [a])) == expected
+
+
+# -- the Gram scan on packed row sums -------------------------------------------
+#
+# _gram_is_identity decides each entry m <= n from its integer sums: S = 0
+# is a zero, an S that p**a0 does not divide is none, and otherwise the
+# line masks or the entry's bound A decide.  It is held to the scan it
+# replaced, one _dot per entry.
+
+
+def _term_by_term_scan(ctx, lines):
+    """G == Id over the entries m <= n, each one ``_dot`` (``_gram_entry``)
+    of the conjugated line m with line n."""
+    d = range(len(lines))
+    return all(_gram_entry(ctx, lines[m], lines[n]) == (ctx.one() if m == n else ctx.zero()) for m in d for n in d if m <= n)
+
+
+def _with_inexact_zeros(rng: random.Random, u: BlockOperator) -> BlockOperator:
+    """u with one or two nonzero coordinates replaced by O(p**N), N at most
+    the coordinate's digits away from its valuation."""
+    rows = [list(row) for row in u.rows]
+    for _ in range(rng.randint(1, 2)):
+        m, n = rng.randrange(u.dim), rng.randrange(u.dim)
+        live = [c for c in ("sc", "ac") if not getattr(rows[m][n], c).is_zero]
+        if live:
+            c = rng.choice(live)
+            x = getattr(rows[m][n], c)
+            o = PadicNumber(x.context, None, 0, 0, x.valuation + rng.randint(0, x.prec))
+            rows[m][n] = replace(rows[m][n], **{c: o})
+    return BlockOperator(u.context, rows)
+
+
+def _far(rng: random.Random, u: BlockOperator) -> BlockOperator:
+    """u with one entry moved past the power table: its lines take ``_dot``."""
+    rows, base = [list(row) for row in u.rows], u.context.base
+    far = base.from_digits(len(base._powers) + rng.randrange(3), [1])
+    rows[rng.randrange(u.dim)][rng.randrange(u.dim)] = u.context.from_base(far)
+    return BlockOperator(u.context, rows)
+
+
+def _gram_families(rng: random.Random, ctx: ExtensionContext, d: int):
+    """Columns and rows of a butterfly, its cuts, its O(p**N) entries, its
+    far entries and p**-1 times it, as lines of the Gram scan."""
+    u = _butterfly(ctx, d)
+    blocks = [u, u.scale(ctx.from_base(PadicNumber(ctx.base, -1, 1, ctx.base.precision))), _far(rng, u)]
+    blocks += [_cut(rng, u) for _ in range(3)] + [_with_inexact_zeros(rng, u) for _ in range(3)]
+    blocks.append(_with_inexact_zeros(rng, _cut(rng, u)))
+    for x in blocks:
+        yield [list(col) for col in zip(*x.rows)]
+        yield [list(row) for row in x.rows]
+
+
+def test_the_packed_gram_scan_matches_the_term_by_term_scan():
+    # p in {2, 3, 5, 7} over all 16 classes, d = 1..9 and 16: both verdicts,
+    # lines beside O(p**N) entries and lines that span the table
+    rng = random.Random(37)
+    seen = {}
+    for ctx in CONTEXTS:
+        for d in (*range(1, 10), 16):
+            for lines in _gram_families(rng, ctx, d):
+                got = quadext._gram_is_identity(ctx, lines)
+                assert got == _term_by_term_scan(ctx, lines), (ctx.p, ctx.mu_class, d)
+                seen[ctx.p, got] = seen.get((ctx.p, got), 0) + 1
+    for p in (2, 3, 5, 7):
+        assert seen[p, True] > 50 and seen[p, False] > 50, seen
+
+
+def _few_digits(rng: random.Random, ctx: PadicContext) -> PadicNumber:
+    """Zero, or a number at valuation 0..2 with 1 to 3 known digits: lines
+    whose least v + prec and valuation-0 places fall apart."""
+    if rng.random() < 0.35:
+        return ctx.zero()
+    digits = [rng.randrange(1, ctx.p)] + [rng.randrange(ctx.p) for _ in range(rng.randint(0, 2))]
+    return ctx.from_digits(rng.randint(0, 2), digits)
+
+
+def test_each_gram_entry_is_decided_as_its_dot():
+    # every entry m <= n of small families, not only up to the scan's first
+    # refutation: _matches_id on the entry's two integer sums against its
+    # _dot compared with Id, in every class
+    rng = random.Random(38)
+    seen = {}
+    for ctx in CONTEXTS:
+        base, one, zero = ctx.base, ctx.one(), ctx.zero()
+        for _ in range(250):
+            k = rng.randint(1, 4)
+            lines = [[QuadExtElement(ctx, _few_digits(rng, base), _few_digits(rng, base)) for _ in range(k)] for _ in range(3)]
+            grams = [quadext._gram_line(ctx, line) for line in lines]
+            for m, g in enumerate(grams):
+                for n in range(m, 3):
+                    h = grams[n]
+                    s, t = (sum(map(mul, x[1], h[2][1])) for x in g[:2])
+                    got = quadext._matches_id(base, g, h, s, t)
+                    assert got == (_gram_entry(ctx, lines[m], lines[n]) == (one if m == n else zero))
+                    seen[m == n, got] = seen.get((m == n, got), 0) + 1
+    assert min(seen.values()) > 100, seen
+
+
+def _lines(ctx, *columns):
+    """Element lines from columns of (valuation, digits) pairs, the sc
+    coordinate of each entry, None for zero."""
+    f = ctx.base.from_digits
+    return [[ctx.zero() if x is None else ctx.from_base(f(*x)) for x in col] for col in columns]
+
+
+def test_a_gram_entry_known_modulo_a0_but_not_a_refutes():
+    # over Q_3(sqrt 5) at two digits: u = (1, 3*2), w = (3, 1), each entry
+    # known to 2 digits.  <u, u> and <w, w> are 1 + O(9); <u, w> = 3 + 6 = 9
+    # with S = 9 over p**0, divisible by p**a0 = 9 (a0 = 2, each line's least
+    # v + prec), but its bound A is 3: no place has one line at its least
+    # v + prec where the other is at valuation 0.  So <u, w> = 9 + O(27)
+    # differs from 0, and the scan refutes
+    ctx = helpers.ext_ctx(3, 5, PRECISION)
+    u, w = _lines(ctx, [(0, [1, 0]), (1, [2, 0])], [(1, [1, 0]), (0, [1, 0])])
+    uw = inner_product(PVector(ctx, dict(enumerate(w, 1))), PVector(ctx, dict(enumerate(u, 1))))
+    assert _digits(uw)[0] == (2, 1, 1, None) and uw.ac == ctx.base.zero()
+    assert _term_by_term_scan(ctx, [u, w]) is False
+    assert quadext._gram_is_identity(ctx, [u, w]) is False
+    assert is_ip_preserving(BlockOperator(ctx, [list(r) for r in zip(u, w)])) is False
+
+
+def _element_of(ctx, sc, ac):
+    """The element of two (valuation, unit, prec) triples, None for zero."""
+    return QuadExtElement(ctx, *(ctx.base.zero() if t is None else PadicNumber(ctx.base, *t) for t in (sc, ac)))
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        # the ac lines' masks: the left ac line is [-ac | sc], the right line's
+        # places with their halves swapped, and so are its masks
+        [
+            [((2, 2, 2), (2, 19, 3)), (None, (1, 1, 1)), (None, (0, 13, 3))],
+            [(None, (1, 2, 1)), (None, (0, 5, 2)), (None, (1, 1, 3))],
+        ],
+        # the line that attains a0 must sit at its least v + prec where the
+        # other is at valuation 0, not either line
+        [[(None, (1, 1, 1)), ((0, 1, 1), None)], [((0, 10, 3), None), ((2, 1, 1), (1, 4, 2))]],
+    ],
+    ids=["swapped-masks", "attaining-line"],
+)
+def test_a_gram_entry_that_no_mask_decides_refutes(columns):
+    ctx = helpers.ext_ctx(3, 5, PRECISION)
+    lines = [[_element_of(ctx, *z) for z in col] for col in columns]
+    assert _term_by_term_scan(ctx, lines) is False and quadext._gram_is_identity(ctx, lines) is False
+
+
+def test_a_gram_scan_stops_at_the_first_entry_that_differs(monkeypatch):
+    # the diagonal first, as each line is scaled, then row by row: a first
+    # diagonal entry that differs is the only entry decided, and an entry
+    # (1, 2) that differs is decided after the d diagonal entries
+    calls, matches = [], quadext._matches_id
+
+    def counting(*args):
+        calls.append(args)
+        return matches(*args)
+
+    monkeypatch.setattr(quadext, "_matches_id", counting)
+    for ctx in (CONTEXTS[0], CONTEXTS[-1]):
+        u = _butterfly(ctx, 8)
+        lines = [list(col) for col in zip(*u.rows)]
+        assert quadext._gram_is_identity(ctx, lines) is True and len(calls) == 8 * 9 // 2
+        calls.clear()
+        three = ctx.from_base(ctx.base.from_int(ctx.p))
+        assert quadext._gram_is_identity(ctx, [[z * three for z in lines[0]]] + lines[1:]) is False
+        assert len(calls) == 1
+        calls.clear()
+        assert quadext._gram_is_identity(ctx, [lines[0], lines[0]] + lines[2:]) is False
+        assert len(calls) == 8 + 1
+        calls.clear()
 
 
 # -- conjugation and pivot scaling on coordinate triples ------------------------

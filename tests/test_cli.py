@@ -291,29 +291,30 @@ def test_cli_round_trips_its_own_output(tmp_path, capsys):
     assert op.dim == 4
 
 
-@pytest.mark.parametrize("p, mu, sums", [(3, 5, 2 * 10), (2, 3, 2 * 10)], ids=["p3", "p2"])
-def test_unitary_check_of_identity_sums_half_gram_matrices(tmp_path, capsys, monkeypatch, p, mu, sums):
-    # U* U and U U* of the 4x4 identity, no block product: for every p the
+@pytest.mark.parametrize("p, mu", [(3, 5), (2, 3)], ids=["p3", "p2"])
+def test_unitary_check_of_identity_sums_half_gram_matrices(tmp_path, capsys, monkeypatch, p, mu):
+    # U* U and U U* of the 4x4 identity on packed row sums, with no block
+    # product, no element product and no term-by-term sum: for every p the
     # entries m <= n of each (two 10-entry triangles)
     path = tmp_path / "id.json"
     path.write_text(json.dumps(operator_to_dict(identity(helpers.ext_ctx(p, mu, 8), 4))))
-    products, dots = [], []
-    block_mul, dot = BlockOperator.__mul__, quadext._dot
+    calls = {"block": 0, "element": 0, "dot": 0, "entry": 0}
 
-    def counting_mul(a, b):
-        products.append((a.dim, b.dim))
-        return block_mul(a, b)
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
 
-    def counting_dot(*args):
-        dots.append(args)
-        return dot(*args)
+        return wrapped
 
-    monkeypatch.setattr(BlockOperator, "__mul__", counting_mul)
-    monkeypatch.setattr(quadext, "_dot", counting_dot)
+    monkeypatch.setattr(BlockOperator, "__mul__", counting("block", BlockOperator.__mul__))
+    monkeypatch.setattr(QuadExtElement, "__mul__", counting("element", QuadExtElement.__mul__))
+    monkeypatch.setattr(quadext, "_dot", counting("dot", quadext._dot))
+    monkeypatch.setattr(quadext, "_matches_id", counting("entry", quadext._matches_id))
     code, out, _ = run(capsys, "unitary-check", str(path))
     data = json.loads(out)
     assert code == 0 and data["unitary"] is True and data["ip_preserving"] is True
-    assert products == [] and len(dots) == sums
+    assert calls == {"block": 0, "element": 0, "dot": 0, "entry": 10 + 10}
 
 
 # -- one parser per process ------------------------------------------------------

@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given
 
 import helpers
-from padicqm import ExtensionContext, Magnitude, PadicContext, QuadExtElement, sqrt
+from padicqm import (
+    BlockOperator,
+    ExtensionContext,
+    Magnitude,
+    PadicContext,
+    QuadExtElement,
+    is_unitary,
+    operator_norm,
+    sqrt,
+)
 from padicqm.errors import DivisionByZero, MuIsSquare, PrecisionExhausted, ValidationError
-from padicqm.quadext import quad_sum
+from padicqm.quadext import max_abs, quad_sum
 
 E35 = helpers.ext_ctx(3, 5)
 E32 = helpers.ext_ctx(3, 2)
@@ -227,3 +236,29 @@ def test_inverting_an_inexact_zero_is_precision_exhausted():
     # 1 + O(3^2) sqrt(5) has the norm 1 + O(3^4)
     inv = QuadExtElement(E35, E35.base.one(), o).inv()
     assert (inv.sc.valuation, inv.sc.prec, inv.ac.absolute) == (0, 4, 2)
+
+
+def test_the_largest_magnitude_raises_where_an_inexact_zero_could_exceed_it():
+    # o = O(3^-1) may have |o| = 3: beside 1 it leaves operator_norm and
+    # is_unitary undecided, where they read 1 and True; O(3^4) beside 1
+    # cannot exceed it
+    ctx = helpers.ext_ctx(3, 5, 5)
+    base, one = ctx.base, ctx.one()
+    o = ctx.from_base(base.from_digits(-2, [1]) - base.from_digits(-2, [1]))
+    assert (o.sc.absolute, o.ac.absolute) == (-1, None)
+    block = BlockOperator(ctx, [[one, o], [o, one]])
+    for check in (operator_norm, is_unitary):
+        with pytest.raises(PrecisionExhausted):
+            check(block)
+    with pytest.raises(PrecisionExhausted):
+        max_abs(ctx, [o])
+    small = ctx.from_base(base.from_digits(3, [1]) - base.from_digits(3, [1]))
+    assert small.sc.absolute == 4
+    assert operator_norm(BlockOperator(ctx, [[one, small], [small, one]])) == Magnitude.one(3)
+    # the ac side counts with v(mu): O(3^0) sqrt(3) is below 3^(-1/2)
+    e33 = helpers.ext_ctx(3, 3, 5)
+    z = QuadExtElement(e33, e33.base.zero(), e33.base.from_digits(0, [1]) - e33.base.from_digits(0, [1]))
+    assert max_abs(e33, [z, e33.from_base(e33.base.from_int(3))]) == Magnitude(3, -2)
+    with pytest.raises(PrecisionExhausted):
+        max_abs(e33, [z, e33.from_base(e33.base.from_int(9))])
+    assert max_abs(e33, [e33.zero()]) == Magnitude.zero(3)

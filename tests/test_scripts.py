@@ -55,6 +55,7 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "apply.d4_ms",
         "inner_product.d4_ms",
         "unitarity.d4_ms",
+        "unitarity.d8_ms",
         "orthonormal.d4_ms",
         "jsonio.parse_us_per_element",
         "jsonio.emit_us_per_kb",
