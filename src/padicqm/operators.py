@@ -40,6 +40,7 @@ from .quadext import (
     ExtensionContext,
     Magnitude,
     QuadExtElement,
+    _abs_is_one,
     _conj_dot,
     _conj_scaled,
     _dots,
@@ -567,11 +568,14 @@ def is_unitary(u: MatrixOperator) -> bool:
     """U U* = Id = U* U and max entry magnitude exactly 1.
 
     The norm condition cannot be dropped: inner-product preservation alone
-    admits operators of norm p**K > 1.  U U* = Id is the Gram scan of the
+    admits operators of norm p**K > 1.  The norm is read from its range
+    (``quadext._abs_is_one``), so an O(p**N) entry raises only where it
+    leaves the norm's being 1 open.  U U* = Id is the Gram scan of the
     rows of U, whose entry (m, n) is conj((U U*)_mn).
     """
     _require_block("unitarity", u)
-    return operator_norm(u).is_one and is_ip_preserving(u) and _gram_is_identity(u.context, u.rows)
+    entries = (z for row in u.rows for z in row)
+    return _abs_is_one(u.context, entries) and is_ip_preserving(u) and _gram_is_identity(u.context, u.rows)
 
 
 def four_squares_unit_solution(p: int, k: int) -> tuple[int, int, int, int]:

@@ -265,12 +265,22 @@ _set_context, _set_sc, _set_ac = (
 
 
 def max_abs(context: ExtensionContext, values: Iterable[QuadExtElement]) -> Magnitude:
-    """The largest |z| over the values; zero when there are none.
+    """The largest |z| over the values; zero when there are none.  It
+    raises PrecisionExhausted where an O(p**N) value leaves that open
+    (``_abs_range``)."""
+    low, high = _abs_range(context, values)
+    if low != high:
+        raise PrecisionExhausted("an O(p^N) entry could exceed the largest known |z|; raise the precision")
+    return low
+
+
+def _abs_range(context: ExtensionContext, values: Iterable[QuadExtElement]) -> tuple[Magnitude, Magnitude]:
+    """The least and largest values max |z| over the values may take.
 
     A z whose coordinates are both zeros, one of them O(p**N), is known only
-    to lie below p**(b/2), b = -min(2 N_sc, 2 N_ac + v(mu)) (an exact zero
-    side left out).  It raises PrecisionExhausted where b exceeds the
-    largest known |z|, or where no |z| is known."""
+    to lie at or below p**(b/2), b = -min(2 N_sc, 2 N_ac + v(mu)) (an exact
+    zero side left out), so the largest is the greater of that and the
+    largest known |z|, and the least is the largest known |z|."""
     largest, bound, shift = Magnitude.zero(context.p), None, context.mu.valuation
     for z in values:
         if not z.is_zero:
@@ -279,9 +289,22 @@ def max_abs(context: ExtensionContext, values: Iterable[QuadExtElement]) -> Magn
         sides = [2 * n + s for n, s in ((z.sc.absolute, 0), (z.ac.absolute, shift)) if n is not None]
         if sides and (bound is None or -min(sides) > bound):
             bound = -min(sides)
-    if bound is not None and (largest.is_zero or bound > largest.exp2):
-        raise PrecisionExhausted("an O(p^N) entry could exceed the largest known |z|; raise the precision")
-    return largest
+    if bound is None:
+        return largest, largest
+    return largest, max(largest, Magnitude(context.p, bound))
+
+
+def _abs_is_one(context: ExtensionContext, values: Iterable[QuadExtElement]) -> bool:
+    """Whether max |z| over the values is 1, decided from ``_abs_range``
+    also where ``max_abs`` raises: False where the range lies above or below
+    1, PrecisionExhausted where it holds 1 and other values too."""
+    low, high = _abs_range(context, values)
+    one = Magnitude.one(context.p)
+    if high < one or one < low:
+        return False
+    if low != high:
+        raise PrecisionExhausted("an O(p^N) entry leaves open whether the largest |z| is 1; raise the precision")
+    return True
 
 
 def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtElement:
@@ -457,9 +480,8 @@ def _gram_line(ctx: ExtensionContext, line):
     units only, so the left ac line is the right line's structure with its
     halves swapped and its ac units negated, as ``_conj`` of ``_lhs_coords``
     gives them, and its masks are the right line's with their halves
-    swapped.  So is the left sc line the right line's, with the units of
-    -mu*ac, where mu is a unit known to every prec of the line.  None where
-    a line spans the power table."""
+    swapped.  The left sc line is scaled on its own.  None where a line
+    spans the power table."""
     base, mu, d = ctx.base, ctx.mu, len(line)
     pw, top, p = base._powers, len(base._powers), base.p
     scs, acs = [padic._triple(z.sc) for z in line], [padic._triple(z.ac) for z in line]
@@ -467,15 +489,11 @@ def _gram_line(ctx: ExtensionContext, line):
     if right is None:
         return None
     r, us, vs, als, low, lo, hi = right
-    mods = [a and (pw[a[2]] if a[2] < top else p ** a[2]) for a in acs]
-    neg = [-a[1] % m * pw[a[0] - r] if a else 0 for a, m in zip(acs, mods)]
+    neg = [-a[1] % (pw[a[2]] if a[2] < top else p ** a[2]) * pw[a[0] - r] if a else 0 for a in acs]
     left_ac = r, neg + us[:d], vs[d:] + vs[:d], als[d:] + als[:d], low, lo, hi
     lows, zeros = masks = _masks(right)
     half = (1 << d) - 1
     flipped = lows >> d | (lows & half) << d, zeros >> d | (zeros & half) << d
-    if not mu.valuation and mu.prec >= hi:
-        mus = [-mu.unit * a[1] % m * pw[a[0] - r] if a else 0 for a, m in zip(acs, mods)]
-        return (r, us[:d] + mus, vs, als, low, lo, hi), left_ac, right, masks, flipped, masks
     mac = []
     for a in acs:
         if a:

@@ -38,7 +38,7 @@ from .operators import (
     trace,
 )
 from .padic import PadicContext, PadicNumber, padic_sum
-from .quadext import QuadExtElement
+from .quadext import QuadExtElement, _abs_range
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,16 @@ class Sovm:
         return max(operator_norm(a) for a in self.effects)
 
     def is_contractive(self) -> bool:
+        """Every effect of norm at most 1, decided from each norm's range
+        (``quadext._abs_range``): an O(p**N) entry raises PrecisionExhausted
+        only where no effect is known to exceed 1 and one may."""
         one = Magnitude.one(self.effects[0].context.p)
-        return all(operator_norm(a) <= one for a in self.effects)
+        ranges = [_abs_range(a.context, (z for row in a.rows for z in row)) for a in self.effects]
+        if any(one < low for low, _ in ranges):
+            return False
+        if any(one < high for _, high in ranges):
+            raise PrecisionExhausted("an O(p^N) entry leaves open whether an effect's norm exceeds 1; raise the precision")
+        return True
 
 
 def make_sovm(effects: list[BlockOperator]) -> Sovm:

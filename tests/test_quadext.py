@@ -255,10 +255,30 @@ def test_the_largest_magnitude_raises_where_an_inexact_zero_could_exceed_it():
     small = ctx.from_base(base.from_digits(3, [1]) - base.from_digits(3, [1]))
     assert small.sc.absolute == 4
     assert operator_norm(BlockOperator(ctx, [[one, small], [small, one]])) == Magnitude.one(3)
-    # the ac side counts with v(mu): O(3^0) sqrt(3) is below 3^(-1/2)
+    # the ac side counts with v(mu): O(3^1)·sqrt(3) is below 3^(-3/2), so it
+    # cannot exceed |3| = 3^-1 but can exceed |9|
     e33 = helpers.ext_ctx(3, 3, 5)
     z = QuadExtElement(e33, e33.base.zero(), e33.base.from_digits(0, [1]) - e33.base.from_digits(0, [1]))
     assert max_abs(e33, [z, e33.from_base(e33.base.from_int(3))]) == Magnitude(3, -2)
     with pytest.raises(PrecisionExhausted):
         max_abs(e33, [z, e33.from_base(e33.base.from_int(9))])
     assert max_abs(e33, [e33.zero()]) == Magnitude.zero(3)
+
+
+def test_a_norm_known_off_one_decides_unitarity_beside_inexact_zeros():
+    # every entry of [[O(3^4)]] has |z| <= 3^-4, so its norm is not 1:
+    # is_unitary reads False where operator_norm raises; a norm range that
+    # holds 1 and other values still raises
+    ctx = helpers.ext_ctx(3, 5, 5)
+    base, one = ctx.base, ctx.one()
+    small = ctx.from_base(base.from_digits(3, [1]) - base.from_digits(3, [1]))
+    with pytest.raises(PrecisionExhausted):
+        operator_norm(BlockOperator(ctx, [[small]]))
+    assert not is_unitary(BlockOperator(ctx, [[small]]))
+    # a known |z| = 3 beside O(3^-1) is above 1 whatever the zero is
+    three, o = ctx.from_base(base.from_int(3).inv()), ctx.from_base(base.from_digits(-2, [1]) - base.from_digits(-2, [1]))
+    assert o.sc.absolute == -1
+    assert not is_unitary(BlockOperator(ctx, [[three, o], [o, one]]))
+    for entries in ([[small, o], [o, small]], [[one, o], [o, one]]):
+        with pytest.raises(PrecisionExhausted):
+            is_unitary(BlockOperator(ctx, entries))

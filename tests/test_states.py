@@ -55,7 +55,7 @@ from padicqm.errors import (
     ZeroInput,
 )
 from padicqm.quadext import Magnitude
-from padicqm.states import StatisticalOperator, ZeroTraceOperator
+from padicqm.states import Sovm, StatisticalOperator, ZeroTraceOperator
 
 E35 = helpers.ext_ctx(3, 5, 8)
 B3 = E35.base
@@ -161,6 +161,28 @@ def test_effects_whose_sum_is_not_known_at_p0_are_refused():
     known = [BlockOperator(ctx, [[ctx.from_base(ctx.base.from_digits(0, [d]))]]) for d in (1, 2)]
     with pytest.raises(SumNotIdentity):
         make_sovm(known)
+
+
+def test_an_effect_of_inexact_zeros_is_decided_contractive_from_its_bound():
+    # every entry of [[O(3^0)]] has |z| <= 1, so it is contractive though its
+    # norm is unknown; beside an effect of norm 3 the family is not, and an
+    # O(3^-1) effect with no norm known above 1 leaves it open
+    ctx = helpers.ext_ctx(3, 5, 5)
+    base = ctx.base
+
+    def block(*digits):
+        return BlockOperator(ctx, [[ctx.from_base(base.from_digits(*digits) - base.from_digits(*digits))]])
+
+    z0, z1, wide = block(-1, [1]), block(0, [1]), block(-2, [1])
+    assert [b.rows[0][0].sc.absolute for b in (z0, z1, wide)] == [0, 1, -1]
+    with pytest.raises(PrecisionExhausted):
+        operator_norm(z0)
+    assert Sovm((identity(ctx, 1), z0), 1).is_contractive()
+    assert make_sovm([identity(ctx, 1), z1]).is_contractive()
+    big = BlockOperator(ctx, [[ctx.from_base(base.from_int(3).inv())]])
+    assert not Sovm((wide, big), 1).is_contractive()
+    with pytest.raises(PrecisionExhausted):
+        Sovm((identity(ctx, 1), wide), 1).is_contractive()
 
 
 def test_density_examples():
