@@ -18,6 +18,8 @@ far = p**FAR_ROW_GAP (the far entry meets only the zero row), a diagonal block
 times a dense one (the S T shape of ``factor_trace_class``),
 ``hs_inner``, ``canonical_decomposition`` alone and its round trip
 (``reconstruct`` of ``canonical_decomposition``), ``factor_trace_class``
+alone and with the product S T of its factors (``factor_product``, as the
+benchmark's ``factor`` request makes it)
 and ``operator_norm`` (d = 16, or ``--max-dim`` when smaller), ``apply`` of that block to a dense vector and
 ``inner_product`` of two dense vectors of that length, and so are the
 unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
@@ -184,6 +186,12 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
         _best(lambda: canonical_decomposition(s).reconstruct(), repeat) * 1e3
     )
     out[f"factor.d{d}_ms"] = _best(lambda: factor_trace_class(s), repeat) * 1e3
+
+    def factor_product():
+        f, g = factor_trace_class(s)
+        return f * g
+
+    out[f"factor_product.d{d}_ms"] = _best(factor_product, repeat) * 1e3
     out[f"operator_norm.d{d}_ms"] = _best(lambda: operator_norm(s), repeat) * 1e3
     v, w = (PVector(ext, dict(enumerate(x.rows[0], 1))) for x in (s, t))
     out[f"apply.d{d}_ms"] = _best(lambda: s.apply(w), repeat) * 1e3

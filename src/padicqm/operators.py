@@ -42,11 +42,14 @@ from .quadext import (
     QuadExtElement,
     _abs_is_one,
     _conj_dot,
-    _conj_scaled,
+    _conj_row,
     _dots,
     _gram_is_identity,
+    _hermitian_row_block,
     _product,
     _rank_one_entries,
+    _row_block,
+    _scaled_row,
     max_abs,
     quad_sum,
 )
@@ -624,17 +627,34 @@ def build_norm_inflating_ip_preserver(context: ExtensionContext, k: int) -> Bloc
 
 @dataclass(frozen=True)
 class CanonicalDecomposition:
-    """C = sum_j lambda_j |e_j><f_j| with basis e_j and unit-norm f_j."""
+    """C = sum_j lambda_j |e_j><f_j| with basis e_j and unit-norm f_j, kept as
+    ``scaled_rows`` (``_decompose_rows``); ``terms`` builds e_j and f_j."""
 
     context: ExtensionContext
     dim: int
-    terms: tuple[tuple[QuadExtElement, PVector, PVector], ...]
+    scaled_rows: tuple
+
+    @property
+    def terms(self) -> tuple[tuple[QuadExtElement, PVector, PVector], ...]:
+        ctx = self.context
+        return tuple((lam, basis_vector(ctx, m), PVector(ctx, _conj_row(ctx, g))) for m, lam, g in self.scaled_rows)
 
     def reconstruct(self) -> BlockOperator:
-        return _rank_one_sum(self.context, self.dim, self.terms)
+        """Row m_j of C is lambda_j g_j, a row scaling (``quadext._row_block``)."""
+        return BlockOperator(self.context, _row_block(self.context, self.dim, self.scaled_rows))
 
     def max_weight(self) -> Magnitude:
-        return max_abs(self.context, (lam for lam, _, _ in self.terms))
+        return max_abs(self.context, (lam for _, lam, _ in self.scaled_rows))
+
+
+def _decompose_rows(ctx: ExtensionContext, rows) -> Iterator[tuple]:
+    """(m, lambda, g) for each row m (from 1) of (n, z) items with an entry that is no
+    zero: lambda of its largest |z| and g its ``quadext._scaled_row`` by lambda^-1."""
+    for m, items in enumerate(rows, 1):
+        nonzero = [(n, z) for n, z in items if not z.is_zero]
+        if nonzero:
+            lam = _scalar_of_magnitude(ctx, max_abs(ctx, [z for _, z in nonzero]))
+            yield m, lam, _scaled_row(ctx, lam.inv(), nonzero)
 
 
 def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
@@ -647,34 +667,21 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     (Q_2(sqrt(3)) and Q_2(sqrt(7)) lack such pivots for half-magnitude
     rows; there the mixed uniformizer costs trailing digits).
 
-    Each f_j[n] = conj(lambda_j^-1 z) is formed on coordinate triples
-    (``quadext._conj_scaled``), with the digits and prec of the scalar
-    product.
+    Each g = lambda_j^-1 z is kept as coordinate pairs; f_j = conj(g) is built on reading.
     """
     _require_block("decomposition", c)
-    ctx = c.context
-    terms = []
-    for m, row in enumerate(c.rows, 1):
-        nonzero = [(n, z) for n, z in enumerate(row, 1) if not z.is_zero]
-        if not nonzero:
-            continue
-        ns, zs = zip(*nonzero)
-        lam = _scalar_of_magnitude(ctx, max_abs(ctx, zs))
-        f = dict(zip(ns, _conj_scaled(ctx, lam.inv(), zs)))
-        terms.append((lam, basis_vector(ctx, m), PVector(ctx, f)))
-    return CanonicalDecomposition(ctx, c.dim, tuple(terms))
+    rows = tuple(_decompose_rows(c.context, (enumerate(row, 1) for row in c.rows)))
+    return CanonicalDecomposition(c.context, c.dim, rows)
 
 
 @dataclass(frozen=True)
-class SymmetricDecomposition:
-    """T = sum_j (sigma_j |e_j><f_j| + conj(sigma_j) |f_j><e_j|)."""
-
-    context: ExtensionContext
-    dim: int
-    terms: tuple[tuple[QuadExtElement, PVector, PVector], ...]
+class SymmetricDecomposition(CanonicalDecomposition):
+    """T = sum_j (sigma_j |e_j><f_j| + conj(sigma_j) |f_j><e_j|): the
+    canonical decomposition of the upper part A of T = A + adjoint(A)."""
 
     def reconstruct(self) -> BlockOperator:
-        return _rank_one_sum(self.context, self.dim, _hermitian(self.terms))
+        """Entry (m, n) is sigma_m g_m[n] + conj(sigma_n g_n[m]), truncated once."""
+        return BlockOperator(self.context, _hermitian_row_block(self.context, self.dim, self.scaled_rows))
 
     def trace_by_formula(self):
         """2 * sum_j sc(sigma_j <f_j, e_j>), an element of Q_p."""
@@ -690,7 +697,7 @@ class SymmetricDecomposition:
 
 def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
     """Split a self-adjoint block T as A + adjoint(A) by halving the
-    diagonal, then decompose A canonically.
+    diagonal, then decompose the rows of A canonically.
 
     For p = 2 the halving lowers valuations by one; the reconstruction is
     still exact.
@@ -699,23 +706,15 @@ def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
     if _symmetry_witness(t) is not None:
         raise NotSelfAdjoint("symmetric decomposition needs a self-adjoint block")
     half = t.context.from_base(t.context.base.from_fraction(Fraction(1, 2)))
-    z = t.context.zero()
-    upper = BlockOperator(
-        t.context,
-        [
-            [a if m < n else half * a if m == n else z for n, a in enumerate(row)]
-            for m, row in enumerate(t.rows)
-        ],
-    )
-    canon = canonical_decomposition(upper)
-    return SymmetricDecomposition(t.context, t.dim, canon.terms)
+    upper = ([(m, half * row[m - 1]), *enumerate(row[m:], m + 1)] for m, row in enumerate(t.rows, 1))
+    return SymmetricDecomposition(t.context, t.dim, tuple(_decompose_rows(t.context, upper)))
 
 
 def factor_trace_class(r: MatrixOperator) -> tuple[BlockOperator, BlockOperator]:
-    """A pair S, T of trace-class blocks with S T = R."""
+    """A pair S, T of trace-class blocks with S T = R: S the diagonal of the
+    lambda_j of ``canonical_decomposition`` and row m_j of T its g_j."""
     _require_block("factorization", r)
-    terms = canonical_decomposition(r).terms
-    one = r.context.one()
-    s = _rank_one_sum(r.context, r.dim, [(lam, e, e) for lam, e, _ in terms])
-    t = _rank_one_sum(r.context, r.dim, [(one, e, f) for _, e, f in terms])
-    return s, t
+    ctx, rows = r.context, canonical_decomposition(r).scaled_rows
+    lams = {m: lam for m, lam, _ in rows}
+    s = diagonal(ctx, [lams.get(m, ctx.zero()) for m in range(1, r.dim + 1)])
+    return s, BlockOperator(ctx, _row_block(ctx, r.dim, [(m, None, g) for m, _, g in rows]))

@@ -414,11 +414,41 @@ def _times(base: PadicContext, x, y):
     )
 
 
-def _conj_scaled(context: ExtensionContext, a: QuadExtElement, zs) -> list[QuadExtElement]:
-    """conj(a * z) for each z, a and the z nonzero: one ``_times`` then
-    ``_conj``, with the digits and prec of ``(a * z).conj()``."""
+def _scaled_row(context: ExtensionContext, a: QuadExtElement, items) -> tuple:
+    """(n, the ``_rhs_coords`` pair of a * z, one ``_times``) for each (n, z) of items,
+    a and the z nonzero; a product that ``is_zero`` is left out, as ``PVector`` does."""
     base, x = context.base, _lhs_coords(a)
-    return [_element(context, _conj(base, _times(base, x, _rhs_coords(z)))) for z in zs]
+    row = ((n, _times(base, x, _rhs_coords(z))) for n, z in items)
+    return tuple((n, g) for n, g in row if any(c and c[2] for c in g))
+
+
+def _conj_row(context: ExtensionContext, row) -> dict:
+    """{n: conj(g)} over the (n, g) of a ``_scaled_row``, conjugated on coordinates."""
+    return {n: _element(context, _conj(context.base, g)) for n, g in row}
+
+
+def _row_block(context: ExtensionContext, dim: int, rows) -> list[list[QuadExtElement]]:
+    """The dim-by-dim block with row m the w * g of each (m, w, g) of rows, g a
+    ``_scaled_row``: one ``_times`` per entry, the one-term ``_dot``; g where w is None."""
+    block = [[context.zero()] * dim for _ in range(dim)]
+    for m, w, g in rows:
+        x, line = w and _lhs_coords(w), block[m - 1]
+        for n, y in g:
+            line[n - 1] = _element(context, _times(context.base, x, y) if x else y)
+    return block
+
+
+def _hermitian_row_block(context: ExtensionContext, dim: int, rows) -> list[list[QuadExtElement]]:
+    """The block of ``_row_block`` plus its adjoint: the terms w * g[n] at (m, n)
+    and conj(w) * conj(g[n]) at (n, m), each entry one ``_dot`` of its terms."""
+    base, cells = context.base, {}
+    for m, w, g in rows:
+        x = _lhs_coords(w)
+        for n, y in g:
+            cells.setdefault((m, n), []).append((x, y))
+            cells.setdefault((n, m), []).append((_conj(base, x), _conj(base, y)))
+    zero, span = context.zero(), range(1, dim + 1)
+    return [[_dot(context, *zip(*cells[m, n])) if (m, n) in cells else zero for n in span] for m in span]
 
 
 def _rank_one_entries(context: ExtensionContext, terms) -> dict:
@@ -554,17 +584,28 @@ def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]
     digit ``_dot`` of their ``_lhs_coords`` and ``_rhs_coords``.  Each
     coordinate is a base-field product, sc = [sc | mu*ac] . [sc'; ac'] or
     ac = [ac | sc] . [sc'; ac'], its entry sums packed one int per row
-    (``_sums``) and then truncated (``_entries``)."""
+    (``_sums``) and then truncated (``_entries``), or one ``_times`` per entry
+    (the one-term ``_dot``) for a row with at most one live place."""
     base = context.base
     rows = [[_lhs_coords(z) for z in row] for row in rows]
     cols = [[_rhs_coords(z) for z in col] for col in cols]
+    # a row with one live place is checked against the power table on that place alone
+    places = [[k for k, x in enumerate(r) if x] for r in rows]
+    cut = [[r[ks[0]]] if len(ks) == 1 else r for r, ks in zip(rows, places)]
     # both coordinates of a row against the same right lines, packed once
-    left = [_scaled(base, [x and x[i] for x in r] + [x and x[j] for x in r]) for r in rows for i, j in ((0, 1), (2, 0))]
+    left = [_scaled(base, [x and x[i] for x in r] + [x and x[j] for x in r]) for r in cut for i, j in ((0, 1), (2, 0))]
     right = [_scaled(base, [y and y[0] for y in c] + [y and y[1] for y in c]) for c in cols]
     if None in left or None in right:
         return [[_dot(context, row, col) for col in cols] for row in rows]
-    pairs = iter([_entries(base, x, right, sums) for x, sums in zip(left, _sums(left, right))])
-    return [[_element(context, coords) for coords in zip(srow, arow)] for srow, arow in zip(pairs, pairs)]
+    dense = [x for i, x in enumerate(left) if len(places[i // 2]) > 1]
+    pairs = iter([_entries(base, x, right, s) for x, s in zip(dense, _sums(dense, right) if dense else ())])
+    # a packed row's two lines of sums, else one _times of its live place per column
+    return [
+        [_element(context, coords) for coords in zip(next(pairs), next(pairs))]
+        if len(ks) > 1
+        else [_element(context, _times(base, r[ks[0]], c[ks[0]])) if ks and c[ks[0]] else context.zero() for c in cols]
+        for r, ks in zip(rows, places)
+    ]
 
 
 _FAR = 1 << 62  # a zero's valuation in a line: beyond every live place

@@ -5,17 +5,17 @@
 inexact zero O(p**N), and calls ``quadext._dot`` for none unless a line
 spans the power table.
 ``operators._trace_of_product``, ``BlockOperator.apply`` and the rank-one
-sums (``operators._rank_one_sum``: decomposition reconstructions,
-``factor_trace_class``, ``rank_one``) sum their products on integer
-coordinates through the kernel's element-line entry points
-(``quadext._dots``, ``quadext._rank_one_entries``), each sum one
-``quadext._dot``; ``canonical_decomposition``, ``hs_inner`` and
+sums (``operators._rank_one_sum``: ``rank_one`` and the states builders)
+sum their products on integer coordinates through the kernel's
+element-line entry points (``quadext._dots``, ``quadext._rank_one_entries``),
+each sum one ``quadext._dot``; ``canonical_decomposition`` and its
+reconstructions, ``factor_trace_class``, ``hs_inner`` and
 ``inner_product`` scale and conjugate on those coordinates too
-(``quadext._conj_scaled``, ``quadext._conj_dot``).  Each must give
-the digits of the scalar route written out below, ``quad_sum`` over the
-``QuadExtElement`` products, in every case: the same (valuation, unit,
-prec, absolute) on both coordinates of every entry, or the same error type
-and message.  Nothing is skipped.  The unitarity checks
+(``quadext._scaled_row``, ``quadext._row_block``, ``quadext._conj_dot``).
+Each must give the digits of the scalar route written out below,
+``quad_sum`` over the ``QuadExtElement`` products, in every case: the same
+(valuation, unit, prec, absolute) on both coordinates of every entry, or
+the same error type and message.  Nothing is skipped.  The unitarity checks
 (``is_ip_preserving``, ``is_unitary``) sum the entries of adjoint(U) U one
 by one and stop at one that differs from Id: they must give the product
 route's verdict.  ``is_orthonormal_system`` runs the same scan on the Gram
@@ -531,6 +531,103 @@ def test_a_line_spanning_the_power_table_takes_the_per_entry_sums(monkeypatch, p
             _compare_products(b, a)
             assert dots[0] > calls
     assert quadext._scaled(base, [None] * 4) is not None
+
+
+# -- rows with at most one live place ------------------------------------------------
+
+
+def _one_place_block(rng: random.Random, ctx: ExtensionContext, d: int, kind: str) -> BlockOperator:
+    """A d-by-d block whose rows have at most one live place: a ``diagonal``,
+    a ``permutation``, one-place rows beside ``zero_rows``, a diagonal of
+    exact zeros and O(p**N) entries (``inexact``), or ``mixed`` with dense
+    rows among them, which are packed."""
+    zero, base = ctx.zero(), ctx.base
+
+    def inexact():
+        o = lambda: PadicNumber(base, None, 0, 0, rng.randint(-1, 4))
+        pairs = [(o(), o()), (o(), _coordinate(rng, base)), (_coordinate(rng, base), _coordinate(rng, base))]
+        return rng.choice([zero] + [QuadExtElement(ctx, *pair) for pair in pairs])
+
+    places, rows = rng.sample(range(d), d) if kind == "permutation" else list(range(d)), []
+    for m in range(d):
+        if kind == "mixed" and rng.random() < 0.4:
+            rows.append([_element(rng, ctx) for _ in range(d)])
+            continue
+        rows.append([zero] * d)
+        if kind != "zero_rows" or rng.random() < 0.6:
+            rows[m][places[m]] = inexact() if kind == "inexact" else _element(rng, ctx)
+    return BlockOperator(ctx, rows)
+
+
+def _recording(monkeypatch, names) -> list:
+    """Patch the ``quadext`` functions of names to record (name, number of
+    left lines) for ``_sums`` and the name for the others."""
+    calls = []
+    for name in names:
+        fn = getattr(quadext, name)
+
+        def recorded(*args, fn=fn, name=name):
+            calls.append((name, len(args[0])) if name == "_sums" else name)
+            return fn(*args)
+
+        monkeypatch.setattr(quadext, name, recorded)
+    return calls
+
+
+def test_rows_with_one_live_place_match_the_per_entry_sums(monkeypatch):
+    # each entry of a one-place row is one _times, the one-term _dot, and
+    # only the dense rows of a ``mixed`` block are packed and bounded
+    rng = random.Random(27)
+    inexact, calls = 0, _recording(monkeypatch, ("_sums", "_bound"))
+    for ctx in CONTEXTS:
+        for d in range(1, 9):
+            for kind in ("diagonal", "permutation", "zero_rows", "inexact", "mixed"):
+                a = _one_place_block(rng, ctx, d, kind)
+                b = BlockOperator(ctx, [[_element(rng, ctx) for _ in range(d)] for _ in range(d)])
+                left = [[_lhs_coords(z) for z in row] for row in a.rows]
+                right = [[_rhs_coords(z) for z in col] for col in zip(*b.rows)]
+                calls.clear()
+                got = _rows((a * b).rows)
+                assert got == [[_digits(_dot(ctx, x, y)) for y in right] for x in left]
+                assert kind == "mixed" or calls == []
+                inexact += _inexact_zeros(got)
+                # the scalar route leaves out an O(p**N) operand, which the kernel multiplies
+                if kind != "inexact":
+                    _compare_products(a, b)
+    assert inexact > 1000
+
+
+def test_the_factor_product_packs_no_diagonal_row(monkeypatch):
+    # S of factor_trace_class is diagonal: its product with T packs nothing,
+    # bounds nothing and makes no per-entry sum; a dense row among diagonal
+    # ones is packed alone, as two lines of sums
+    ctx = helpers.ext_ctx(3, 5, 20)
+    r = _gen_block(random.Random(37), ctx, 12)
+    s, t = factor_trace_class(r)
+    calls = _recording(monkeypatch, ("_bound", "_sums", "_dot"))
+    product = s * t
+    assert calls == []
+    assert _rows(product.rows) == _rows(_scalar_product(s, t)) and product == r
+    one_dense = BlockOperator(ctx, [t.rows[0]] + list(s.rows[1:]))
+    assert _rows((one_dense * t).rows) == _rows(_scalar_product(one_dense, t))
+    assert [c for c in calls if c != "_bound"] == [("_sums", 2)]
+
+
+@pytest.mark.parametrize("spans", [False, True], ids=["times", "refused"])
+def test_a_far_entry_in_a_one_place_row_costs_nothing(monkeypatch, spans):
+    # a diagonal entry at valuation 10**7 against dense columns: alone in its
+    # line it is one _times per entry; with ac = 1 its line spans the power
+    # table and every entry of the product is one _dot
+    ctx = helpers.ext_ctx(3, 5, 20)
+    base, x, zero = ctx.base, ctx.from_ints(1, 2), ctx.zero()
+    far = QuadExtElement(ctx, base.from_digits(10**7, [1]), base.one() if spans else base.zero())
+    a, b = BlockOperator(ctx, [[far, zero], [zero, x]]), BlockOperator(ctx, [[x, ctx.from_ints(2, 1)], [x, x]])
+    dots = _counting_dots(monkeypatch)
+    start = time.perf_counter()
+    product = a * b
+    assert time.perf_counter() - start < 0.1
+    assert _rows(product.rows) == _rows(_scalar_product(a, b))
+    assert dots[0] == (4 if spans else 0)
 
 
 def _zero_residue_terms(a, b):
@@ -1211,7 +1308,7 @@ def test_a_gram_scan_stops_at_the_first_entry_that_differs(monkeypatch):
 # -- conjugation and pivot scaling on coordinate triples ------------------------
 #
 # canonical_decomposition scales by the pivot and conjugates on triples
-# (quadext._conj_scaled); the rank-one sums, hs_inner,
+# (quadext._scaled_row); the rank-one sums, hs_inner,
 # inner_product and both Gram checks of is_unitary conjugate on triples and
 # form no adjoint.  Each is pinned to the scalar route written out here.
 

@@ -51,6 +51,7 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "decompose.d4_ms",
         "reconstruct.d4_ms",
         "factor.d4_ms",
+        "factor_product.d4_ms",
         "operator_norm.d4_ms",
         "apply.d4_ms",
         "inner_product.d4_ms",
