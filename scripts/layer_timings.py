@@ -10,7 +10,10 @@ batch and reported in microseconds per operation, and so is construction:
 (valuation, unit, prec) triple, ``quadext.element_us`` the kernel's
 ``quadext._element`` on a pair of them; block products (d = 4, 8, 16,
 24, 32, up to ``--max-dim``; 24 is the benchmark's largest) in
-milliseconds per call, and so are ``block_mul_gap_ms``, the square of
+milliseconds per call, alone and with every entry of the product then
+read through ``rows`` (``block_mul_read``: a block stores coordinate
+triples and builds its elements on that first read), and so are
+``block_mul_gap_ms``, the square of
 the 2 x 2 block [[x, far], [x, x]] with x = 1 + 2 sqrt(mu) and
 far = p**GAP (one entry of it a multiple of p**GAP),
 ``block_mul_far_row_ms``, [[x, far], [x, x]] times [[x, x], [0, 0]] with
@@ -25,7 +28,9 @@ and ``operator_norm`` (d = 16, or ``--max-dim`` when smaller), ``apply`` of that
 unitarity check (``is_unitary`` plus ``is_ip_preserving``) of a unitary
 butterfly of ``rotation_on_pairs`` stages at that size and at d = 8
 (``unitarity.d8_ms``, whatever ``--max-dim``), and
-``is_orthonormal_system`` on the butterfly's columns.  The JSON wire
+``is_orthonormal_system`` on the butterfly's columns, and
+``is_norm_orthogonal`` on the columns of the butterfly of each size 8, 16
+and 32 up to ``--max-dim`` (``norm_orthogonal``).  The JSON wire
 is timed on the same block: ``operator_from_dict`` of its dict in
 microseconds per entry, ``jsonio.dumps`` of that dict in microseconds
 per KB (1000 bytes) of text, and ``context_from_dict`` of the extension's
@@ -58,6 +63,7 @@ from padicqm import (  # noqa: E402
     identity,
     inner_product,
     is_ip_preserving,
+    is_norm_orthogonal,
     is_orthonormal_system,
     is_unitary,
     operator_norm,
@@ -88,6 +94,8 @@ SINGLE_DIM = 16
 # the unitarity check also at this size, the largest block of the CLI
 # benchmark, where each line's fixed cost shows
 UNITARITY_DIM = 8
+# the norm-orthogonality rank of a butterfly's columns, at these sizes
+NORM_ORTHOGONAL_DIMS = (8, 16, 32)
 
 
 def _number(rng: random.Random, ctx: PadicContext) -> PadicNumber:
@@ -170,6 +178,7 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
     for d in (d for d in BLOCK_DIMS if d <= max_dim):
         a, b = _block(rng, ext, d), _block(rng, ext, d)
         out[f"block_mul.d{d}_ms"] = _best(lambda: a * b, repeat) * 1e3
+        out[f"block_mul_read.d{d}_ms"] = _best(lambda: (a * b).rows, repeat) * 1e3
     x = ext.from_ints(1, 2)
     gap = BlockOperator(ext, [[x, ext.from_base(ctx.from_digits(GAP, [1]))], [x, x]])
     out["block_mul_gap_ms"] = _best(lambda: gap * gap, repeat) * 1e3
@@ -201,6 +210,9 @@ def timings(repeat: int, max_dim: int) -> dict[str, float]:
         out[f"unitarity.d{size}_ms"] = _best(lambda: (is_unitary(u), is_ip_preserving(u)), repeat) * 1e3
     cols = [PVector(ext, dict(enumerate(col, 1))) for col in zip(*u.rows)]
     out[f"orthonormal.d{d}_ms"] = _best(lambda: is_orthonormal_system(cols), repeat) * 1e3
+    for size in (size for size in NORM_ORTHOGONAL_DIMS if size <= max_dim):
+        family = [PVector(ext, dict(enumerate(col, 1))) for col in zip(*_butterfly(ext, size).rows)]
+        out[f"norm_orthogonal.d{size}_ms"] = _best(lambda: is_norm_orthogonal(family), repeat) * 1e3
     wire = operator_to_dict(s)
     out["jsonio.parse_us_per_element"] = (
         _best(lambda: operator_from_dict(wire), repeat) * 1e6 / (d * d)

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .padic import PadicNumber
-from .quadext import ExtensionContext, Magnitude, QuadExtElement, _conj_dot, _gram_is_identity, max_abs
+from .quadext import ExtensionContext, Magnitude, QuadExtElement, _gram_is_identity, _grid, _sum_of_products, max_abs
 
 
 class PVector:
@@ -86,13 +86,13 @@ def basis_vector(context: ExtensionContext, i: int) -> PVector:
 
 def inner_product(u: PVector, v: PVector) -> QuadExtElement:
     """Canonical inner product: sum of conj(u_i) * v_i over the common
-    support, one ``quadext._conj_dot``, digit for digit ``quad_sum`` over
+    support, one ``quadext._sum_of_products``, digit for digit ``quad_sum`` over
     the scalar products."""
     if u.context != v.context:
         raise ContextMismatch("vectors from different extensions")
     w = v._entries
     common = [i for i in u._entries if i in w]
-    return _conj_dot(u.context, [u._entries[i] for i in common], [w[i] for i in common])
+    return _sum_of_products(u.context, *_grid(u.context, [[u._entries[i] for i in common], [w[i] for i in common]]), -1)
 
 
 def sup_norm(v: PVector) -> Magnitude:
@@ -278,7 +278,7 @@ def is_orthonormal_system(vectors: list[PVector]) -> bool:
     if not all(sup_norm(v).is_one for v in vectors):
         return False
     support = sorted({i for v in vectors for i in v.support()})
-    lines = [[v.entry(i) for i in support] for v in vectors]
+    lines = _grid(ctx, [[v.entry(i) for i in support] for v in vectors])
     return _gram_is_identity(ctx, lines) and is_norm_orthogonal(vectors)
 
 

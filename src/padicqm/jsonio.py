@@ -19,6 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+from . import padic
 from .errors import ParseError
 from .hilbert import PVector
 from .operators import (
@@ -31,7 +32,7 @@ from .operators import (
     SymmetricDecomposition,
 )
 from .padic import PadicContext, PadicNumber
-from .quadext import ExtensionContext, Magnitude, QuadExtElement
+from .quadext import ExtensionContext, Magnitude, QuadExtElement, _coords, _element, _rhs_coords
 from .states import PadicDistribution, Sovm, StatisticalOperator, make_sovm, make_statistical
 
 
@@ -54,15 +55,16 @@ def _parse(what: str):
 
 
 def padic_to_dict(x: PadicNumber) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "p": x.context.p,
-        "precision": x.context.precision,
-        "valuation": x.valuation,
-    }
-    if not x.is_zero:
-        out["digits"] = x.digits()
-    elif x.absolute is not None:
-        out["absolute"] = x.absolute
+    return _triple_to_dict(x.context, padic._triple(x))
+
+
+def _triple_to_dict(base: PadicContext, t) -> dict[str, Any]:
+    """``padic_to_dict`` of the number whose triple is t, its digits written from the unit."""
+    out: dict[str, Any] = {"p": base.p, "precision": base.precision, "valuation": t[0] if t and t[2] else None}
+    if t and t[2]:
+        out["digits"] = padic._unit_digits(base.p, t[1], t[2])
+    elif t:
+        out["absolute"] = t[0]
     return out
 
 
@@ -79,46 +81,53 @@ def _context(data: Any) -> PadicContext:
 
 @_parse("bad p-adic number")
 def padic_from_dict(data: Any, context: PadicContext | None = None) -> PadicNumber:
-    """A scalar; a declared ``p`` or ``precision`` must be the context's.
-    ``from_digits`` refuses a digit that is not an int in [0, p)."""
-    if context is None:
-        ctx = _context(data)
-    else:
-        ctx = context
-        declared = (
-            _integer(data.get("p", ctx.p), "p"),
-            _integer(data.get("precision", ctx.precision), "precision"),
+    """A scalar, in its own context or in ``context`` (``_triple_from_dict``)."""
+    ctx = _context(data) if context is None else context
+    return padic._number(ctx, _triple_from_dict(data, ctx))
+
+
+@_parse("bad p-adic number")
+def _triple_from_dict(data: Any, ctx: PadicContext):
+    """The triple of a scalar of ctx, read straight from its digits (``_digits_triple``);
+    a declared ``p`` or ``precision`` must be ctx's."""
+    declared = (
+        _integer(data.get("p", ctx.p), "p"),
+        _integer(data.get("precision", ctx.precision), "precision"),
+    )
+    if declared != (ctx.p, ctx.precision):
+        raise ParseError(
+            f"scalar declares (p, precision) = {declared} in a context of "
+            f"({ctx.p}, {ctx.precision})"
         )
-        if declared != (ctx.p, ctx.precision):
-            raise ParseError(
-                f"scalar declares (p, precision) = {declared} in a context of "
-                f"({ctx.p}, {ctx.precision})"
-            )
     valuation = data["valuation"]
     if valuation is None:
         absolute = data.get("absolute")
-        if absolute is None:
-            return ctx.zero()
-        return PadicNumber(ctx, None, 0, 0, _integer(absolute, "absolute"))
+        return None if absolute is None else (_integer(absolute, "absolute"), 0, 0)
     digits = data["digits"]
     if type(digits) is not list:
         raise ParseError(f"digits {digits!r} is not a list")
-    return ctx.from_digits(_integer(valuation, "valuation"), digits)
+    return ctx._digits_triple(_integer(valuation, "valuation"), digits)
 
 
 def quadext_to_dict(z: QuadExtElement) -> dict[str, Any]:
-    return {
-        "mu": padic_to_dict(z.context.mu),
-        "sc": padic_to_dict(z.sc),
-        "ac": padic_to_dict(z.ac),
-    }
+    return _entry_to_dict(z.context, _rhs_coords(z), padic_to_dict(z.context.mu))
+
+
+def _entry_to_dict(context: ExtensionContext, coords, mu: dict[str, Any]) -> dict[str, Any]:
+    """``quadext_to_dict`` of a grid entry, with ``mu`` the context's mu as written,
+    one dict that a block's entries share."""
+    sc, ac = coords or (None, None)
+    return {"mu": mu, "sc": _triple_to_dict(context.base, sc), "ac": _triple_to_dict(context.base, ac)}
+
+
+def quadext_from_dict(data: Any, context: ExtensionContext) -> QuadExtElement:
+    return _element(context, _coordinates(data, context))
 
 
 @_parse("bad extension element")
-def quadext_from_dict(data: Any, context: ExtensionContext) -> QuadExtElement:
-    sc = padic_from_dict(data["sc"], context.base)
-    ac = padic_from_dict(data["ac"], context.base)
-    return QuadExtElement(context, sc, ac)
+def _coordinates(data: Any, context: ExtensionContext):
+    """The grid entry of an element's dict, each coordinate ``_triple_from_dict``."""
+    return _coords(_triple_from_dict(data["sc"], context.base), _triple_from_dict(data["ac"], context.base))
 
 
 def context_to_dict(context: ExtensionContext) -> dict[str, Any]:
@@ -143,16 +152,16 @@ def vector_to_dict(v: PVector) -> dict[str, Any]:
     return {"entries": {str(i): quadext_to_dict(z) for i, z in v.items()}}
 
 
-def _entry(data: Any, context: ExtensionContext, mu_dict: Any, *where: int) -> QuadExtElement:
-    """``quadext_from_dict`` with the entry's index in its parse errors.  A
-    declared non-null ``mu`` must be the context's; one equal to
+def _entry(data: Any, context: ExtensionContext, mu_dict: Any, *where: int):
+    """The grid entry of ``_coordinates`` with the entry's index in its parse
+    errors.  A declared non-null ``mu`` must be the context's; one equal to
     ``mu_dict``, the context's ``mu`` as written, is not parsed again."""
     try:
-        z = quadext_from_dict(data, context)
+        coords = _coordinates(data, context)
         mu = data.get("mu")
         if mu is not None and mu != mu_dict and padic_from_dict(mu, context.base) != context.mu:
             raise ParseError("element declares a mu other than the context's")
-        return z
+        return coords
     except ParseError as exc:
         raise ParseError(f"entry ({','.join(map(str, where))}): {exc}") from exc
 
@@ -171,7 +180,7 @@ def _index(key: Any) -> int:
 @_parse("bad vector")
 def vector_from_dict(data: Any, context: ExtensionContext) -> PVector:
     mu_dict = padic_to_dict(context.mu)
-    entries = {(i := _index(k)): _entry(z, context, mu_dict, i) for k, z in data["entries"].items()}
+    entries = {(i := _index(k)): _element(context, _entry(z, context, mu_dict, i)) for k, z in data["entries"].items()}
     return PVector(context, entries)
 
 
@@ -206,10 +215,11 @@ def operator_to_dict(a: MatrixOperator) -> dict[str, Any]:
         shape = {"kind": "generator", "window": a.window, "decay": {**decay, "support": cert.support}}
     else:
         raise ParseError("unknown operator kind")
+    mu = padic_to_dict(block.context.mu)
     return {
         **shape,
         "context": context_to_dict(block.context),
-        "entries": [[quadext_to_dict(z) for z in row] for row in block.rows],
+        "entries": [[_entry_to_dict(block.context, c, mu) for c in row] for row in block._grid],
     }
 
 
@@ -221,13 +231,13 @@ def operator_from_dict(data: Any) -> MatrixOperator:
         raise ParseError(f"unknown operator kind {kind!r}")
     size = "dim" if kind == "block_finite" else "window"
     mu_dict = data["context"]["mu"]
-    rows = [
-        [_entry(z, context, mu_dict, m, n) for n, z in enumerate(row, 1)]
+    grid = tuple(
+        tuple(_entry(z, context, mu_dict, m, n) for n, z in enumerate(row, 1))
         for m, row in enumerate(data["entries"], 1)
-    ]
-    if len(rows) != _integer(data[size], size):
+    )
+    if len(grid) != _integer(data[size], size):
         raise ParseError(f"{size} does not match the entry grid")
-    block = BlockOperator(context, rows)
+    block = BlockOperator._of(context, grid)
     if kind == "block_finite":
         return block
     decay = data["decay"]

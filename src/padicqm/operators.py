@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Iterable, Iterator, NoReturn
 
@@ -29,7 +30,6 @@ from .errors import (
     NotSelfAdjoint,
     NotTraceClass,
     OutsideWindow,
-    PrecisionExhausted,
     RequiresOddP,
     SearchExhausted,
     TailDominates,
@@ -37,25 +37,11 @@ from .errors import (
 )
 from .hilbert import BasisRotation, PVector, _scalar_of_magnitude, basis_vector, inner_product
 from .quadext import (
-    ExtensionContext,
-    Magnitude,
-    QuadExtElement,
-    _abs_is_one,
-    _conj_dot,
-    _conj_row,
-    _dots,
-    _gram_is_identity,
-    _hermitian_row_block,
-    _product,
-    _rank_one_entries,
-    _row_block,
-    _scaled_row,
-    max_abs,
-    quad_sum,
+    ExtensionContext, Magnitude, QuadExtElement, _abs_is_one, _added, _adjoint, _conj_row,
+    _diagonal, _elements, _equal, _gram_is_identity, _grid, _hermitian_row_block, _live,
+    _magnitude_within, _max_abs, _pad, _product, _rank_one_entries, _row_block, _scale, _scaled_row,
+    _sum_of_products, _trace, max_abs, quad_sum,
 )
-
-INF = math.inf
-
 
 class Verdict(str, Enum):
     PROVEN = "proven"
@@ -95,23 +81,34 @@ class MatrixOperator:
 
 
 class BlockOperator(MatrixOperator):
-    """Operator vanishing outside an exactly stored dim-by-dim block."""
+    """Operator vanishing outside an exactly stored dim-by-dim block, kept as
+    the kernel's coordinate grid (``quadext._grid``), which every operation
+    reads and returns (``_of``).  ``rows`` and ``entry`` build the elements
+    on first read and keep them; a block built from element rows keeps those."""
 
-    __slots__ = ("context", "dim", "rows")
+    __slots__ = ("context", "dim", "_grid", "_rows")
 
-    def __init__(
-        self, context: ExtensionContext, rows: list[list[QuadExtElement]]
-    ) -> None:
-        dim = len(rows)
-        for row in rows:
-            if len(row) != dim:
-                raise DimensionMismatch("block must be square")
-            for z in row:
-                if z.context != context:
-                    raise ContextMismatch("entry from a different extension")
-        self.context = context
-        self.dim = dim
-        self.rows = tuple(tuple(row) for row in rows)
+    def __init__(self, context: ExtensionContext, rows: list[list[QuadExtElement]]) -> None:
+        """Element rows, read into the grid once; they stay as ``rows``."""
+        self._set(context, _grid(context, rows), tuple(tuple(row) for row in rows))
+
+    @classmethod
+    def _of(cls, context: ExtensionContext, grid: tuple) -> BlockOperator:
+        """The block of a grid: the one path of every block not built from element rows."""
+        return object.__new__(cls)._set(context, grid, None)
+
+    def _set(self, context: ExtensionContext, grid: tuple, rows) -> BlockOperator:
+        if any(len(line) != len(grid) for line in grid):
+            raise DimensionMismatch("block must be square")
+        self.context, self.dim, self._grid, self._rows = context, len(grid), grid, rows
+        return self
+
+    @property
+    def rows(self) -> tuple[tuple[QuadExtElement, ...], ...]:
+        """The element rows, built from the grid on first read and kept."""
+        if self._rows is None:
+            self._rows = _elements(self.context, self._grid)
+        return self._rows
 
     def entry(self, m: int, n: int) -> QuadExtElement:
         """Matrix entry with 1-based indices: zero beyond the block,
@@ -122,43 +119,30 @@ class BlockOperator(MatrixOperator):
             return self.rows[m - 1][n - 1]
         return self.context.zero()
 
-    def _padded(self, d: int) -> tuple[tuple[QuadExtElement, ...], ...]:
-        """``rows`` zero-padded to d-by-d (d >= dim); ``rows`` itself when d == dim.
-
-        Blocks of different sizes meet in arithmetic and comparison as the
-        larger block, the smaller one vanishing outside its own.
-        """
-        if d == self.dim:
-            return self.rows
-        z = self.context.zero()
-        pad = (z,) * (d - self.dim)
-        return tuple(row + pad for row in self.rows) + ((z,) * d,) * (d - self.dim)
-
     def __eq__(self, other: object) -> bool:
+        """Entry by entry as elements compare (``quadext._equal``)."""
         if not isinstance(other, BlockOperator):
             return NotImplemented
         if self.context != other.context:
             return False
-        d = max(self.dim, other.dim)
-        return self._padded(d) == other._padded(d)
+        d, base = max(self.dim, other.dim), self.context.base
+        pairs = zip(_pad(self._grid, d), _pad(other._grid, d))
+        return all(_equal(base, x, y) for r, s in pairs for x, y in zip(r, s))
 
     def __add__(self, other: BlockOperator) -> BlockOperator:
         self._check(other)
         d = max(self.dim, other.dim)
-        return BlockOperator(
-            self.context,
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self._padded(d), other._padded(d))],
-        )
+        return BlockOperator._of(self.context, _added(self.context, _pad(self._grid, d), _pad(other._grid, d)))
 
     def __neg__(self) -> BlockOperator:
-        return BlockOperator(self.context, [[-z for z in row] for row in self.rows])
+        return self.scale(-self.context.one())
 
     def __sub__(self, other: BlockOperator) -> BlockOperator:
         self._check(other)
         return self + (-other)
 
     def scale(self, alpha: QuadExtElement) -> BlockOperator:
-        return BlockOperator(self.context, [[alpha * z for z in row] for row in self.rows])
+        return BlockOperator._of(self.context, _scale(self.context, alpha, self._grid))
 
     def __mul__(self, other: BlockOperator) -> BlockOperator:
         """Operator composition, digit for digit ``quad_sum`` over the scalar
@@ -166,29 +150,29 @@ class BlockOperator(MatrixOperator):
         (``quadext._product``), O(p**N) where it vanishes at its precision."""
         self._check(other)
         ctx, d = self.context, max(self.dim, other.dim)
-        return BlockOperator(ctx, _product(ctx, self._padded(d), list(zip(*other._padded(d)))))
+        return BlockOperator._of(ctx, _product(ctx, _pad(self._grid, d), list(zip(*_pad(other._grid, d)))))
 
     def apply(self, v: PVector) -> PVector:
         """Matrix-vector product, exact; coordinates beyond the block meet
         zero columns.  Each coordinate is one integer-coordinate sum
-        (``quadext._dots``)."""
+        (``quadext._sum_of_products``)."""
         if self.context != v.context:
             raise ContextMismatch("operator and vector over different extensions")
         inside = [(n - 1, vn) for n, vn in v.items() if n <= self.dim]
-        rows = [[row[k] for k, _ in inside] for row in self.rows]
-        sums = _dots(self.context, rows, [vn for _, vn in inside])
+        (ys,) = _grid(self.context, [[vn for _, vn in inside]])
+        sums = [_sum_of_products(self.context, [row[k] for k, _ in inside], ys) for row in self._grid]
         return PVector(self.context, dict(enumerate(sums, 1)))
 
     def trace(self) -> QuadExtElement:
         """Sum of the diagonal entries."""
-        return quad_sum(self.context, [row[m] for m, row in enumerate(self.rows)])
+        return _trace(self.context, self._grid)
 
     def adjoint(self) -> BlockOperator:
-        return BlockOperator(self.context, [[z.conj() for z in col] for col in zip(*self.rows)])
+        return BlockOperator._of(self.context, _adjoint(self.context, self._grid))
 
     def norm(self) -> Magnitude:
         """sup |A_mn|, exact."""
-        return max_abs(self.context, (z for row in self.rows for z in row))
+        return _max_abs(self.context, chain.from_iterable(self._grid))
 
     def classify(self) -> OperatorClassification:
         """Every flag is decided exactly; only self-adjointness can fail."""
@@ -220,12 +204,9 @@ def _require_block(what: str, *ops: MatrixOperator) -> None:
 
 def _symmetry_witness(a: BlockOperator) -> str | None:
     """The first entry (m, n), m <= n <= dim, with A_mn != conj(A_nm)."""
-    rows = a.rows
-    for m in range(a.dim):
-        for n in range(m, a.dim):
-            if rows[m][n] != rows[n][m].conj():
-                return f"entry ({m + 1},{n + 1})"
-    return None
+    base, x, y, span = a.context.base, a._grid, _adjoint(a.context, a._grid), range(a.dim)
+    pairs = ((m, n) for m in span for n in range(m, a.dim) if not _equal(base, x[m][n], y[m][n]))
+    return next((f"entry ({m + 1},{n + 1})" for m, n in pairs), None)
 
 
 # -- builders -----------------------------------------------------------------
@@ -240,11 +221,7 @@ def identity(context: ExtensionContext, dim: int) -> BlockOperator:
 
 
 def diagonal(context: ExtensionContext, values: list[QuadExtElement]) -> BlockOperator:
-    z = context.zero()
-    d = len(values)
-    return BlockOperator(
-        context, [[values[m] if m == n else z for n in range(d)] for m in range(d)]
-    )
+    return BlockOperator._of(context, _diagonal(context, values))
 
 
 def rank_one(phi: PVector, psi: PVector, dim: int | None = None) -> BlockOperator:
@@ -270,9 +247,7 @@ def _rank_one_sum(
     terms = list(terms)
     if any(max(e.support() + f.support(), default=1) > dim for _, e, f in terms):
         raise DimensionMismatch("dim does not cover the supports")
-    cells = _rank_one_entries(context, [(w, e.items(), f.items()) for w, e, f in terms])
-    zero, span = context.zero(), range(1, dim + 1)
-    return BlockOperator(context, [[cells.get((m, n), zero) for n in span] for m in span])
+    return BlockOperator._of(context, _rank_one_entries(context, dim, [(w, e.items(), f.items()) for w, e, f in terms]))
 
 
 def _hermitian(
@@ -287,7 +262,7 @@ def _hermitian(
 def from_rotation(rotation: BasisRotation, dim: int) -> BlockOperator:
     """The block unitary sending each basis vector to its rotated image."""
     ctx = rotation.context
-    rows = [list(row) for row in identity(ctx, dim).rows]
+    rows = [[ctx.one() if m == n else ctx.zero() for n in range(dim)] for m in range(dim)]
     for i, j, z in rotation.pairs:
         if j > dim or i > dim:
             raise DimensionMismatch("rotation pair outside the block")
@@ -325,9 +300,11 @@ class DecayCertificate:
         if self.support not in ("all", "diagonal"):
             raise ValidationError(f"unknown decay support {self.support!r}")
 
-    def bound(self, m: int, n: int) -> float | Fraction:
+    def bound(self, m: int, n: int) -> Fraction | None:
+        """The bound on v(A_mn); None off the diagonal of a diagonal-only
+        certificate, where the entries vanish."""
         if self.support == "diagonal" and m != n:
-            return INF
+            return None
         return self.base + self.row_coeff * m + self.col_coeff * n
 
     def adjoint(self) -> DecayCertificate:
@@ -378,16 +355,6 @@ def _magnitude_below(p: int, floor: Fraction) -> Magnitude:
     return Magnitude(p, -math.ceil(2 * floor))
 
 
-def _magnitude_within(z: QuadExtElement, bound: float | Fraction) -> bool:
-    if z.is_zero:
-        if min([x.absolute for x in (z.sc, z.ac) if x.absolute is not None], default=INF) < bound:
-            raise PrecisionExhausted("O(p^N) with N below the decay bound; raise the precision")
-        return True
-    if bound == INF:
-        return False
-    return Fraction(-z.ext_abs().exp2, 2) >= bound
-
-
 class GeneratorOperator(MatrixOperator):
     """A window block whose entries beyond it obey a decay certificate.
 
@@ -401,9 +368,9 @@ class GeneratorOperator(MatrixOperator):
         _require_block("a generator window", block)
         if block.dim < 1:
             raise ValidationError("window must be at least 1")
-        for m, row in enumerate(block.rows, 1):
-            for n, z in enumerate(row, 1):
-                if not _magnitude_within(z, certificate.bound(m, n)):
+        for m, row in enumerate(block._grid, 1):
+            for n, c in enumerate(row, 1):
+                if not _magnitude_within(block.context, c, certificate.bound(m, n)):
                     raise ValidationError(
                         f"window entry ({m},{n}) violates the decay bound"
                     )
@@ -528,25 +495,25 @@ def _trace_of_product(a: BlockOperator, b: BlockOperator) -> QuadExtElement:
 
     O(d^2) products and one truncation, where ``trace(a * b)`` makes d^3
     and truncates each diagonal entry before the sum.  The sum runs on
-    integer coordinates (``quadext._dots``) with the digits of ``quad_sum``
+    integer coordinates (``quadext._sum_of_products``) with the digits of ``quad_sum``
     over the scalar products A_mk * B_km.
     """
     a._check(b)
     d = max(a.dim, b.dim)
-    xs = [x for row in a._padded(d) for x in row]
-    return _dots(a.context, [xs], [y for col in zip(*b._padded(d)) for y in col])[0]
+    xs = [x for row in _pad(a._grid, d) for x in row]
+    return _sum_of_products(a.context, xs, [y for col in zip(*_pad(b._grid, d)) for y in col])
 
 
 def hs_inner(s: MatrixOperator, t: MatrixOperator) -> QuadExtElement:
     """Hilbert-Schmidt product tr(adjoint(S) T) on block operators: one sum
     over the d^2 products conj(S_mn) T_mn, without forming adjoint(S) or
     adjoint(S) T.  The sum is ``_trace_of_product``'s, with each S_mn
-    conjugated on its coordinates (``quadext._conj_dot``)."""
+    conjugated on its coordinates (``quadext._sum_of_products``)."""
     _require_block("the Hilbert-Schmidt product", s, t)
     s._check(t)
     d = max(s.dim, t.dim)
-    xs = [x for col in zip(*s._padded(d)) for x in col]
-    return _conj_dot(s.context, xs, [y for col in zip(*t._padded(d)) for y in col])
+    xs = [x for col in zip(*_pad(s._grid, d)) for x in col]
+    return _sum_of_products(s.context, xs, [y for col in zip(*_pad(t._grid, d)) for y in col], -1)
 
 
 def verify_cyclic(b: BlockOperator, t: BlockOperator) -> tuple[QuadExtElement, QuadExtElement]:
@@ -564,7 +531,7 @@ def is_ip_preserving(u: MatrixOperator) -> bool:
     """Exact check of adjoint(U) U = Id on the declared block: the Gram scan
     of the columns of U."""
     _require_block("inner-product preservation", u)
-    return _gram_is_identity(u.context, list(zip(*u.rows)))
+    return _gram_is_identity(u.context, list(zip(*u._grid)))
 
 
 def is_unitary(u: MatrixOperator) -> bool:
@@ -577,8 +544,8 @@ def is_unitary(u: MatrixOperator) -> bool:
     rows of U, whose entry (m, n) is conj((U U*)_mn).
     """
     _require_block("unitarity", u)
-    entries = (z for row in u.rows for z in row)
-    return _abs_is_one(u.context, entries) and is_ip_preserving(u) and _gram_is_identity(u.context, u.rows)
+    entries = chain.from_iterable(u._grid)
+    return _abs_is_one(u.context, entries) and is_ip_preserving(u) and _gram_is_identity(u.context, u._grid)
 
 
 def four_squares_unit_solution(p: int, k: int) -> tuple[int, int, int, int]:
@@ -641,19 +608,19 @@ class CanonicalDecomposition:
 
     def reconstruct(self) -> BlockOperator:
         """Row m_j of C is lambda_j g_j, a row scaling (``quadext._row_block``)."""
-        return BlockOperator(self.context, _row_block(self.context, self.dim, self.scaled_rows))
+        return BlockOperator._of(self.context, _row_block(self.context, self.dim, self.scaled_rows))
 
     def max_weight(self) -> Magnitude:
         return max_abs(self.context, (lam for _, lam, _ in self.scaled_rows))
 
 
 def _decompose_rows(ctx: ExtensionContext, rows) -> Iterator[tuple]:
-    """(m, lambda, g) for each row m (from 1) of (n, z) items with an entry that is no
+    """(m, lambda, g) for each row m (from 1) of (n, entry) items with an entry that is no
     zero: lambda of its largest |z| and g its ``quadext._scaled_row`` by lambda^-1."""
     for m, items in enumerate(rows, 1):
-        nonzero = [(n, z) for n, z in items if not z.is_zero]
+        nonzero = [(n, c) for n, c in items if _live(c)]
         if nonzero:
-            lam = _scalar_of_magnitude(ctx, max_abs(ctx, [z for _, z in nonzero]))
+            lam = _scalar_of_magnitude(ctx, _max_abs(ctx, [c for _, c in nonzero]))
             yield m, lam, _scaled_row(ctx, lam.inv(), nonzero)
 
 
@@ -670,7 +637,7 @@ def canonical_decomposition(c: MatrixOperator) -> CanonicalDecomposition:
     Each g = lambda_j^-1 z is kept as coordinate pairs; f_j = conj(g) is built on reading.
     """
     _require_block("decomposition", c)
-    rows = tuple(_decompose_rows(c.context, (enumerate(row, 1) for row in c.rows)))
+    rows = tuple(_decompose_rows(c.context, (enumerate(row, 1) for row in c._grid)))
     return CanonicalDecomposition(c.context, c.dim, rows)
 
 
@@ -681,7 +648,7 @@ class SymmetricDecomposition(CanonicalDecomposition):
 
     def reconstruct(self) -> BlockOperator:
         """Entry (m, n) is sigma_m g_m[n] + conj(sigma_n g_n[m]), truncated once."""
-        return BlockOperator(self.context, _hermitian_row_block(self.context, self.dim, self.scaled_rows))
+        return BlockOperator._of(self.context, _hermitian_row_block(self.context, self.dim, self.scaled_rows))
 
     def trace_by_formula(self):
         """2 * sum_j sc(sigma_j <f_j, e_j>), an element of Q_p."""
@@ -706,7 +673,8 @@ def symmetric_decomposition(t: MatrixOperator) -> SymmetricDecomposition:
     if _symmetry_witness(t) is not None:
         raise NotSelfAdjoint("symmetric decomposition needs a self-adjoint block")
     half = t.context.from_base(t.context.base.from_fraction(Fraction(1, 2)))
-    upper = ([(m, half * row[m - 1]), *enumerate(row[m:], m + 1)] for m, row in enumerate(t.rows, 1))
+    halved = _scale(t.context, half, [[row[m] for m, row in enumerate(t._grid)]])[0]
+    upper = ([(m, halved[m - 1]), *enumerate(row[m:], m + 1)] for m, row in enumerate(t._grid, 1))
     return SymmetricDecomposition(t.context, t.dim, tuple(_decompose_rows(t.context, upper)))
 
 
@@ -717,4 +685,4 @@ def factor_trace_class(r: MatrixOperator) -> tuple[BlockOperator, BlockOperator]
     ctx, rows = r.context, canonical_decomposition(r).scaled_rows
     lams = {m: lam for m, lam, _ in rows}
     s = diagonal(ctx, [lams.get(m, ctx.zero()) for m in range(1, r.dim + 1)])
-    return s, BlockOperator(ctx, _row_block(ctx, r.dim, [(m, None, g) for m, _, g in rows]))
+    return s, BlockOperator._of(ctx, _row_block(ctx, r.dim, [(m, None, g) for m, _, g in rows]))

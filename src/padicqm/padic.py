@@ -168,6 +168,10 @@ class PadicContext:
 
     def from_digits(self, valuation: int, digits: list[int]) -> PadicNumber:
         """Build a number from little-endian base-p digits of the unit."""
+        return PadicNumber(self, *self._digits_triple(valuation, digits))
+
+    def _digits_triple(self, valuation: int, digits: list[int]) -> tuple[int, int, int]:
+        """``from_digits``' triple, its digits checked: valid for an int valuation."""
         if not 1 <= len(digits) <= self.precision:
             raise ValidationError("need between 1 and `precision` digits")
         unit = 0
@@ -177,7 +181,7 @@ class PadicContext:
             unit = unit * self.p + d
         if unit % self.p == 0:
             raise ValidationError("unit must have a nonzero first digit")
-        return PadicNumber(self, valuation, unit, len(digits))
+        return valuation, unit, len(digits)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -281,11 +285,7 @@ class PadicNumber:
     def digits(self) -> list[int]:
         """The known little-endian base-p digits of the unit part."""
         self._require_nonzero(ZeroInput, "exact zero has no digit expansion")
-        out, u = [], self.unit
-        for _ in range(self.prec):
-            u, d = divmod(u, self.context.p)
-            out.append(d)
-        return out
+        return _unit_digits(self.context.p, self.unit, self.prec)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -364,6 +364,15 @@ def _triple(x: PadicNumber) -> tuple[int, int, int] | None:
     if x.valuation is not None:
         return x.valuation, x.unit, x.prec
     return None if x.absolute is None else (x.absolute, 0, 0)
+
+
+def _unit_digits(p: int, unit: int, prec: int) -> list[int]:
+    """The prec little-endian base-p digits of a unit."""
+    out = []
+    for _ in range(prec):
+        unit, d = divmod(unit, p)
+        out.append(d)
+    return out
 
 
 def _number(context: PadicContext, t: tuple[int, int, int] | None) -> PadicNumber:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import add, lshift, mul
 from typing import Iterable
 
@@ -230,26 +231,8 @@ class QuadExtElement:
         return self * other.inv()
 
     def ext_abs(self) -> Magnitude:
-        """|z| = sqrt(|z conj(z)|_p), exact with a possibly half exponent.
-
-        v(z conj(z)) is the lesser side, 2 v(sc) or 2 v(ac) + v(mu), of
-        sc**2 - mu ac**2.  Equal sides cancel in the leading digit only for
-        p = 2 and mu = 4**t mu0: by 1 for mu0 = 3 or 7, by 2 for mu0 = 5, as
-        odd squares are 1 mod 8.  For odd p, mu0 is a non-residue.  An
-        O(p**N) coordinate only bounds its side below, so it raises
-        PrecisionExhausted unless the other side is smaller; a z whose
-        coordinates are both zeros is 0, as ``is_zero`` reads it."""
-        ctx = self.context
-        coords = ((self.sc, 0), (self.ac, ctx.mu.valuation))
-        sides = [2 * x.valuation + shift for x, shift in coords if not x.is_zero]
-        if not sides:
-            return Magnitude.zero(ctx.p)
-        v = min(sides)
-        if any(x.absolute is not None and 2 * x.absolute + shift <= v for x, shift in coords):
-            raise PrecisionExhausted("an O(p^N) coordinate could decide |z|; raise the precision")
-        if ctx.p == 2 and len(sides) == 2 and sides[0] == sides[1]:
-            v += {3: 1, 5: 2, 7: 1}.get(ctx.mu_class, 0)
-        return Magnitude(ctx.p, -v)
+        """|z| = sqrt(|z conj(z)|_p), exact with a possibly half exponent (``_abs``)."""
+        return _abs(self.context, _rhs_coords(self))
 
     def scale_base(self, a: PadicNumber) -> QuadExtElement:
         """Multiply by a base-field scalar."""
@@ -265,46 +248,79 @@ _set_context, _set_sc, _set_ac = (
 
 
 def max_abs(context: ExtensionContext, values: Iterable[QuadExtElement]) -> Magnitude:
-    """The largest |z| over the values; zero when there are none.  It
-    raises PrecisionExhausted where an O(p**N) value leaves that open
-    (``_abs_range``)."""
-    low, high = _abs_range(context, values)
+    """The largest |z| over the values; zero when there are none (``_max_abs``)."""
+    return _max_abs(context, map(_rhs_coords, values))
+
+
+def _max_abs(context: ExtensionContext, entries) -> Magnitude:
+    """The largest |z| over grid entries, unless an O(p**N) leaves it open (``_abs_range``)."""
+    low, high = _abs_range(context, entries)
     if low != high:
         raise PrecisionExhausted("an O(p^N) entry could exceed the largest known |z|; raise the precision")
     return low
 
 
-def _abs_range(context: ExtensionContext, values: Iterable[QuadExtElement]) -> tuple[Magnitude, Magnitude]:
-    """The least and largest values max |z| over the values may take.
+def _abs(context: ExtensionContext, coords) -> Magnitude:
+    """|z| = sqrt(|z conj(z)|_p) of an entry, exact with a possibly half exponent.
 
-    A z whose coordinates are both zeros, one of them O(p**N), is known only
-    to lie at or below p**(b/2), b = -min(2 N_sc, 2 N_ac + v(mu)) (an exact
-    zero side left out), so the largest is the greater of that and the
-    largest known |z|, and the least is the largest known |z|."""
+    v(z conj(z)) is the lesser side, 2 v(sc) or 2 v(ac) + v(mu), of
+    sc**2 - mu ac**2.  Equal sides cancel in the leading digit only for
+    p = 2 and mu = 4**t mu0: by 1 for mu0 = 3 or 7, by 2 for mu0 = 5, as
+    odd squares are 1 mod 8.  For odd p, mu0 is a non-residue.  An
+    O(p**N) coordinate only bounds its side below, so it raises
+    PrecisionExhausted unless the other side is smaller; an entry with no
+    known digit is 0, as ``QuadExtElement.is_zero`` reads it."""
+    (sc, ac), shift = coords or (None, None), context.mu.valuation
+    s = 2 * sc[0] if sc and sc[2] else None
+    a = 2 * ac[0] + shift if ac and ac[2] else None
+    if s is None and a is None:
+        return Magnitude.zero(context.p)
+    v = a if s is None or a is not None and a < s else s
+    if sc and not sc[2] and 2 * sc[0] <= v or ac and not ac[2] and 2 * ac[0] + shift <= v:
+        raise PrecisionExhausted("an O(p^N) coordinate could decide |z|; raise the precision")
+    if context.p == 2 and s == a:
+        v += {3: 1, 5: 2, 7: 1}.get(context.mu_class, 0)
+    return Magnitude(context.p, -v)
+
+
+def _abs_range(context: ExtensionContext, entries) -> tuple[Magnitude, Magnitude]:
+    """The least and largest values max |z| over grid entries may take.  An
+    entry with no known digit, a coordinate O(p**N), lies at or below p**(b/2),
+    b = -min(2 N_sc, 2 N_ac + v(mu)) (an exact zero side left out): the largest
+    is the greater of that and the largest known |z|, the least the latter."""
     largest, bound, shift = Magnitude.zero(context.p), None, context.mu.valuation
-    for z in values:
-        if not z.is_zero:
-            largest = max(largest, z.ext_abs())
-            continue
-        sides = [2 * n + s for n, s in ((z.sc.absolute, 0), (z.ac.absolute, shift)) if n is not None]
-        if sides and (bound is None or -min(sides) > bound):
-            bound = -min(sides)
+    for c in entries:
+        if _live(c):
+            largest = max(largest, _abs(context, c))
+        elif c:
+            b = -min(2 * t[0] + s for t, s in zip(c, (0, shift)) if t)
+            bound = b if bound is None or b > bound else bound
     if bound is None:
         return largest, largest
     return largest, max(largest, Magnitude(context.p, bound))
 
 
-def _abs_is_one(context: ExtensionContext, values: Iterable[QuadExtElement]) -> bool:
-    """Whether max |z| over the values is 1, decided from ``_abs_range``
-    also where ``max_abs`` raises: False where the range lies above or below
-    1, PrecisionExhausted where it holds 1 and other values too."""
-    low, high = _abs_range(context, values)
+def _abs_is_one(context: ExtensionContext, entries) -> bool:
+    """Whether max |z| over grid entries is 1: False where ``_abs_range`` lies above or
+    below 1, PrecisionExhausted where it holds 1 and other values too."""
+    low, high = _abs_range(context, entries)
     one = Magnitude.one(context.p)
     if high < one or one < low:
         return False
     if low != high:
         raise PrecisionExhausted("an O(p^N) entry leaves open whether the largest |z| is 1; raise the precision")
     return True
+
+
+def _magnitude_within(context: ExtensionContext, coords, bound: Fraction | None) -> bool:
+    """Whether an entry has v(z) >= bound (None: only zero does); PrecisionExhausted
+    for one with no known digit and a coordinate O(p**N), N below the bound."""
+    if not _live(coords):
+        floors = [t[0] for t in coords or () if t]
+        if floors and (bound is None or min(floors) < bound):
+            raise PrecisionExhausted("O(p^N) with N below the decay bound; raise the precision")
+        return True
+    return bound is not None and Fraction(-_abs(context, coords).exp2, 2) >= bound
 
 
 def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtElement:
@@ -316,68 +332,160 @@ def quad_sum(context: ExtensionContext, terms: list[QuadExtElement]) -> QuadExtE
     return QuadExtElement(context, sc, ac)
 
 
-# -- the integer kernel of sums of products ------------------------------------
+# -- coordinate grids ------------------------------------------------------------
 #
-# Its entry points take lines of elements, and only they decide which factor
-# is conjugated and which coordinate form each takes.  Inside, coordinates
-# are padic's (valuation, unit, prec) triples: None for an exact zero and
-# (N, 0, 0) for O(p**N); an element is None when both of its coordinates
-# are None.
+# A coordinate is padic's (valuation, unit, prec) triple: None for an exact
+# zero and (N, 0, 0) for O(p**N).  An entry is the pair (sc, ac) of its
+# coordinates (``_rhs_coords``), None when both are None, and a grid is a
+# tuple of rows of entries: a block is stored so.  Every operation on a grid
+# is here, and ``operators``, ``states`` and ``hilbert`` pass grids through;
+# besides ``padic``, whose integer layer they are, only ``jsonio`` reads
+# triples, to write their digits.  The kernel's entry points read and
+# return grids and lines of entries, and an element is built only where a
+# caller reads one.
 
 
-def _dots(context: ExtensionContext, rows, ys) -> list[QuadExtElement]:
-    """sum_k x_k * y_k for each line of x_k in rows against the one line
-    ys, each line converted once: one ``_dot`` per row."""
-    right = [_rhs_coords(y) for y in ys]
-    return [_dot(context, [_lhs_coords(x) for x in row], right) for row in rows]
+def _grid(context: ExtensionContext, rows) -> tuple:
+    """The grid of element rows, each read once; ContextMismatch for another extension's."""
+    if any(z.context is not context for row in rows for z in row):
+        raise ContextMismatch("entry from a different extension")
+    return tuple(tuple(map(_rhs_coords, row)) for row in rows)
 
 
-def _conj_dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
-    """sum_k conj(x_k) * y_k, one ``_dot`` of the conjugated left line."""
-    base = context.base
-    return _dot(context, [_conj(base, _lhs_coords(x)) for x in xs], [_rhs_coords(y) for y in ys])
+def _elements(context: ExtensionContext, grid) -> tuple:
+    return tuple(tuple(_element(context, c) for c in row) for row in grid)
 
 
-def _rhs_coords(z: QuadExtElement):
-    """(sc, ac) of a right factor; every kernel operand passes here."""
-    sc, ac = padic._triple(z.sc), padic._triple(z.ac)
+def _coords(sc, ac):
+    """The entry of the coordinates sc and ac."""
     return None if sc is None and ac is None else (sc, ac)
 
 
-def _lhs_coords(z: QuadExtElement):
-    """(sc, mu*ac, ac) of a left factor; mu*ac as PadicNumber.__mul__ gives it."""
-    coords = _rhs_coords(z)
+def _rhs_coords(z: QuadExtElement):
+    """The entry of an element, the form of a right factor."""
+    return _coords(padic._triple(z.sc), padic._triple(z.ac))
+
+
+def _element(context: ExtensionContext, coords) -> QuadExtElement:
+    if coords is None:
+        return context.zero()
+    base, (sc, ac) = context.base, coords
+    return QuadExtElement(context, padic._number(base, sc), padic._number(base, ac))
+
+
+def _live(coords) -> bool:
+    """Whether an entry has a known digit: no zero, as ``is_zero`` reads it."""
+    return coords is not None and bool(coords[0] and coords[0][2] or coords[1] and coords[1][2])
+
+
+def _known_at_one(entries) -> bool:
+    """Whether no coordinate is O(p**N) with N <= 0, whose p**0 digit is unknown."""
+    return not any(t and not t[2] and t[0] <= 0 for c in entries if c for t in c)
+
+
+def _pad(grid, d: int) -> tuple:
+    """The grid zero-padded to d by d (d at least its size): blocks of different
+    sizes meet as the larger, the smaller one vanishing outside its own."""
+    k = d - len(grid)
+    return tuple(row + (None,) * k for row in grid) + ((None,) * d,) * k if k else grid
+
+
+def _diagonal(context: ExtensionContext, values) -> tuple:
+    (line,) = _grid(context, [values])
+    return tuple(tuple(c if m == n else None for n in range(len(line))) for m, c in enumerate(line))
+
+
+def _added(context: ExtensionContext, a, b) -> tuple:
+    """The grid of x + y, each coordinate as ``PadicNumber.__add__``: an exact zero adds nothing."""
+    base = context.base
+
+    def add(x, y):
+        if x is None or y is None:
+            return y if x is None else x
+        return tuple(s if t is None else t if s is None else padic._sum_triples(base, [s, t]) for s, t in zip(x, y))
+
+    return tuple(tuple(map(add, r, s)) for r, s in zip(a, b))
+
+
+def _scale(context: ExtensionContext, a: QuadExtElement, grid) -> tuple:
+    """The grid of a * z, one ``_times`` per entry, as ``QuadExtElement.__mul__``."""
+    base, x = context.base, _lhs_coords(a)
+    return tuple(tuple(x and c and _times(base, x, c) for c in row) for row in grid)
+
+
+def _adjoint(context: ExtensionContext, grid) -> tuple:
+    """The grid of conj(z), transposed."""
+    return tuple(tuple(_conj(context.base, c) for c in col) for col in zip(*grid))
+
+
+def _trace(context: ExtensionContext, grid) -> QuadExtElement:
+    """The diagonal sum, each coordinate truncated once, as ``quad_sum``."""
+    diagonal = [row[m] for m, row in enumerate(grid) if row[m]]
+    return _element(context, tuple(padic._sum_triples(context.base, [c[i] for c in diagonal if c[i]]) for i in (0, 1)))
+
+
+def _equal(base: PadicContext, x, y) -> bool:
+    """x == y for entries by ``PadicNumber.__eq__``: O(p**N) equals any zero and v >= N."""
+    for s, t in zip(x or (None, None), y or (None, None)):
+        if not (s and s[2] and t and t[2]):
+            zero, other = (t, s) if s and s[2] else (s, t)
+            if other and other[2] and (zero is None or other[0] < zero[0]):
+                return False
+        elif s[0] != t[0] or (s[1] - t[1]) % base._power(min(s[2], t[2])):
+            return False
+    return True
+
+
+# -- the integer kernel of sums of products ------------------------------------
+#
+# Its entry points take lines of entries, and only they decide which factor
+# is conjugated and which coordinate form each takes: ``_rhs_coords`` for a
+# right factor, ``_lhs`` for a left one.
+
+
+def _sum_of_products(context: ExtensionContext, xs, ys, sign: int = 1) -> QuadExtElement:
+    """The element sum_k x_k * y_k of two lines of entries; conj(x_k) for sign -1."""
+    return _element(context, _dot(context, [_lhs(context, x, sign) for x in xs], ys))
+
+
+def _lhs(context: ExtensionContext, coords, sign: int = 1):
+    """(sc, mu*ac, ac) of a left factor's entry, mu*ac as ``PadicNumber.__mul__``
+    gives it; with sign -1 those of its conjugate (``_conj``)."""
     if coords is None:
         return None
     sc, ac = coords
     if ac is None:
         return sc, None, None
-    mu, pw = z.context.mu, z.context.base._powers
-    prec = min(mu.prec, ac[2])
-    m = pw[prec] if prec < len(pw) else z.context.base.p ** prec
-    return sc, (mu.valuation + ac[0], mu.unit * ac[1] % m, prec), ac
+    mu, pw, k = context.mu, context.base._powers, min(context.mu.prec, ac[2])
+    mac = mu.valuation + ac[0], sign * mu.unit * ac[1] % (pw[k] if k < len(pw) else context.base.p**k), k
+    return sc, mac, ac if sign > 0 else _neg(context.base, ac)
+
+
+def _lhs_coords(z: QuadExtElement):
+    """``_lhs`` of an element."""
+    return _lhs(z.context, _rhs_coords(z))
+
+
+def _neg(base: PadicContext, t):
+    """The triple of -x from that of x, as ``PadicNumber.__neg__``: a zero stays one."""
+    return t and (t[0], -t[1] % (base._powers[t[2]] if t[2] < len(base._powers) else base.p ** t[2]), t[2])
 
 
 def _conj(base: PadicContext, coords):
-    """``_lhs_coords`` or ``_rhs_coords`` of conj(z) from those of z: every
-    coordinate after sc negated modulo p**prec, as ``PadicNumber.__neg__``."""
-    if coords is None:
-        return None
-    pw, top, p = base._powers, len(base._powers), base.p
-    tail = [c and (c[0], -c[1] % (pw[c[2]] if c[2] < top else p ** c[2]), c[2]) for c in coords[1:]]
-    return (coords[0], *tail)
+    """``_lhs`` or entry of conj(z) from those of z: every coordinate after sc ``_neg``."""
+    return coords and (coords[0], *[_neg(base, c) for c in coords[1:]])
 
 
-def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
-    """sum_k x_k * y_k from ``_lhs_coords`` of the x_k and ``_rhs_coords``
-    of the y_k, digit for digit ``quad_sum(context, [x * y ...])``.
+def _dot(context: ExtensionContext, xs, ys):
+    """The entry sum_k x_k * y_k from ``_lhs`` of the x_k and the entries
+    y_k, digit for digit ``quad_sum(context, [x * y ...])``.
 
     Each term of each coordinate, sc*sc' + (mu*ac)*ac' or sc*ac' + ac*sc',
     enters that coordinate's sum as one integer (``_residue``), and each
     sum is truncated once, by the rule of ``padic_sum``.  A residue is the
     term's value at the digits ``QuadExtElement.__mul__`` keeps, so every
     entry is the value of the scalar route, with the same ``prec`` and
-    zeros.  No scalar object is built before the result.
+    zeros.  No scalar object is built.
     """
     base = context.base
     sc_terms, ac_terms = [], []
@@ -392,20 +500,12 @@ def _dot(context: ExtensionContext, xs, ys) -> QuadExtElement:
         t = _residue(base, xsc, yac, xac, ysc)
         if t is not None:
             ac_terms.append(t)
-    sc, ac = padic._sum_triples(base, sc_terms), padic._sum_triples(base, ac_terms)
-    return _element(context, (sc, ac))
-
-
-def _element(context: ExtensionContext, coords) -> QuadExtElement:
-    """The element whose ``_rhs_coords`` pair is coords."""
-    base, (sc, ac) = context.base, coords
-    return QuadExtElement(context, padic._number(base, sc), padic._number(base, ac))
+    return _coords(padic._sum_triples(base, sc_terms), padic._sum_triples(base, ac_terms))
 
 
 def _times(base: PadicContext, x, y):
-    """The ``_rhs_coords`` pair of x*y from nonzero ``_lhs_coords`` x and
-    ``_rhs_coords`` y, as ``QuadExtElement.__mul__`` gives it: each
-    coordinate one ``_residue`` term, closed as a sum of one term."""
+    """The entry x*y of nonzero ``_lhs`` x and entry y, as ``QuadExtElement.__mul__``:
+    each coordinate one ``_residue`` term, closed as a sum of one term."""
     (xsc, xmac, xac), (ysc, yac) = x, y
     sc, ac = _residue(base, xsc, ysc, xmac, yac), _residue(base, xsc, yac, xac, ysc)
     return (
@@ -415,11 +515,11 @@ def _times(base: PadicContext, x, y):
 
 
 def _scaled_row(context: ExtensionContext, a: QuadExtElement, items) -> tuple:
-    """(n, the ``_rhs_coords`` pair of a * z, one ``_times``) for each (n, z) of items,
-    a and the z nonzero; a product that ``is_zero`` is left out, as ``PVector`` does."""
+    """(n, the entry a * c, one ``_times``) for each (n, c) of items, a and
+    the c no zeros; a product with no known digit is left out, as ``PVector`` does."""
     base, x = context.base, _lhs_coords(a)
-    row = ((n, _times(base, x, _rhs_coords(z))) for n, z in items)
-    return tuple((n, g) for n, g in row if any(c and c[2] for c in g))
+    row = ((n, _times(base, x, c)) for n, c in items)
+    return tuple((n, g) for n, g in row if _live(g))
 
 
 def _conj_row(context: ExtensionContext, row) -> dict:
@@ -427,19 +527,19 @@ def _conj_row(context: ExtensionContext, row) -> dict:
     return {n: _element(context, _conj(context.base, g)) for n, g in row}
 
 
-def _row_block(context: ExtensionContext, dim: int, rows) -> list[list[QuadExtElement]]:
-    """The dim-by-dim block with row m the w * g of each (m, w, g) of rows, g a
+def _row_block(context: ExtensionContext, dim: int, rows) -> tuple:
+    """The dim-by-dim grid with row m the w * g of each (m, w, g) of rows, g a
     ``_scaled_row``: one ``_times`` per entry, the one-term ``_dot``; g where w is None."""
-    block = [[context.zero()] * dim for _ in range(dim)]
+    grid = [[None] * dim for _ in range(dim)]
     for m, w, g in rows:
-        x, line = w and _lhs_coords(w), block[m - 1]
+        x, line = w and _lhs_coords(w), grid[m - 1]
         for n, y in g:
-            line[n - 1] = _element(context, _times(context.base, x, y) if x else y)
-    return block
+            line[n - 1] = _times(context.base, x, y) if x else y
+    return tuple(map(tuple, grid))
 
 
-def _hermitian_row_block(context: ExtensionContext, dim: int, rows) -> list[list[QuadExtElement]]:
-    """The block of ``_row_block`` plus its adjoint: the terms w * g[n] at (m, n)
+def _hermitian_row_block(context: ExtensionContext, dim: int, rows) -> tuple:
+    """The grid of ``_row_block`` plus its adjoint: the terms w * g[n] at (m, n)
     and conj(w) * conj(g[n]) at (n, m), each entry one ``_dot`` of its terms."""
     base, cells = context.base, {}
     for m, w, g in rows:
@@ -447,16 +547,15 @@ def _hermitian_row_block(context: ExtensionContext, dim: int, rows) -> list[list
         for n, y in g:
             cells.setdefault((m, n), []).append((x, y))
             cells.setdefault((n, m), []).append((_conj(base, x), _conj(base, y)))
-    zero, span = context.zero(), range(1, dim + 1)
-    return [[_dot(context, *zip(*cells[m, n])) if (m, n) in cells else zero for n in span] for m in span]
+    span = range(1, dim + 1)
+    return tuple(tuple(_dot(context, *zip(*cells[m, n])) if (m, n) in cells else None for n in span) for m in span)
 
 
-def _rank_one_entries(context: ExtensionContext, terms) -> dict:
-    """{(m, n): sum_j w_j * (e_j[m] conj(f_j[n]))} over the cells some term
-    reaches, from (w, e items, f items) triples.  Each e[m] conj(f[n]) is a
-    ``_times`` of e[m] with the conjugated f[n], and each cell one ``_dot``
-    with the w as left factors: the digits of ``quad_sum`` over the scalar
-    products, truncated once per cell."""
+def _rank_one_entries(context: ExtensionContext, dim: int, terms) -> tuple:
+    """The dim-by-dim grid of sum_j w_j * (e_j[m] conj(f_j[n])) from (w, e items, f
+    items) triples.  Each e[m] conj(f[n]) is a ``_times`` of e[m] with the
+    conjugated f[n], and each cell one ``_dot`` with the w as left factors:
+    the digits of ``quad_sum`` over the scalar products."""
     base, cells = context.base, {}
     for w, e, f in terms:
         x = _lhs_coords(w)
@@ -465,30 +564,29 @@ def _rank_one_entries(context: ExtensionContext, terms) -> dict:
             ex = _lhs_coords(em)
             for n, fy in f_conj:
                 cells.setdefault((m, n), []).append((x, _times(base, ex, fy)))
-    return {cell: _dot(context, *zip(*pairs)) for cell, pairs in cells.items()}
+    span = range(1, dim + 1)
+    return tuple(tuple(_dot(context, *zip(*cells[m, n])) if (m, n) in cells else None for n in span) for m in span)
 
 
 def _gram_is_identity(ctx: ExtensionContext, lines: list) -> bool:
     """G == Id without forming G, whose entry (m, n) is sum_k
-    conj(lines[m][k]) * lines[n][k]: adjoint(U) U from the columns of U,
-    the conjugate of U adjoint(U) from its rows, the Gram matrix of an
-    orthonormal system from its vectors.  Entry (n, m) is the conjugate of
-    entry (m, n), zeros included, so only m <= n is decided, up to the first
-    entry that differs from Id: the diagonal first, each entry as its line
-    is scaled (``_gram_line``), then row m's entries n > m from the row's
-    packed sums (``_sums``), each read off its integer sums by
+    conj(lines[m][k]) * lines[n][k] over lines of entries: adjoint(U) U from
+    the columns of U, the conjugate of U adjoint(U) from its rows, the Gram
+    matrix of an orthonormal system from its vectors.  Entry (n, m) is the
+    conjugate of entry (m, n), zeros included, so only m <= n is decided, up
+    to the first entry that differs from Id: the diagonal first, each entry
+    as its line is scaled (``_gram_line``), then row m's entries n > m from
+    the row's packed sums (``_sums``), each read off its integer sums by
     ``_matches_id``.  Where a line spans the power table every entry is one
     ``_dot``, as in a product."""
     base, d, grams = ctx.base, len(lines), []
     for line in lines:
         g = _gram_line(ctx, line)
         if g is None:
-            one, zero = ctx.one(), ctx.zero()
-            left = [[_conj(base, _lhs_coords(z)) for z in x] for x in lines]
-            right = [[_rhs_coords(z) for z in x] for x in lines]
-            return all(
-                _dot(ctx, row, right[n]) == (one if m == n else zero) for m, row in enumerate(left) for n in range(m, d)
-            )
+            one = _rhs_coords(ctx.one())
+            left = [[_lhs(ctx, z, -1) for z in x] for x in lines]
+            cells = ((m, n) for m in range(d) for n in range(m, d))
+            return all(_equal(base, _dot(ctx, left[m], lines[n]), one if m == n else None) for m, n in cells)
         xs, xa, y = g[:3]
         if not _matches_id(base, g, g, sum(map(mul, xs[1], y[1])), sum(map(mul, xa[1], y[1]))):
             return False
@@ -503,18 +601,18 @@ def _gram_is_identity(ctx: ExtensionContext, lines: list) -> bool:
 
 
 def _gram_line(ctx: ExtensionContext, line):
-    """The ``_scaled`` lines of one Gram line z and their ``_masks``:
-    conj(z) . z' has sc = [sc | -mu*ac] . [sc' | ac'] and
+    """The ``_scaled`` lines of one Gram line z of entries and their
+    ``_masks``: conj(z) . z' has sc = [sc | -mu*ac] . [sc' | ac'] and
     ac = [-ac | sc] . [sc' | ac'], so the left sc line, the left ac line and
     the right line [sc | ac], then the masks of each.  Conjugation changes
     units only, so the left ac line is the right line's structure with its
-    halves swapped and its ac units negated, as ``_conj`` of ``_lhs_coords``
+    halves swapped and its ac units negated, as ``_lhs`` of the conjugate
     gives them, and its masks are the right line's with their halves
     swapped.  The left sc line is scaled on its own.  None where a line
     spans the power table."""
     base, mu, d = ctx.base, ctx.mu, len(line)
     pw, top, p = base._powers, len(base._powers), base.p
-    scs, acs = [padic._triple(z.sc) for z in line], [padic._triple(z.ac) for z in line]
+    scs, acs = [c and c[0] for c in line], [c and c[1] for c in line]
     right = _scaled(base, scs + acs)
     if right is None:
         return None
@@ -579,36 +677,42 @@ def _vanishes(base: PadicContext, x, xm, y, ym, s: int) -> bool:
     return not s % (powers[a] if a < top else p**a)
 
 
-def _product(context: ExtensionContext, rows, cols) -> list[list[QuadExtElement]]:
-    """The block product of element rows and columns, each entry digit for
-    digit ``_dot`` of their ``_lhs_coords`` and ``_rhs_coords``.  Each
-    coordinate is a base-field product, sc = [sc | mu*ac] . [sc'; ac'] or
-    ac = [ac | sc] . [sc'; ac'], its entry sums packed one int per row
-    (``_sums``) and then truncated (``_entries``), or one ``_times`` per entry
-    (the one-term ``_dot``) for a row with at most one live place."""
+def _product(context: ExtensionContext, rows, cols) -> tuple:
+    """The grid product of grid rows and columns, each entry digit for digit ``_dot``
+    of their ``_lhs`` and entries.  Each coordinate is a base-field product,
+    sc = [sc | mu*ac] . [sc'; ac'] or ac = [ac | sc] . [sc'; ac'], its entry
+    sums packed one int per row (``_sums``) and truncated (``_entries``), or
+    one ``_times`` per entry (the one-term ``_dot``) for a row with at most one
+    live place.  The columns are scaled only for a packed row (else ``_spans``)."""
     base = context.base
-    rows = [[_lhs_coords(z) for z in row] for row in rows]
-    cols = [[_rhs_coords(z) for z in col] for col in cols]
-    # a row with one live place is checked against the power table on that place alone
+    rows = [[_lhs(context, c) for c in row] for row in rows]
     places = [[k for k, x in enumerate(r) if x] for r in rows]
-    cut = [[r[ks[0]]] if len(ks) == 1 else r for r, ks in zip(rows, places)]
+    # a row with one live place is checked against the power table on that place alone
+    cut = [([r[ks[0]]] if len(ks) == 1 else r, len(ks) > 1) for r, ks in zip(rows, places)]
     # both coordinates of a row against the same right lines, packed once
-    left = [_scaled(base, [x and x[i] for x in r] + [x and x[j] for x in r]) for r in cut for i, j in ((0, 1), (2, 0))]
-    right = [_scaled(base, [y and y[0] for y in c] + [y and y[1] for y in c]) for c in cols]
-    if None in left or None in right:
-        return [[_dot(context, row, col) for col in cols] for row in rows]
-    dense = [x for i, x in enumerate(left) if len(places[i // 2]) > 1]
+    lines = [([x and x[i] for x in r] + [x and x[j] for x in r], packed) for r, packed in cut for i, j in ((0, 1), (2, 0))]
+    right = [[y and y[0] for y in c] + [y and y[1] for y in c] for c in cols]
+    dense = [_scaled(base, x) for x, packed in lines if packed]
+    right = [_scaled(base, y) for y in right] if dense else [None if _spans(base, y) else y for y in right]
+    if None in dense or None in right or any(_spans(base, x) for x, packed in lines if not packed):
+        return tuple(tuple(_dot(context, row, col) for col in cols) for row in rows)
     pairs = iter([_entries(base, x, right, s) for x, s in zip(dense, _sums(dense, right) if dense else ())])
     # a packed row's two lines of sums, else one _times of its live place per column
-    return [
-        [_element(context, coords) for coords in zip(next(pairs), next(pairs))]
+    return tuple(
+        tuple(map(_coords, next(pairs), next(pairs)))
         if len(ks) > 1
-        else [_element(context, _times(base, r[ks[0]], c[ks[0]])) if ks and c[ks[0]] else context.zero() for c in cols]
+        else tuple(_times(base, r[ks[0]], c[ks[0]]) if ks and c[ks[0]] else None for c in cols)
         for r, ks in zip(rows, places)
-    ]
+    )
 
 
 _FAR = 1 << 62  # a zero's valuation in a line: beyond every live place
+
+
+def _spans(base: PadicContext, line) -> bool:
+    """Whether a line's live valuations span the power table, as ``_scaled`` refuses it."""
+    vals = [x[0] for x in line if x]
+    return bool(vals) and max(vals) - min(vals) >= len(base._powers)
 
 
 def _scaled(base: PadicContext, line):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     ContextMismatch,
@@ -38,7 +39,7 @@ from .operators import (
     trace,
 )
 from .padic import PadicContext, PadicNumber, padic_sum
-from .quadext import QuadExtElement, _abs_range
+from .quadext import QuadExtElement, _abs_range, _known_at_one
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ class Sovm:
         (``quadext._abs_range``): an O(p**N) entry raises PrecisionExhausted
         only where no effect is known to exceed 1 and one may."""
         one = Magnitude.one(self.effects[0].context.p)
-        ranges = [_abs_range(a.context, (z for row in a.rows for z in row)) for a in self.effects]
+        ranges = [_abs_range(a.context, chain.from_iterable(a._grid)) for a in self.effects]
         if any(one < low for low, _ in ranges):
             return False
         if any(one < high for _, high in ranges):
@@ -268,7 +269,8 @@ def make_sovm(effects: list[BlockOperator]) -> Sovm:
         acc = a if acc is None else acc + a
     if acc != identity(acc.context, acc.dim):
         raise SumNotIdentity("effects must sum to the identity")
-    _require_known([x for row in acc.rows for z in row for x in (z.sc, z.ac)], "the sum of the effects")
+    if not _known_at_one(chain.from_iterable(acc._grid)):
+        raise PrecisionExhausted("the sum of the effects is not known at p^0; raise the precision")
     return Sovm(tuple(effects), acc.dim)
 
 

@@ -7,11 +7,12 @@ spans the power table.
 ``operators._trace_of_product``, ``BlockOperator.apply`` and the rank-one
 sums (``operators._rank_one_sum``: ``rank_one`` and the states builders)
 sum their products on integer coordinates through the kernel's
-element-line entry points (``quadext._dots``, ``quadext._rank_one_entries``),
-each sum one ``quadext._dot``; ``canonical_decomposition`` and its
-reconstructions, ``factor_trace_class``, ``hs_inner`` and
-``inner_product`` scale and conjugate on those coordinates too
-(``quadext._scaled_row``, ``quadext._row_block``, ``quadext._conj_dot``).
+entry points, which read and return the coordinate grids blocks store
+(``quadext._sum_of_products``, ``quadext._rank_one_entries``), each sum one
+``quadext._dot``; ``canonical_decomposition`` and its reconstructions,
+``factor_trace_class``, ``hs_inner`` and ``inner_product`` scale and
+conjugate on those coordinates too (``quadext._scaled_row``,
+``quadext._row_block``).
 Each must give the digits of the scalar route written out below,
 ``quad_sum`` over the ``QuadExtElement`` products, in every case: the same
 (valuation, unit, prec, absolute) on both coordinates of every entry, or
@@ -79,6 +80,9 @@ from padicqm import quadext
 from padicqm.quadext import ExtensionContext, _dot, _lhs_coords, _residue, _rhs_coords, max_abs, quad_sum
 
 PRECISION = 5  # a low cap makes cancellations and exhausted sums common
+# the share of O(p**N) operand coordinates in the sweeps of products, apply,
+# traces of products and hs_inner, which the grids store as (N, 0, 0)
+INEXACT = 0.1
 
 
 def _contexts() -> list[ExtensionContext]:
@@ -107,8 +111,14 @@ def test_the_contexts_cover_every_class():
 # -- the scalar route -----------------------------------------------------------
 
 
+def _exact_zero(z: QuadExtElement) -> bool:
+    return all(c.is_zero and c.absolute is None for c in (z.sc, z.ac))
+
+
 def _scalar_dot(ctx, xs, ys):
-    return quad_sum(ctx, [x * y for x, y in zip(xs, ys) if not (x.is_zero or y.is_zero)])
+    """quad_sum over the products x * y; only exact zeros are left out, so
+    O(p**N) * y enters as O(p**(N + v(y))), as ``x * y`` gives it."""
+    return quad_sum(ctx, [x * y for x, y in zip(xs, ys) if not (_exact_zero(x) or _exact_zero(y))])
 
 
 def _scalar_product(a, b):
@@ -256,8 +266,11 @@ def _pair_of_rows(pair_):
 # -- random operands --------------------------------------------------------------
 
 
-def _coordinate(rng: random.Random, ctx: PadicContext) -> PadicNumber:
-    """Zero, or a number with 1 to ``precision`` known digits."""
+def _coordinate(rng: random.Random, ctx: PadicContext, inexact: float = 0.0) -> PadicNumber:
+    """O(p**N) with probability ``inexact``, else zero, or a number with 1
+    to ``precision`` known digits."""
+    if inexact and rng.random() < inexact:
+        return PadicNumber(ctx, None, 0, 0, rng.randint(-1, 4))
     if rng.random() < 0.25:
         return ctx.zero()
     k = rng.randint(1, ctx.precision)
@@ -265,19 +278,20 @@ def _coordinate(rng: random.Random, ctx: PadicContext) -> PadicNumber:
     return ctx.from_digits(rng.randint(-1, 1), digits)
 
 
-def _element(rng, ctx: ExtensionContext) -> QuadExtElement:
-    return QuadExtElement(ctx, _coordinate(rng, ctx.base), _coordinate(rng, ctx.base))
+def _element(rng, ctx: ExtensionContext, inexact: float = 0.0) -> QuadExtElement:
+    return QuadExtElement(ctx, _coordinate(rng, ctx.base, inexact), _coordinate(rng, ctx.base, inexact))
 
 
-def _operands(rng: random.Random, ctx: ExtensionContext):
-    """Two blocks of sizes 1..4 each and a vector over indices 1..5."""
+def _operands(rng: random.Random, ctx: ExtensionContext, inexact: float = 0.0):
+    """Two blocks of sizes 1..4 each and a vector over indices 1..5, each
+    coordinate O(p**N) with probability ``inexact``."""
 
     def block():
         d = rng.randint(1, 4)
-        return BlockOperator(ctx, [[_element(rng, ctx) for _ in range(d)] for _ in range(d)])
+        return BlockOperator(ctx, [[_element(rng, ctx, inexact) for _ in range(d)] for _ in range(d)])
 
     support = rng.sample(range(1, 6), rng.randint(0, 5))
-    return block(), block(), PVector(ctx, {n: _element(rng, ctx) for n in support})
+    return block(), block(), PVector(ctx, {n: _element(rng, ctx, inexact) for n in support})
 
 
 def _hermitian_block(rng: random.Random, ctx: ExtensionContext) -> BlockOperator:
@@ -312,7 +326,7 @@ def test_kernel_matches_the_scalar_route_on_a_seeded_sweep():
     inexact = cancelled = 0
     for ctx in CONTEXTS:
         for _ in range(30):
-            a, b, v = _operands(rng, ctx)
+            a, b, v = _operands(rng, ctx, INEXACT)
             inexact += _inexact_zeros(_compare_all(a, b, v))
             cancelled += _cancellations(a, b)
     # the sweep reaches the corners, not only the easy middle
@@ -360,7 +374,7 @@ def test_weighted_rank_one_sums_match_the_scalar_route_on_a_seeded_sweep():
 @st.composite
 def _hypothesis_operands(draw):
     ctx = draw(st.sampled_from(CONTEXTS))
-    return _operands(random.Random(draw(st.integers(0, 2**32))), ctx)
+    return _operands(random.Random(draw(st.integers(0, 2**32))), ctx, INEXACT)
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,7 +407,7 @@ def test_kernel_matches_the_scalar_route_past_the_power_table():
     for p, mu in ((2, 3), (3, 5), (7, 3)):
         ctx = helpers.ext_ctx(p, mu, 80)
         for _ in range(4):
-            _compare_all(*_operands(rng, ctx))
+            _compare_all(*_operands(rng, ctx, INEXACT))
 
 
 # -- block products on exact integer sums -------------------------------------
@@ -588,12 +602,10 @@ def test_rows_with_one_live_place_match_the_per_entry_sums(monkeypatch):
                 right = [[_rhs_coords(z) for z in col] for col in zip(*b.rows)]
                 calls.clear()
                 got = _rows((a * b).rows)
-                assert got == [[_digits(_dot(ctx, x, y)) for y in right] for x in left]
+                assert got == [[_digits(quadext._element(ctx, _dot(ctx, x, y))) for y in right] for x in left]
                 assert kind == "mixed" or calls == []
                 inexact += _inexact_zeros(got)
-                # the scalar route leaves out an O(p**N) operand, which the kernel multiplies
-                if kind != "inexact":
-                    _compare_products(a, b)
+                _compare_products(a, b)
     assert inexact > 1000
 
 
@@ -882,7 +894,7 @@ def test_kernel_callers_reject_mixed_extensions(monkeypatch, call):
 
 def _gram_entry(ctx, a, b):
     """Entry (m, n) of adjoint(X) X for columns a = X[:, m] and b = X[:, n]."""
-    return _dot(ctx, [_lhs_coords(z.conj()) for z in a], [_rhs_coords(z) for z in b])
+    return quadext._element(ctx, _dot(ctx, [_lhs_coords(z.conj()) for z in a], [_rhs_coords(z) for z in b]))
 
 
 def _scalar_gram(x):
@@ -1015,7 +1027,7 @@ def _rows_gram_conjugated_right(u):
     left = [[_lhs_coords(z) for z in row] for row in u.rows]
     right = [[quadext._conj(base, _rhs_coords(z)) for z in row] for row in u.rows]
     one, zero, d = ctx.one(), ctx.zero(), range(len(right))
-    return all(_dot(ctx, left[m], right[n]) == (one if m == n else zero) for m in d for n in d)
+    return all(quadext._element(ctx, _dot(ctx, left[m], right[n])) == (one if m == n else zero) for m in d for n in d)
 
 
 def test_the_rows_gram_conjugated_left_gives_the_verdicts_of_the_right_form():
@@ -1193,7 +1205,7 @@ def test_the_packed_gram_scan_matches_the_term_by_term_scan():
     for ctx in CONTEXTS:
         for d in (*range(1, 10), 16):
             for lines in _gram_families(rng, ctx, d):
-                got = quadext._gram_is_identity(ctx, lines)
+                got = quadext._gram_is_identity(ctx, quadext._grid(ctx, lines))
                 assert got == _term_by_term_scan(ctx, lines), (ctx.p, ctx.mu_class, d)
                 seen[ctx.p, got] = seen.get((ctx.p, got), 0) + 1
     for p in (2, 3, 5, 7):
@@ -1220,7 +1232,7 @@ def test_each_gram_entry_is_decided_as_its_dot():
         for _ in range(250):
             k = rng.randint(1, 4)
             lines = [[QuadExtElement(ctx, _few_digits(rng, base), _few_digits(rng, base)) for _ in range(k)] for _ in range(3)]
-            grams = [quadext._gram_line(ctx, line) for line in lines]
+            grams = [quadext._gram_line(ctx, line) for line in quadext._grid(ctx, lines)]
             for m, g in enumerate(grams):
                 for n in range(m, 3):
                     h = grams[n]
@@ -1250,7 +1262,7 @@ def test_a_gram_entry_known_modulo_a0_but_not_a_refutes():
     uw = inner_product(PVector(ctx, dict(enumerate(w, 1))), PVector(ctx, dict(enumerate(u, 1))))
     assert _digits(uw)[0] == (2, 1, 1, None) and uw.ac == ctx.base.zero()
     assert _term_by_term_scan(ctx, [u, w]) is False
-    assert quadext._gram_is_identity(ctx, [u, w]) is False
+    assert quadext._gram_is_identity(ctx, quadext._grid(ctx, [u, w])) is False
     assert is_ip_preserving(BlockOperator(ctx, [list(r) for r in zip(u, w)])) is False
 
 
@@ -1277,7 +1289,7 @@ def _element_of(ctx, sc, ac):
 def test_a_gram_entry_that_no_mask_decides_refutes(columns):
     ctx = helpers.ext_ctx(3, 5, PRECISION)
     lines = [[_element_of(ctx, *z) for z in col] for col in columns]
-    assert _term_by_term_scan(ctx, lines) is False and quadext._gram_is_identity(ctx, lines) is False
+    assert _term_by_term_scan(ctx, lines) is False and quadext._gram_is_identity(ctx, quadext._grid(ctx, lines)) is False
 
 
 def test_a_gram_scan_stops_at_the_first_entry_that_differs(monkeypatch):
@@ -1294,13 +1306,13 @@ def test_a_gram_scan_stops_at_the_first_entry_that_differs(monkeypatch):
     for ctx in (CONTEXTS[0], CONTEXTS[-1]):
         u = _butterfly(ctx, 8)
         lines = [list(col) for col in zip(*u.rows)]
-        assert quadext._gram_is_identity(ctx, lines) is True and len(calls) == 8 * 9 // 2
+        assert quadext._gram_is_identity(ctx, quadext._grid(ctx, lines)) is True and len(calls) == 8 * 9 // 2
         calls.clear()
         three = ctx.from_base(ctx.base.from_int(ctx.p))
-        assert quadext._gram_is_identity(ctx, [[z * three for z in lines[0]]] + lines[1:]) is False
+        assert quadext._gram_is_identity(ctx, quadext._grid(ctx, [[z * three for z in lines[0]]] + lines[1:])) is False
         assert len(calls) == 1
         calls.clear()
-        assert quadext._gram_is_identity(ctx, [lines[0], lines[0]] + lines[2:]) is False
+        assert quadext._gram_is_identity(ctx, quadext._grid(ctx, [lines[0], lines[0]] + lines[2:])) is False
         assert len(calls) == 8 + 1
         calls.clear()
 
@@ -1342,15 +1354,16 @@ def _scalar_unitarity(u):
     return ip, lambda: operator_norm(u).is_one and ip() and rows()
 
 
-def _short_block(rng: random.Random, ctx: ExtensionContext, d: int) -> BlockOperator:
+def _short_block(rng: random.Random, ctx: ExtensionContext, d: int, inexact: float = 0.0) -> BlockOperator:
     """Entries with 1 to ``precision`` digits, exact-zero coordinates and
-    entries, and some zero rows.  In half the blocks both coordinates of an
-    entry share one valuation: half magnitudes where mu is ramified, which
-    Q_2(sqrt(3)) and Q_2(sqrt(7)) scale by the mixed uniformizer."""
+    entries, O(p**N) coordinates with probability ``inexact``, and some zero
+    rows.  In half the blocks both coordinates of an entry share one
+    valuation: half magnitudes where mu is ramified, which Q_2(sqrt(3)) and
+    Q_2(sqrt(7)) scale by the mixed uniformizer."""
     even, zero_row = rng.random() < 0.5, rng.random() < 0.3
 
     def entry():
-        z = _element(rng, ctx)
+        z = _element(rng, ctx, inexact)
         if even and not (z.sc.is_zero or z.ac.is_zero):
             z = replace(z, ac=replace(z.ac, valuation=z.sc.valuation))
         return z
@@ -1361,7 +1374,8 @@ def _short_block(rng: random.Random, ctx: ExtensionContext, d: int) -> BlockOper
 def _compare_triple_routes(rng: random.Random, ctx: ExtensionContext, d: int):
     """Every route of this section on one d-by-d operand against the scalar
     route; the expected outcomes."""
-    a, b = _short_block(rng, ctx, d), _short_block(rng, ctx, rng.randint(1, 8))
+    # b enters only hs_inner, conjugated on one side and plain on the other
+    a, b = _short_block(rng, ctx, d), _short_block(rng, ctx, rng.randint(1, 8), INEXACT)
     u, v = (PVector(ctx, {n: _element(rng, ctx) for n in rng.sample(range(1, 9), rng.randint(0, 8))}) for _ in range(2))
     ip, unitary = _scalar_unitarity(a)
     cases = [

@@ -153,7 +153,7 @@ def verdicts(cls):
 
 def declared_bound(base, r, c, diagonal):
     def bound(m, n):
-        return math.inf if diagonal and m != n else base + r * m + c * n
+        return None if diagonal and m != n else base + r * m + c * n
 
     return bound
 
@@ -169,8 +169,9 @@ def windows(bound, size):
     """Tight and loose symmetric windows and a tight asymmetric one."""
     def sym(slack):
         def entry(m, n):
-            b = max(bound(m, n), bound(n, m))
-            return E35.zero() if b == math.inf else p_power(math.ceil(b) + slack)
+            if bound(m, n) is None:  # off the diagonal of a diagonal-only bound
+                return E35.zero()
+            return p_power(math.ceil(max(bound(m, n), bound(n, m))) + slack)
 
         return helpers.window(E35, size, entry)
 
@@ -191,7 +192,7 @@ def test_verdicts_match_the_declared_flag_model(support):
         flags = declared_flags(r, c, diagonal)
         row, col, pring, joint, diag = flags
         t = size + 1
-        frontier = min(min(bound(t, n), bound(n, t)) for n in range(1, t + 1))
+        frontier = min(b for n in range(1, t + 1) for b in (bound(t, n), bound(n, t)) if b is not None)
         for block in windows(bound, size):
             g = GeneratorOperator(block, cert)
             case = (base, r, c, support)

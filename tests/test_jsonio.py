@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -114,7 +115,7 @@ def test_generator_operator_round_trip():
 )
 def test_generator_round_trip_keeps_the_certificate(cert):
     def entry(m, n):
-        if cert.bound(m, n) == math.inf:
+        if cert.bound(m, n) is None:
             return E35.zero()
         return E35.from_base(B3.from_fraction(Fraction(3) ** math.ceil(cert.bound(m, n))))
 
@@ -377,3 +378,83 @@ def test_dumps_writes_the_bytes_of_the_indented_sorted_encoder(payload):
 def test_dumps_refuses_what_it_does_not_encode(payload):
     with pytest.raises(TypeError):
         dumps(payload)
+
+
+# -- a malformed entry is refused with the message it had ----------------------
+#
+# Each case changes one coordinate of entry (1, 2) of an operator, and of
+# entry 2 of a vector, from 0 + [1, 2]; the text is the ParseError the
+# element parse gave before the block parse read digits straight into
+# triples.  None is a parse that succeeds: "absolute" beside digits is
+# ignored, as it was.
+
+_DROP = object()
+_MALFORMED = {
+    "bool digit": ({"digits": [1, True]}, "bad p-adic number: digit True is not an integer in [0, 3)"),
+    "float digit": ({"digits": [1, 2.0]}, "bad p-adic number: digit 2.0 is not an integer in [0, 3)"),
+    "digit p": ({"digits": [1, 3]}, "bad p-adic number: digit 3 is not an integer in [0, 3)"),
+    "negative digit": ({"digits": [1, -1]}, "bad p-adic number: digit -1 is not an integer in [0, 3)"),
+    "leading zero": ({"digits": [0, 1]}, "bad p-adic number: unit must have a nonzero first digit"),
+    "no digit": ({"digits": []}, "bad p-adic number: need between 1 and `precision` digits"),
+    "past the precision": ({"digits": [1] * 9}, "bad p-adic number: need between 1 and `precision` digits"),
+    "digits not a list": ({"digits": "12"}, "digits '12' is not a list"),
+    "float valuation": ({"valuation": 1.5}, "valuation 1.5 is not an integer"),
+    "bool valuation": ({"valuation": True}, "valuation True is not an integer"),
+    "absolute not an int": ({"valuation": None, "absolute": 2.0}, "absolute 2.0 is not an integer"),
+    "no valuation": ({"valuation": _DROP}, "bad p-adic number: 'valuation'"),
+    "no digits": ({"digits": _DROP}, "bad p-adic number: 'digits'"),
+    "another p": ({"p": 5}, "scalar declares (p, precision) = (5, 8) in a context of (3, 8)"),
+    "absolute beside digits": ({"absolute": 2}, None),
+}
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("coord", ["sc", "ac"])
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_entry_is_refused_with_the_message_it_had(case, coord):
+    change, message = _MALFORMED[case]
+    data = operator_to_dict(identity(E35, 2).scale(E35.from_ints(1, 1)))
+    scalar = data["entries"][0][1][coord]
+    scalar.update({"valuation": 0, "digits": [1, 2]})
+    for key, value in change.items():
+        if value is _DROP:
+            del scalar[key]
+        else:
+            scalar[key] = value
+    vector = {"entries": {"2": data["entries"][0][1]}}
+    got = _outcome(lambda: operator_from_dict(data)), _outcome(lambda: vector_from_dict(vector, E35))
+    if message is not None:
+        assert got == (f"entry (1,2): {message}", f"entry (2): {message}")
+        return
+    z = replace(E35.zero(), **{coord: B3.from_digits(0, [1, 2])})
+    assert got[0].entry(1, 2) == z and got[1] == PVector(E35, {2: z})
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (padic_to_dict(helpers.base_ctx(3, 8).from_int(2)), "element declares a mu other than the context's"),
+        ({"p": 3}, "bad p-adic number: 'valuation'"),
+    ],
+    ids=["another mu", "malformed mu"],
+)
+def test_an_entry_declaring_another_mu_is_refused_with_the_message_it_had(mu, message):
+    data = operator_to_dict(identity(E35, 2))
+    data["entries"][1][0]["mu"] = mu
+    assert _outcome(lambda: operator_from_dict(data)) == f"entry (2,1): {message}"
+
+
+def test_a_malformed_grid_is_refused_with_the_message_it_had():
+    data = operator_to_dict(identity(E35, 2))
+    data["entries"][1][0] = {"mu": None, "sc": data["entries"][1][0]["sc"]}
+    assert _outcome(lambda: operator_from_dict(data)) == "entry (2,1): bad extension element: 'ac'"
+    data["entries"][1][0] = 5
+    assert _outcome(lambda: operator_from_dict(data)) == "entry (2,1): bad extension element: 'int' object is not subscriptable"
+    data["entries"][1] = [data["entries"][0][0]]
+    assert _outcome(lambda: operator_from_dict(data)) == "bad operator: block must be square"

@@ -44,6 +44,7 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "quadext.mul_us",
         "quadext.element_us",
         "block_mul.d4_ms",
+        "block_mul_read.d4_ms",
         "block_mul_gap_ms",
         "block_mul_far_row_ms",
         "block_mul_diag.d4_ms",
@@ -63,3 +64,17 @@ def test_layer_timings_reports_every_layer_at_its_smallest_size():
         "jsonio.context_us",
     }
     assert all(t > 0 for t in report["timings"].values())
+
+
+def test_layer_timings_time_the_norm_orthogonality_rank_up_to_the_largest_size():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "layer_timings.py"), "--repeat", "1", "--max-dim", "8"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    timings = json.loads(done.stdout)["timings"]
+    family = {k for k in timings if k.startswith(("norm_orthogonal.", "block_mul_read."))}
+    assert family == {"norm_orthogonal.d8_ms", "block_mul_read.d4_ms", "block_mul_read.d8_ms"}
+    assert all(timings[k] > 0 for k in family)
